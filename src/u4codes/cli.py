@@ -316,8 +316,6 @@ def run_command(argv, out=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, out)
         return EXIT_USAGE
-    except AssertionError:
-        raise
     except U4CodesError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

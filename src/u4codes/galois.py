@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, DivisionByZero, NonPrime, NotMonic, Reducible
+from .errors import DegreeOutOfRange, DivisionByZero, NonPrime, NotMonic, Reducible, U4CodesError
 
 MAX_P = 251
 MAX_Q = 256
@@ -100,6 +100,8 @@ class FieldSpec:
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FieldSpec)
             and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
@@ -146,8 +148,22 @@ class FieldSpec:
 
         inv = np.argmax(self.mul_table == 1, axis=1).astype(np.int16)
         inv[0] = 0
-        assert all(self.mul_table[e, inv[e]] == 1 for e in range(1, q))
+        if not np.all(self.mul_table[np.arange(1, q), inv[1:]] == 1):
+            raise U4CodesError(f"{self!r}: a nonzero element has no inverse")
         self.inv_table = inv
+
+        # Digit tables for sring's convolution kernel: digit_rows[i, e] is
+        # digit i of encoding e, and pow_digits[i, k] is digit i of a^k for
+        # k < 2m - 1, the degrees a product of two digit vectors reaches.
+        # They are float64 so np.convolve and np.dot run on BLAS dot products;
+        # every value the kernel forms is an integer below 2^53, so the
+        # float arithmetic is exact.
+        apow = [1]
+        for _ in range(2 * m - 2):
+            apow.append(int(xmul[apow[-1]]))
+        self.digit_rows = digs.T.astype(np.float64, order="C")
+        self.pow_digits = digs[apow].T.astype(np.float64, order="C")
+        self.digit_weights = powers.astype(np.float64)
 
     # -- scalar operations on encodings ------------------------------------
 

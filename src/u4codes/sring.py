@@ -5,6 +5,12 @@ is the truncated polynomial ring F_{p^m}[s]/<s^n>.  Storing coefficients of
 powers of s makes valuations and unit decompositions first-nonzero-index
 scans, which is what all the torsion computations need.  Exponents >= n
 truncate to zero; they are never reduced cyclically.
+
+Cost model: every product goes through one kernel, ``_mul_trunc``, which
+cuts both operands to their nonzero spans and convolves their base-p digits
+at C level (numpy), so a product costs m^2 convolutions of the two span
+lengths.  ``SPoly.inverse`` is a Newton iteration on the same kernel: two
+products per doubling of the precision, O(log n) kernel calls in all.
 """
 
 from __future__ import annotations
@@ -117,12 +123,7 @@ class SPoly:
 
     def __mul__(self, other: "SPoly") -> "SPoly":
         self._check(other)
-        spec, n = self.spec, self.n
-        acc = np.zeros(n, dtype=np.int16)
-        for i in np.nonzero(self.coeffs)[0]:
-            prod = spec.mul_table[self.coeffs[i], other.coeffs[: n - i]]
-            acc[i:] = spec.add_table[acc[i:], prod]
-        return SPoly(spec, n, acc)
+        return SPoly(self.spec, self.n, _mul_trunc(self.spec, self.coeffs, other.coeffs, self.n))
 
     def shift(self, a: int) -> "SPoly":
         """Multiply by s^a; powers running off the top truncate to zero."""
@@ -135,20 +136,29 @@ class SPoly:
         return SPoly(self.spec, self.n, out)
 
     def inverse(self) -> "SPoly":
-        """Series inverse, valid exactly for units (nonzero constant term)."""
+        """Series inverse, valid exactly for units (nonzero constant term).
+
+        Newton iteration g <- g + g (1 - f g): if f g = 1 mod s^k, the update
+        gives f g = 1 mod s^2k, so ceil(log2 n) steps of two products reach n.
+        The iteration stops early once f g = 1 holds as a polynomial, which
+        a constant f reaches after one step.
+        """
         if not self.is_unit():
             raise DivisionByZero("inverse of a non-unit polynomial")
-        spec, n = self.spec, self.n
-        out = np.zeros(n, dtype=np.int16)
-        c0inv = spec.inv(int(self.coeffs[0]))
-        out[0] = c0inv
-        for k in range(1, n):
-            # sum_{i=1..k} f_i g_{k-i}, then g_k = -c0^{-1} * sum
-            acc = 0
-            for i in np.nonzero(self.coeffs[1 : k + 1])[0] + 1:
-                acc = spec.add(acc, spec.mul(int(self.coeffs[i]), int(out[k - i])))
-            out[k] = spec.neg(spec.mul(c0inv, acc))
-        return SPoly(spec, n, out)
+        spec, n, f = self.spec, self.n, self.coeffs
+        deg_f = int(f.nonzero()[0][-1])
+        g = np.zeros(n, dtype=np.int16)
+        g[0] = spec.inv(int(f[0]))
+        prec = 1
+        while prec < n:
+            prec = min(2 * prec, n)
+            err = spec.neg_table[_mul_trunc(spec, f, g, prec)]
+            err[0] = 0  # err = 1 - f g, whose constant term is 1 - 1
+            # With deg f + deg g < prec nothing was truncated: f g = 1 exactly.
+            if not err.any() and deg_f + int(g.nonzero()[0][-1]) < prec:
+                break
+            g[:prec] = spec.add_table[g[:prec], _mul_trunc(spec, g, err, prec)]
+        return SPoly(spec, n, g)
 
     # -- valuation ------------------------------------------------------------
 
@@ -178,6 +188,35 @@ class SPoly:
 
     def __repr__(self):
         return f"SPoly({self.to_string()})"
+
+
+def _mul_trunc(spec: FieldSpec, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Product of two coefficient vectors of encodings, truncated at s^n.
+
+    Each operand is cut to its nonzero span, so the cost is that of the
+    spans, not of n.  Field elements are split into their m base-p digits
+    and each pair of digit vectors is convolved; the convolution of digits
+    i and j is a coefficient of a^(i+j), which pow_digits reduces back to m
+    digits before the final mod p.  Every sum stays below
+    (2m - 1) m (p - 1)^3 n, far under 2^53, so float64 arithmetic is exact.
+    """
+    out = np.zeros(n, dtype=np.int16)
+    nza, nzb = a[:n].nonzero()[0], b[:n].nonzero()[0]
+    if not nza.size or not nzb.size or nza[0] + nzb[0] >= n:
+        return out
+    va, vb = int(nza[0]), int(nzb[0])
+    lo = va + vb
+    da = spec.digit_rows.take(a[va : min(int(nza[-1]) + 1, n - vb)], axis=1)
+    db = spec.digit_rows.take(b[vb : min(int(nzb[-1]) + 1, n - va)], axis=1)
+    m = spec.m
+    conv = np.zeros((2 * m - 1, da.shape[1] + db.shape[1] - 1))
+    for i in range(m):
+        for j in range(m):
+            conv[i + j] += np.convolve(da[i], db[j])
+    width = min(conv.shape[1], n - lo)
+    digits = np.dot(spec.pow_digits, conv[:, :width]) % spec.p
+    out[lo : lo + width] = np.dot(spec.digit_weights, digits)
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,14 +289,6 @@ def _transform_matrices(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _apply_scalar_matrix(spec: FieldSpec, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """out[j] = sum_i mat[i, j] * vec[i] with mat over F_p, vec field encodings."""
-    out = np.zeros(vec.shape[0], dtype=np.int16)
-    for i in np.nonzero(vec)[0]:
-        out = spec.add_table[out, spec.mul_table[vec[i], mat[i]]]
-    return out
-
-
 def basis_transform(spec: FieldSpec, vec, direction: str, n: int | None = None) -> np.ndarray:
     """Convert a length-n coefficient vector between the x-power and s-power
     bases (x = s + 1).  Input/output are integer field encodings."""
@@ -266,16 +297,13 @@ def basis_transform(spec: FieldSpec, vec, direction: str, n: int | None = None) 
         n = arr.shape[0]
     if arr.shape != (n,):
         raise LengthMismatch("vector length does not match ring length")
-    m_xs, m_sx = _transform_matrices(spec.p, n)
-    if direction == "x_to_s":
-        return _apply_scalar_matrix(spec, m_xs, arr)
-    if direction == "s_to_x":
-        return _apply_scalar_matrix(spec, m_sx, arr)
-    raise ValueError(f"unknown direction {direction!r}")
+    return basis_transform_rows(spec, arr[None, :], direction)[0]
 
 
 def basis_transform_rows(spec: FieldSpec, rows: np.ndarray, direction: str) -> np.ndarray:
     """Row-wise basis_transform for a (r, n) matrix of encodings."""
+    if direction not in ("x_to_s", "s_to_x"):
+        raise ValueError(f"unknown direction {direction!r}")
     n = rows.shape[1]
     m_xs, m_sx = _transform_matrices(spec.p, n)
     mat = m_xs if direction == "x_to_s" else m_sx

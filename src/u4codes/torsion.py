@@ -88,7 +88,8 @@ def _elim_u_level(x: RingElement, y: RingElement) -> RingElement:
     else:
         ratio = dx.unit_part * dy.unit_part.inverse()
         out = x - y.shift_mul(dx.valuation - dy.valuation).poly_mul(ratio)
-    assert out.parts[1].is_zero()
+    if not out.parts[1].is_zero():
+        raise InconsistentSet("u-part elimination left a nonzero u-part")
     return out
 
 
@@ -96,11 +97,12 @@ def _term(spec, n: int, exp: Optional[int], poly: Optional[SPoly]) -> SPoly:
     """s^exp * poly, zero when the unit part is absent or exp >= n.
 
     A negative exponent inside a taken branch would mean the dispatch is
-    wrong, so it asserts instead of clamping.
+    wrong, so it raises instead of clamping.
     """
     if poly is None:
         return SPoly.zero(spec, n)
-    assert exp is not None and exp >= 0, "negative exponent reached a live branch"
+    if exp is None or exp < 0:
+        raise InconsistentSet("negative exponent reached a live branch")
     return poly.shift(exp)
 
 
@@ -296,19 +298,21 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
     for f in with_u2:
         min_set.append((f"w[{f.source}]", f.omega))
         shifted = f.element.shift_mul(n - f.omega)
-        assert shifted.parts[2].is_zero()
+        if not shifted.parts[2].is_zero():
+            raise InconsistentSet(f"{f.source}: s-shift left a nonzero u^2-part")
         if not shifted.is_zero():
             min_set.append((f"shift[{f.source}]", decompose(shifted.parts[3]).valuation))
     for f in u3_only:
         min_set.append((f"u3[{f.source}]", f.omega_tilde))
 
     taus = []
-    for a in range(len(with_u2)):
-        for b in range(a + 1, len(with_u2)):
-            fi, fj = with_u2[a], with_u2[b]
-            ratio = fi.h1.inverse() * fj.h1
+    for a, fi in enumerate(with_u2[:-1]):
+        h1_inv = fi.h1.inverse()
+        for fj in with_u2[a + 1 :]:
+            ratio = h1_inv * fj.h1
             elim = fj.element - fi.element.shift_mul(fj.omega - fi.omega).poly_mul(ratio)
-            assert elim.parts[2].is_zero()
+            if not elim.parts[2].is_zero():
+                raise InconsistentSet(f"elim[{fi.source}|{fj.source}]: nonzero u^2-part")
             if not elim.is_zero():
                 tau = decompose(elim.parts[3]).valuation
                 taus.append(tau)

@@ -27,6 +27,12 @@ length: k=3
 g2: u^2*(x-1)^51 + u^3*(x-1)^67*(1+2*(x-1)+a*(x-1)^2)
 """
 
+GOLDEN_G0_F3_FILE = """\
+field: p=3 m=1 modulus=[0,1]
+length: k=2
+g0: (x-1)^5 + u*(x-1)^2*(1+2*(x-1)) + u^3*(x-1)^2
+"""
+
 GOLDEN_G0_G1_FILE = """\
 field: p=2 m=1 modulus=[0,1]
 length: k=2
@@ -161,6 +167,21 @@ def test_analyze_empty_file(tmp_path):
     path.write_text("")
     status, _ = run(["analyze", str(path)])
     assert status == 66
+
+
+def test_wrong_inverse_exits_internal(tmp_path, monkeypatch, capsys):
+    # A series off by a unit leaves the u-part elimination of <g0> uncancelled;
+    # the guard raises (it is no assert, so python -O keeps it) and the CLI
+    # reports an internal error instead of a traceback.
+    true_inverse = u.SPoly.inverse
+    monkeypatch.setattr(
+        u.SPoly, "inverse", lambda f: true_inverse(f) + u.SPoly.one(f.spec, f.n)
+    )
+    path = tmp_path / "g0.code"
+    path.write_text(GOLDEN_G0_F3_FILE)
+    status, _ = run(["analyze", str(path)])
+    assert status == 70
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_usage_error_code():

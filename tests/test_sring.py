@@ -6,6 +6,7 @@ import pytest
 
 import u4codes as u
 from u4codes.errors import DivisionByZero, MixedField, MixedLength
+from u4codes.galois import FieldSpec
 from u4codes.sring import SPoly, basis_transform, decompose
 
 
@@ -56,6 +57,106 @@ def test_shift_composes(F3):
         f = rand_poly(rng, F3, 9)
         a, b = rng.randrange(12), rng.randrange(12)
         assert f.shift(a).shift(b) == f.shift(a + b)
+
+
+# --- product kernel and Newton inverse against the schoolbook table loop ---------
+
+
+def reference_mul(f, g):
+    """Schoolbook product from the field tables, one shifted row per term of f."""
+    spec, n = f.spec, f.n
+    acc = np.zeros(n, dtype=np.int16)
+    for i in np.nonzero(f.coeffs)[0]:
+        prod = spec.mul_table[f.coeffs[i], g.coeffs[: n - i]]
+        acc[i:] = spec.add_table[acc[i:], prod]
+    return SPoly(spec, n, acc)
+
+
+KERNEL_FIELDS = [
+    (2, 1, None), (3, 1, None), (5, 1, None), (2, 2, None), (5, 2, None), (2, 3, None),
+    (3, 2, None),
+    (7, 1, (4, 1)),                          # a = 3
+    (2, 4, (1, 1, 0, 0, 1)),                 # a^4 + a + 1
+    (3, 3, (1, 2, 0, 1)),                    # a^3 + 2a + 1
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),     # a^8 + a^4 + a^3 + a + 1
+]
+
+
+def kernel_field(p, m, modulus):
+    return u.field_make(p, m) if modulus is None else FieldSpec(p, m, modulus)
+
+
+def kernel_lengths(p):
+    """p, p^2 and the largest power of p up to 256."""
+    out, n = [], p
+    while n <= 256:
+        out.append(n)
+        n *= p
+    return sorted({out[0], out[1], out[-1]})
+
+
+def rand_operand(rng, spec, n, kind):
+    c = rng.integers(0, spec.q, n).astype(np.int16)
+    if kind == "sparse":
+        c[rng.random(n) < 0.85] = 0
+    elif kind == "shifted":  # leading zeros: a valuation above 0
+        c[: rng.integers(1, n)] = 0
+    elif kind == "top":  # only the top coefficients survive
+        c[: n - rng.integers(1, 3)] = 0
+    elif kind == "constant":
+        c[1:] = 0
+    elif kind == "gap":  # c0 + c s^(n-1): f g = 1 mod s^prec long before f g = 1
+        c[1 : n - 1] = 0
+    return SPoly(spec, n, c)
+
+
+@pytest.mark.parametrize("p,m,modulus", KERNEL_FIELDS)
+def test_mul_matches_table_loop(p, m, modulus):
+    spec = kernel_field(p, m, modulus)
+    rng = np.random.default_rng(p * 1000 + m)
+    kinds = ["dense", "sparse", "shifted", "top"]
+    for n in kernel_lengths(p):
+        for ka, kb in 2 * list(itertools.product(kinds, repeat=2)):
+            f, g = rand_operand(rng, spec, n, ka), rand_operand(rng, spec, n, kb)
+            assert f * g == reference_mul(f, g), (n, ka, kb)
+        # valuations adding up to n or more truncate the product to zero
+        f = rand_operand(rng, spec, n, "dense").shift(n // 2)
+        g = rand_operand(rng, spec, n, "dense").shift(n - n // 2)
+        assert (f * g).is_zero() and reference_mul(f, g).is_zero()
+        assert (f * SPoly.zero(spec, n)).is_zero()
+
+
+@pytest.mark.parametrize("p,m,modulus", KERNEL_FIELDS)
+def test_inverse_matches_table_loop(p, m, modulus):
+    spec = kernel_field(p, m, modulus)
+    rng = np.random.default_rng(p * 1000 + m + 1)
+    for n in kernel_lengths(p):
+        one = SPoly.one(spec, n)
+        for kind in ("dense", "sparse", "top", "constant", "gap"):
+            c = rand_operand(rng, spec, n, kind).coeffs.copy()
+            c[0] = rng.integers(1, spec.q)
+            f = SPoly(spec, n, c)
+            g = f.inverse()
+            assert reference_mul(f, g) == one, (n, kind)
+            assert g.inverse() == f
+
+
+def test_mul_and_inverse_at_max_length(F5):
+    n = 3125
+    rng = np.random.default_rng(3125)
+    one = SPoly.one(F5, n)
+    for ka, kb in [("dense", "dense"), ("sparse", "dense"), ("shifted", "sparse")]:
+        f, g = rand_operand(rng, F5, n, ka), rand_operand(rng, F5, n, kb)
+        assert f * g == reference_mul(f, g), (ka, kb)
+    for kind in ("dense", "sparse", "constant", "gap"):
+        c = rand_operand(rng, F5, n, kind).coeffs.copy()
+        c[0] = 3
+        f = SPoly(F5, n, c)
+        g = f.inverse()
+        assert reference_mul(f, g) == one
+        assert g.inverse() == f
+    with pytest.raises(DivisionByZero):
+        rand_operand(rng, F5, n, "shifted").inverse()
 
 
 # --- basis transform ----------------------------------------------------------------
