@@ -14,7 +14,7 @@ import random
 import sys
 
 from .errors import TooLarge, U4CodesError
-from .codes import span_basis, torsion_profile
+from .codes import span_basis, torsion_oracle, torsion_profile
 from .galois import field_make
 from .parsing import format_generator, parse_code_file
 from .randgen import random_code
@@ -92,8 +92,10 @@ def _cmd_analyze(args, out) -> int:
         return EXIT_FILE
 
     report = analyze_code(code, verify=args.verify, cap=args.enum_cap)
-    basis = span_basis(code)
-    profile = torsion_profile(code, basis)
+    if report.verified is not None:
+        profile = report.verified.torsion
+    else:
+        profile = torsion_profile(code, span_basis(code))
     t3_ok = profile[3] == report.t3
 
     verdicts = {"t3_formula_eq_oracle": t3_ok}
@@ -187,7 +189,7 @@ def _cmd_verify(args, out) -> int:
         code = random_code(rng, spec, args.k)
         res = torsion.t3(code)
         basis = span_basis(code)
-        oracle = torsion_profile(code, basis)[3]
+        oracle = torsion_oracle(code, 3, basis)
         ok = res.t3 == oracle
         if ok:
             t3_pass += 1
@@ -277,7 +279,7 @@ def _cmd_sweep(args, out) -> int:
                 for _ in range(trials):
                     code = random_code(rng, spec, k)
                     res = torsion.t3(code)
-                    oracle = torsion_profile(code)[3]
+                    oracle = torsion_oracle(code, 3)
                     writer.writerow(
                         (
                             p, m, k,

@@ -13,6 +13,14 @@ generators, and unit-or-zero correction parts p1..p6.  This module also holds
 the independent linear-algebra oracle: the code as an F_{p^m}-subspace of
 F^(4n), its membership test, torsional degrees by witness scan, and codeword
 enumeration.
+
+The oracle's basis comes from generic module algebra, not from the torsion
+formulas: the code is the submodule of A^4, A = F[s]/<s^n>, spanned by the
+at most 10 rows u^b g_i, and their reduced echelon (Howell) form over the
+chain ring A (Howell 1986; Storjohann and Mulders 1998) has one leading row
+h_c = s^(v_c) e_c + (later columns) per pivot column c.  The rows s^j h_c,
+j < n - v_c, are the reduced row-echelon F-basis up to a few scalar row
+operations each, so building it costs O(rank * 4n) in all.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .errors import (
 )
 from .chain import RingElement
 from .galois import FieldSpec
-from .sring import MAX_N, SPoly
+from .sring import MAX_N, SPoly, _mul_trunc
 
 # All 15 nonempty generator subsets, principal ideals first.
 IDEAL_TYPES: tuple[tuple[int, ...], ...] = (
@@ -220,50 +228,150 @@ class SpanBasis:
         return len(self.pivots)
 
 
-def _rref(field: FieldSpec, rows: Iterator[np.ndarray], width: int):
-    add, sub, mul, inv = field.add_table, field.sub_table, field.mul_table, field.inv_table
-    basis: list[np.ndarray] = []
-    pivots: list[int] = []
-    for row in rows:
-        v = row.astype(np.int16)
-        for p, b in zip(pivots, basis):
-            c = v[p]
-            if c:
-                v = sub[v, mul[c, b]]
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
+def _valuation(col: np.ndarray) -> int:
+    """First nonzero index of a coefficient vector, its length if all zero."""
+    nz = col.nonzero()[0]
+    return int(nz[0]) if nz.size else col.size
+
+
+def _module_rows(code: CyclicCode) -> list[np.ndarray]:
+    """The module generators u^b g_i (i + b <= 3) as (4, n) encoding arrays.
+
+    u^b g_i vanishes for i + b >= 4, so these at most 10 rows span the code
+    as an F[s]/<s^n>-module."""
+    n = code.n
+    rows = []
+    for level in code.ideal_type:
+        g = code.generator(level).to_vector().reshape(4, n)
+        for b in range(4 - level):
+            row = np.zeros((4, n), dtype=np.int16)
+            row[b:] = g[: 4 - b]
+            rows.append(row)
+    return rows
+
+
+def _make_monic(field: FieldSpec, h: np.ndarray, c: int, v: int) -> np.ndarray:
+    """h times the inverse of the unit part of h[c] = s^v * unit, so that
+    column c becomes exactly s^v.  The unit is only needed mod s^(n-v)."""
+    n = h.shape[1]
+    unit = h[c, v:]
+    if not unit[1:].any():
+        scale = field.inv(int(unit[0]))
+        return h if scale == 1 else field.mul_table[scale, h]
+    w = SPoly(field, n - v, unit).inverse().coeffs
+    out = np.zeros_like(h)
+    out[c, v] = 1
+    for j in range(c + 1, 4):
+        out[j] = _mul_trunc(field, w, h[j], n)
+    return out
+
+
+def _sub_multiple(field: FieldSpec, r: np.ndarray, q: np.ndarray, h: np.ndarray, first: int):
+    """r[j] -= q * h[j] in place for the columns j >= first."""
+    n = r.shape[1]
+    for j in range(first, 4):
+        if h[j].any():
+            r[j] = field.sub_table[r[j], _mul_trunc(field, q, h[j], n)]
+
+
+def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, np.ndarray]]:
+    """Reduced echelon (Howell) form of a submodule of A^4, A = F[s]/<s^n>.
+
+    Returns column c -> (v_c, h_c) for the columns that have a pivot: h_c is
+    zero before column c, h_c[c] = s^(v_c), and h_c is zero on the pivot
+    positions (c', j >= v_c') of every other pivot column c'.  The module is
+    the F-span of the rows s^j h_c for j < n - v_c.
+    """
+    n = rows[0].shape[1]
+    heads: dict[int, tuple[int, np.ndarray]] = {}
+    for c in range(4):
+        vals = [_valuation(r[c]) for r in rows]
+        if not rows or min(vals) == n:
             continue
-        piv = int(nz[0])
-        v = mul[inv[v[piv]], v]
-        for idx, (p, b) in enumerate(zip(pivots, basis)):
-            c = b[piv]
-            if c:
-                basis[idx] = sub[b, mul[c, v]]
-        pos = int(np.searchsorted(np.asarray(pivots), piv))
-        pivots.insert(pos, piv)
-        basis.insert(pos, v)
-    mat = np.array(basis, dtype=np.int16) if basis else np.zeros((0, width), dtype=np.int16)
-    mat.flags.writeable = False
-    return mat, tuple(pivots)
+        v = min(vals)
+        i = vals.index(v)
+        h = _make_monic(field, rows[i], c, v)
+        rest = []
+        for idx, r in enumerate(rows):
+            if idx == i:
+                continue
+            if vals[idx] < n:
+                # r[c] = s^v * (r[c] >> v) because val(r[c]) >= v = h's pivot.
+                q = np.zeros(n, dtype=np.int16)
+                q[: n - v] = r[c, v:]
+                r[c] = 0
+                _sub_multiple(field, r, q, h, c + 1)
+            if r.any():
+                rest.append(r)
+        # s^(n-v) h is zero in column c but may survive in later columns; the
+        # F-span of the s^j h with j < n - v misses it, so it stays a generator.
+        howell = np.zeros_like(h)
+        howell[:, n - v :] = h[:, :v]
+        if howell.any():
+            rest.append(howell)
+        heads[c] = (v, h)
+        rows = rest
+    # Clear every pivot column above its pivot row, later columns first, so
+    # that each h_c is the leading row of its block of the reduced F-basis.
+    for c in sorted(heads, reverse=True):
+        v, h = heads[c]
+        for c2 in sorted(k for k in heads if k > c):
+            v2, h2 = heads[c2]
+            if h[c2, v2:].any():
+                q = np.zeros(n, dtype=np.int16)
+                q[: n - v2] = h[c2, v2:]
+                h[c2, v2:] = 0
+                _sub_multiple(field, h, q, h2, c2 + 1)
+        heads[c] = (v, h)
+    return heads
 
 
 def span_basis(code: CyclicCode) -> SpanBasis:
-    """Row-reduce the spanning set {g_i * s^a * u^b : 0<=a<n, 0<=b<=3}."""
-    n = code.n
+    """Reduced row-echelon F-basis of the code, built from its echelon form
+    over A = F[s]/<s^n>.
 
-    def spanning_rows():
-        for level in code.ideal_type:
-            g = code.generator(level).to_vector().reshape(4, n)
-            for b in range(4):
-                shifted_u = np.zeros((4, n), dtype=np.int16)
-                shifted_u[b:, :] = g[: 4 - b, :]
-                for a in range(n):
-                    row = np.zeros((4, n), dtype=np.int16)
-                    row[:, a:] = shifted_u[:, : n - a]
-                    yield row.reshape(4 * n)
-
-    rows, pivots = _rref(code.field, spanning_rows(), 4 * n)
-    return SpanBasis(field=code.field, n=n, rows=rows, pivots=pivots)
+    The at most 10 module rows u^b g_i are brought to reduced echelon form
+    over A (``_echelon``): a leading row h_c with h_c[c] = s^(v_c) for each
+    pivot column c.  Block c of the F-basis is then s^j h_c for j < n - v_c,
+    with pivot c*n + v_c + j.  Row j + 1 of a block is s times row j, whose
+    only entries on later pivot columns sit at each later block's first pivot
+    c'*n + v_c', so at most three scalar multiples of leading rows clear it.
+    The cost is O(rank * 4n) table lookups in all: no F-linear elimination.
+    """
+    field, n = code.field, code.n
+    heads = _echelon(field, _module_rows(code))
+    width = 4 * n
+    rank = sum(n - v for v, _ in heads.values())
+    rows = np.zeros((rank, width), dtype=np.int16)
+    pivots: list[int] = []
+    add, neg_mul = field.add_table, field.mul_table[field.neg_table]
+    start = 0
+    for c in sorted(heads):
+        v, h = heads[c]
+        rows[start] = h.reshape(width)
+        # (first pivot, span start, span end, -coef * leading row for every coef)
+        later = []
+        for c2 in sorted(k for k in heads if k > c):
+            lead = heads[c2][1].reshape(width)
+            end = int(lead.nonzero()[0][-1]) + 1
+            lo2 = c2 * n
+            later.append((lo2 + heads[c2][0], lo2, end, neg_mul[:, lead[lo2:end]]))
+        # Multiplying by u shows v_c' <= v_c for every later column c', so the
+        # last entry n - 1 of each column of a reduced row is zero (a later
+        # pivot position, or beyond s^(v+j) in column c): the flat shift by
+        # one moves nothing across a column boundary.
+        lo = c * n
+        for r in range(start + 1, start + n - v):
+            row = rows[r]
+            row[lo + 1 :] = rows[r - 1, lo:-1]
+            for idx, a, b, scaled in later:
+                coef = row[idx]
+                if coef:
+                    row[a:b] = add[row[a:b], scaled[coef]]
+        pivots.extend(range(lo + v, lo + n))
+        start += n - v
+    rows.flags.writeable = False
+    return SpanBasis(field=field, n=n, rows=rows, pivots=tuple(pivots))
 
 
 def contains(basis: SpanBasis, elem: RingElement) -> bool:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoBranch, OutOfRange, TooLarge
+from .errors import InconsistentSet, NoBranch, OutOfRange, TooLarge
 from .codes import CyclicCode, SpanBasis, span_basis, torsion_profile
 from .galois import FieldElement
 from .sring import basis_transform_rows
@@ -111,7 +111,8 @@ def _min_weights_enum(
             m = int(weights.min())
             if best[metric] is None or m < best[metric]:
                 best[metric] = m
-    assert all(v is not None for v in best.values()), "positive rank, no codeword"
+    if any(v is None for v in best.values()):
+        raise InconsistentSet(f"rank {basis.rank} but no nonzero codeword was enumerated")
     return best
 
 

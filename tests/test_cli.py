@@ -1,12 +1,15 @@
 import io
 import json
+import random
 
+import numpy as np
 import pytest
 
 import u4codes as u
 from u4codes.cli import run_command
 from u4codes.errors import DuplicateGenerator, NotCanonical, ParseError, UnknownDirective
 from u4codes.parsing import format_code_file, parse_code_file, parse_field_element
+from u4codes.randgen import random_unit
 
 GOLDEN_G1_FILE = """\
 # principal example over F_4
@@ -182,6 +185,60 @@ def test_wrong_inverse_exits_internal(tmp_path, monkeypatch, capsys):
     status, _ = run(["analyze", str(path)])
     assert status == 70
     assert "internal error" in capsys.readouterr().err
+
+
+def test_enumeration_without_codewords_exits_internal(tmp_path, monkeypatch, capsys):
+    # An enumerator that yields only the zero word leaves every minimum
+    # unset; the guard raises (it is no assert, so python -O keeps it).
+    monkeypatch.setattr(
+        u.weights, "_all_combinations",
+        lambda field, rows: np.zeros((1, rows.shape[1]), dtype=np.int16),
+    )
+    path = tmp_path / "c.code"
+    path.write_text(GOLDEN_G0_G1_FILE)
+    status, _ = run(["analyze", str(path), "--verify"])
+    assert status == 70
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_one_span_basis_per_code(tmp_path, monkeypatch):
+    calls = []
+    real = u.codes.span_basis
+
+    def counted(code):
+        calls.append(code)
+        return real(code)
+
+    for module in (u.codes, u.weights, u.cli):
+        monkeypatch.setattr(module, "span_basis", counted)
+    path = tmp_path / "c.code"
+    path.write_text(GOLDEN_G0_G1_FILE)
+    for flags in (["--verify"], ["--verify", "--json"], []):
+        calls.clear()
+        status, _ = run(["analyze", str(path)] + flags)
+        assert status == 0 and len(calls) == 1
+    calls.clear()
+    status, _ = run(["verify", "--p", "2", "--m", "1", "--k", "3", "--trials", "9", "--seed", "4"])
+    assert status == 0 and len(calls) == 9
+
+
+def test_analyze_verify_at_max_length(tmp_path, F5):
+    # n = 3125, all four generators: rank 535, far above the enumeration cap
+    rng = random.Random(3125)
+    fields = {"r": 3100, "r1": 3050, "r2": 3000, "r3": 2900}
+    bounds = {1: 3050, 2: 3000, 3: 2900, 4: 3000, 5: 2900, 6: 2900}
+    for i, bound in bounds.items():
+        fields[f"k{i}"] = bound - 10 * i
+        fields[f"p{i}"] = random_unit(rng, F5, 3125)
+    code = u.validate_canonical(F5, 5, u.GeneratorForm(**fields))
+    path = tmp_path / "c.code"
+    path.write_text(format_code_file(code))
+    status, out = run(["analyze", str(path), "--verify", "--json"])
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["n"] == 3125 and doc["verdicts"] == {"t3_formula_eq_oracle": True}
+    assert doc["torsion_oracle"][3] == doc["t3"]
+    assert doc["enum"]["skipped"]
 
 
 def test_usage_error_code():

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 import u4codes as u
 from u4codes.chain import RingElement
-from u4codes.codes import codeword_batches
+from u4codes.codes import _CORRECTIONS, codeword_batches
 from u4codes.errors import (
     CorrectionDegreeTooLarge,
     CorrectionNotUnit,
@@ -12,6 +13,8 @@ from u4codes.errors import (
     EmptyGeneratorSet,
     TooLarge,
 )
+from u4codes.galois import FieldSpec
+from u4codes.randgen import random_unit
 from u4codes.sring import SPoly
 from conftest import golden_g0_g1_f2, golden_g1_f4
 
@@ -112,6 +115,153 @@ def test_golden_g0_g1_socle_membership(F2):
     code = golden_g0_g1_f2(F2)
     basis = u.span_basis(code)
     assert u.contains(basis, RingElement.from_part(3, SPoly.one(F2, 4)))  # u^3 in C
+
+
+# --- span basis against the F-linear reference --------------------------------------
+
+
+def _rref(field, rows, width):
+    add, sub, mul, inv = field.add_table, field.sub_table, field.mul_table, field.inv_table
+    basis: list[np.ndarray] = []
+    pivots: list[int] = []
+    for row in rows:
+        v = row.astype(np.int16)
+        for p, b in zip(pivots, basis):
+            c = v[p]
+            if c:
+                v = sub[v, mul[c, b]]
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            continue
+        piv = int(nz[0])
+        v = mul[inv[v[piv]], v]
+        for idx, (p, b) in enumerate(zip(pivots, basis)):
+            c = b[piv]
+            if c:
+                basis[idx] = sub[b, mul[c, v]]
+        pos = int(np.searchsorted(np.asarray(pivots), piv))
+        pivots.insert(pos, piv)
+        basis.insert(pos, v)
+    mat = np.array(basis, dtype=np.int16) if basis else np.zeros((0, width), dtype=np.int16)
+    mat.flags.writeable = False
+    return mat, tuple(pivots)
+
+
+def reference_span_basis(code):
+    """Row-reduce the spanning set {g_i * s^a * u^b : 0<=a<n, 0<=b<=3} over F,
+    one row at a time: the F-linear oracle that the echelon form replaced."""
+    n = code.n
+
+    def spanning_rows():
+        for level in code.ideal_type:
+            g = code.generator(level).to_vector().reshape(4, n)
+            for b in range(4):
+                shifted_u = np.zeros((4, n), dtype=np.int16)
+                shifted_u[b:, :] = g[: 4 - b, :]
+                for a in range(n):
+                    row = np.zeros((4, n), dtype=np.int16)
+                    row[:, a:] = shifted_u[:, : n - a]
+                    yield row.reshape(4 * n)
+
+    return _rref(code.field, spanning_rows(), 4 * n)
+
+
+def assert_matches_reference(code):
+    basis = u.span_basis(code)
+    rows, pivots = reference_span_basis(code)
+    assert basis.pivots == pivots
+    assert basis.rows.dtype == np.int16 and not basis.rows.flags.writeable
+    assert np.array_equal(basis.rows, rows)
+
+
+_DEGREE_NAMES = {0: "r", 1: "r1", 2: "r2", 3: "r3"}
+
+
+def code_of_type(rng, spec, k, itype, corrections=True):
+    """A code of the given ideal type: random ordered degrees and, when
+    asked, every correction present with a random degree and unit."""
+    n = spec.p**k
+    degrees = sorted((rng.randrange(n) for _ in itype), reverse=True)
+    fields = {_DEGREE_NAMES[level]: deg for level, deg in zip(itype, degrees)}
+    for i, (owner, bounder) in _CORRECTIONS.items():
+        bound = fields[_DEGREE_NAMES[bounder]] if bounder in itype else n
+        if corrections and owner in itype and bound > 0:
+            fields[f"k{i}"] = rng.randrange(bound)
+            fields[f"p{i}"] = random_unit(rng, spec, n)
+    return u.validate_canonical(spec, k, u.GeneratorForm(**fields))
+
+
+SPAN_FIELDS = [
+    (2, 1, None, 3), (3, 1, None, 2), (2, 2, None, 2), (5, 1, None, 2), (2, 3, None, 2),
+    (3, 2, None, 1), (5, 2, None, 1),
+    (7, 1, (4, 1), 1),                       # a = 3
+    (2, 4, (1, 1, 0, 0, 1), 1),              # a^4 + a + 1
+    (3, 3, (1, 2, 0, 1), 1),                 # a^3 + 2a + 1
+]
+
+
+@pytest.mark.parametrize("p,m,modulus,k", SPAN_FIELDS)
+def test_span_basis_matches_reference_all_15_types(p, m, modulus, k):
+    spec = u.field_make(p, m) if modulus is None else FieldSpec(p, m, modulus)
+    rng = random.Random(1000 * p + 10 * m + k)
+    for itype in u.IDEAL_TYPES:
+        for corrections in (True, False):
+            assert_matches_reference(code_of_type(rng, spec, k, itype, corrections))
+
+
+def test_span_basis_matches_reference_edge_cases(F2, F3, F4):
+    one = SPoly.one(F3, 9)
+    unit = SPoly.from_ints(F3, 9, [2, 1, 1])
+    cases = [
+        # only column 3 has a pivot
+        u.validate_canonical(F2, 3, u.GeneratorForm(r3=5)),
+        # degree 0: the whole ambient space, and the whole u-multiple of it
+        u.validate_canonical(F2, 2, u.GeneratorForm(r=0)),
+        u.validate_canonical(F4, 2, u.GeneratorForm(r1=0, k5=0, p5=SPoly.one(F4, 4))),
+        # bare powers, no corrections
+        u.validate_canonical(F3, 2, u.GeneratorForm(r=7, r1=5, r2=4, r3=1)),
+        # s^(n-r) g0 = u s^(n-r+k1) p1 + ...: its u-part has valuation
+        # n - r + k1 = 3 < r = 8, so only the row s^(n-v) h of the echelon
+        # form puts column 1's pivot at 3; u g0 alone would put it at 8.
+        u.validate_canonical(F3, 2, u.GeneratorForm(r=8, k1=2, p1=unit, k2=0, p2=one)),
+        u.validate_canonical(F3, 2, u.GeneratorForm(r1=7, k4=1, p4=unit, k5=0, p5=unit)),
+        u.validate_canonical(F4, 2, u.GeneratorForm(r=3, k3=0, p3=SPoly.one(F4, 4))),
+    ]
+    for code in cases:
+        assert_matches_reference(code)
+    assert 9 + 3 in u.span_basis(cases[4]).pivots
+
+
+def test_span_basis_matches_reference_at_625(F5):
+    # an analyze_large shape: <g2, g3> at n = 625, k6 at 0.9 of its bound
+    rng = random.Random(625)
+    code = u.validate_canonical(
+        F5, 4, u.GeneratorForm(r2=560, r3=480, k6=432, p6=random_unit(rng, F5, 625))
+    )
+    assert_matches_reference(code)
+
+
+def test_span_basis_invariants_at_max_length(F5):
+    rng = random.Random(3125)
+    n = 3125
+    fields = {"r": 3000, "r1": 2900, "r2": 2700, "r3": 2400}
+    for i, (_, bounder) in _CORRECTIONS.items():
+        fields[f"k{i}"] = fields[_DEGREE_NAMES[bounder]] - 1 - i
+        fields[f"p{i}"] = random_unit(rng, F5, n)
+    code = u.validate_canonical(F5, 5, u.GeneratorForm(**fields))
+    basis = u.span_basis(code)
+    pivots = np.asarray(basis.pivots)
+    assert basis.rows.shape == (basis.rank, 4 * n) and basis.rank > 0
+    assert np.all(np.diff(pivots) > 0)
+    # reduced echelon: identity on the pivot columns, zero before each pivot
+    assert np.array_equal(basis.rows[:, pivots], np.eye(basis.rank, dtype=np.int16))
+    first = (basis.rows != 0).argmax(axis=1)
+    assert np.array_equal(first, pivots)
+    for level in code.ideal_type:
+        g = code.generator(level)
+        assert u.contains(basis, g)
+        assert u.contains(basis, g.shift_mul(n - fields[_DEGREE_NAMES[level]] + 1, 0))
+    assert not u.contains(basis, RingElement.from_part(3, SPoly.monomial(F5, n, 0)))
 
 
 # --- torsion oracle -----------------------------------------------------------------
