@@ -3,16 +3,15 @@ and minimum symbol-pair / Rosenbloom-Tsfasman weights, with every closed form
 cross-checkable against an exhaustive linear-algebra oracle."""
 
 from .errors import U4CodesError
-from .galois import DEFAULT_MODULI, FieldElement, FieldSpec, elem_arith, field_make
-from .sring import Decomposition, SPoly, basis_transform, decompose, poly_arith
-from .chain import RingElement, relem_arith, shift_mul, u_valuation
+from .galois import FieldElement, FieldSpec, field_make
+from .sring import Decomposition, SPoly, decompose
+from .chain import RingElement
 from .codes import (
     IDEAL_TYPES,
     CyclicCode,
     GeneratorForm,
     SpanBasis,
     contains,
-    enumerate_codewords,
     span_basis,
     torsion_oracle,
     torsion_profile,
@@ -33,7 +32,6 @@ from .torsion import (
 from .weights import (
     WeightReport,
     analyze,
-    min_weight_enum,
     min_weights,
     wt_rt_from_t3,
     wt_sp_from_t3,
@@ -44,15 +42,14 @@ from .randgen import random_code, random_unit
 
 __all__ = [
     "U4CodesError",
-    "DEFAULT_MODULI", "FieldElement", "FieldSpec", "elem_arith", "field_make",
-    "Decomposition", "SPoly", "basis_transform", "decompose", "poly_arith",
-    "RingElement", "relem_arith", "shift_mul", "u_valuation",
+    "FieldElement", "FieldSpec", "field_make",
+    "Decomposition", "SPoly", "decompose",
+    "RingElement",
     "IDEAL_TYPES", "CyclicCode", "GeneratorForm", "SpanBasis", "contains",
-    "enumerate_codewords", "span_basis", "torsion_oracle", "torsion_profile",
-    "validate_canonical",
+    "span_basis", "torsion_oracle", "torsion_profile", "validate_canonical",
     "T3Result", "U2Element", "t3", "t3_adjoin_g3", "t3_from_u2_set",
     "t3_g1", "t3_g1_g2", "t3_g2", "t3_g3", "u2_part_set",
-    "WeightReport", "analyze", "min_weight_enum", "min_weights",
+    "WeightReport", "analyze", "min_weights",
     "wt_rt_from_t3", "wt_sp_from_t3", "wt_vector",
     "format_code_file", "parse_code_file", "parse_field_element",
     "random_code", "random_unit",

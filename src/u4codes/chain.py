@@ -163,21 +163,3 @@ class RingElement:
 
     def __repr__(self):
         return f"RingElement({self.to_string()})"
-
-
-def relem_arith(a: RingElement, b: RingElement, op: str) -> RingElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def shift_mul(a: RingElement, s_shift: int, u_shift: int) -> RingElement:
-    return a.shift_mul(s_shift, u_shift)
-
-
-def u_valuation(a: RingElement) -> int:
-    return a.u_valuation()

@@ -13,8 +13,8 @@ import json
 import random
 import sys
 
-from .errors import TooLarge, U4CodesError
-from .codes import span_basis, torsion_oracle, torsion_profile
+from .errors import DegreeOutOfRange, TooLarge, U4CodesError
+from .codes import code_length, span_basis, torsion_oracle, torsion_profile
 from .galois import field_make
 from .parsing import format_generator, parse_code_file
 from .randgen import random_code
@@ -179,6 +179,11 @@ def _cmd_verify(args, out) -> int:
     if args.trials < 1:
         print("error: trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        code_length(spec.p, args.k)
+    except DegreeOutOfRange as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     rng = random.Random(args.seed)
     t3_pass = 0
@@ -248,19 +253,29 @@ def _cmd_verify(args, out) -> int:
     return EXIT_OK if ok_all else EXIT_MISMATCH
 
 
+def _int_list(config: dict, key: str) -> list[int]:
+    values = config[key]
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise TypeError(f"{key!r} must be a list of integers")
+    return values
+
+
 def _cmd_sweep(args, out) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-        ps = config["p"]
-        ms = config["m"]
-        ks = config["k"]
+        ps, ms, ks = (_int_list(config, key) for key in ("p", "m", "k"))
         trials = int(config.get("trials", 10))
         seed = int(config.get("seed", 0))
+        # Every field and length is checked before the first row is computed.
+        specs = {(p, m): field_make(p, m) for p in ps for m in ms}
+        for p in ps:
+            for k in ks:
+                code_length(p, k)
     except OSError as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, U4CodesError) as exc:
         print(f"error: bad sweep config: {exc}", file=sys.stderr)
         return EXIT_FILE
     if trials < 1:
@@ -274,7 +289,7 @@ def _cmd_sweep(args, out) -> int:
     for p in ps:
         for m in ms:
             for k in ks:
-                spec = field_make(p, m)
+                spec = specs[(p, m)]
                 rng = random.Random(seed)
                 for _ in range(trials):
                     code = random_code(rng, spec, k)

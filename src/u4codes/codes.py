@@ -11,8 +11,10 @@ subset of
 with s = x - 1, degrees r3 <= r2 <= r1 <= r < n restricted to the present
 generators, and unit-or-zero correction parts p1..p6.  This module also holds
 the independent linear-algebra oracle: the code as an F_{p^m}-subspace of
-F^(4n), its membership test, torsional degrees by witness scan, and codeword
-enumeration.
+F^(4n) in reduced row-echelon form, its membership test, and the torsional
+degrees t_i = min{t : u^i s^t in C}, read off the reduced basis (the unit
+vector of u^i s^t is a member exactly when it is a basis row).  Codeword
+enumeration lives in ``weights``.
 
 The oracle's basis comes from generic module algebra, not from the torsion
 formulas: the code is the submodule of A^4, A = F[s]/<s^n>, spanned by the
@@ -25,8 +27,8 @@ operations each, so building it costs O(rank * 4n) in all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from .errors import (
     MalformedGeneratorForm,
     MixedField,
     MixedLength,
-    TooLarge,
 )
 from .chain import RingElement
 from .galois import FieldSpec
@@ -71,6 +72,8 @@ _CORRECTIONS = {
 }
 # Correction slot -> u-level of the correction term inside its generator.
 _CORRECTION_ULEVEL = {1: 1, 2: 2, 3: 3, 4: 2, 5: 3, 6: 3}
+# Generator level -> name of its degree field in GeneratorForm.
+_DEGREE_NAMES = {0: "r", 1: "r1", 2: "r2", 3: "r3"}
 
 
 @dataclass(frozen=True)
@@ -151,23 +154,23 @@ class CyclicCode:
         """The sub-code generated by everything except g3."""
         if 3 not in self.ideal_type:
             return self
-        form = GeneratorForm(
-            r=self.form.r, r1=self.form.r1, r2=self.form.r2, r3=None,
-            k1=self.form.k1, k2=self.form.k2, k3=self.form.k3,
-            k4=self.form.k4, k5=self.form.k5, k6=self.form.k6,
-            p1=self.form.p1, p2=self.form.p2, p3=self.form.p3,
-            p4=self.form.p4, p5=self.form.p5, p6=self.form.p6,
-        )
-        return validate_canonical(self.field, self.k, form)
+        return validate_canonical(self.field, self.k, replace(self.form, r3=None))
+
+
+def code_length(p: int, k: int) -> int:
+    """n = p^k, checked against 1 <= k and n <= MAX_N."""
+    if k < 1:
+        raise DegreeOutOfRange("k must be >= 1")
+    # p >= 2, so k >= bit_length(MAX_N) already means p^k > MAX_N; testing it
+    # first keeps a huge k from costing a huge integer power.
+    if k >= MAX_N.bit_length() or p**k > MAX_N:
+        raise DegreeOutOfRange(f"n = {p}^{k} exceeds the cap {MAX_N}")
+    return p**k
 
 
 def validate_canonical(field: FieldSpec, k: int, form: GeneratorForm) -> CyclicCode:
     """Check every canonical-form invariant and infer the ideal type."""
-    if k < 1:
-        raise DegreeOutOfRange("k must be >= 1")
-    n = field.p**k
-    if n > MAX_N:
-        raise DegreeOutOfRange(f"n = {field.p}^{k} exceeds the cap {MAX_N}")
+    n = code_length(field.p, k)
 
     present = form.present_levels()
     if not present:
@@ -390,78 +393,29 @@ def contains(basis: SpanBasis, elem: RingElement) -> bool:
 
 
 def torsion_oracle(code: CyclicCode, i: int, basis: SpanBasis | None = None) -> int:
-    """Least s with u^i * (x-1)^s in the code, n if there is none.
+    """Least t with u^i * (x-1)^t in the code, n if there is none.
 
-    Membership of u^i s^t is monotone in t (multiply by s), so binary search.
+    Read off the reduced basis: a member v equals sum v[pivot_r] * row_r, so
+    the unit vector e_j is in the code exactly when j is a pivot and the row
+    with pivot j is e_j itself.  u^i s^t flattens to e_(i*n + t), so t_i is
+    the least t whose row with pivot i*n + t has a single nonzero entry.
+    Only block i's contiguous slice of rows is looked at, and only beyond
+    block i: the code is closed under s, so every column from block i's first
+    pivot to its end is a pivot column, where a reduced row of block i is
+    zero except at its own pivot.
     """
     if basis is None:
         basis = span_basis(code)
     n = code.n
-
-    def member(t: int) -> bool:
-        witness = RingElement.from_part(i, SPoly.monomial(code.field, n, t))
-        return contains(basis, witness)
-
-    if not member(n - 1):
+    lo, hi = np.searchsorted(basis.pivots, (i * n, (i + 1) * n))
+    unit = ~basis.rows[lo:hi, (i + 1) * n :].any(axis=1)
+    if not unit.any():
         return n
-    lo, hi = 0, n - 1  # member(hi) is True
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return basis.pivots[lo + int(unit.argmax())] - i * n
 
 
 def torsion_profile(code: CyclicCode, basis: SpanBasis | None = None) -> tuple[int, int, int, int]:
+    """(t0, t1, t2, t3), each read off the reduced basis by ``torsion_oracle``."""
     if basis is None:
         basis = span_basis(code)
     return tuple(torsion_oracle(code, i, basis) for i in range(4))
-
-
-def enumerate_codewords(basis: SpanBasis, cap: int = 2**24) -> Iterator[RingElement]:
-    """Yield every codeword exactly once (all field-linear row combinations)."""
-    q = basis.field.q
-    if q**basis.rank > cap:
-        raise TooLarge(basis.rank, cap, q)
-    n = basis.n
-    width = 4 * n
-    add, mul = basis.field.add_table, basis.field.mul_table
-    total = q**basis.rank
-    for idx in range(total):
-        v = np.zeros(width, dtype=np.int16)
-        rem = idx
-        for row in basis.rows:
-            rem, digit = divmod(rem, q)
-            if digit:
-                v = add[v, mul[digit, row]]
-        yield RingElement.from_vector(basis.field, n, v)
-
-
-def codeword_batches(
-    basis: SpanBasis, cap: int, chunk: int = 1 << 14, rows: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
-    """Vectorized enumeration: yields (B, width) blocks covering all codewords.
-
-    The zero codeword appears as the first row of the first block.  `rows`
-    may substitute a transformed copy of the basis rows (same row count).
-    """
-    q = basis.field.q
-    if q**basis.rank > cap:
-        raise TooLarge(basis.rank, cap, q)
-    if rows is None:
-        rows = basis.rows
-    add, mul = basis.field.add_table, basis.field.mul_table
-    total = q**basis.rank
-    width = rows.shape[1] if basis.rank else 4 * basis.n
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        block = np.zeros((idx.size, width), dtype=np.int16)
-        rem = idx
-        for row in rows:
-            rem, digits = np.divmod(rem, q)
-            digits = digits.astype(np.int16)
-            if digits.any():
-                block = add[block, mul[digits[:, None], row[None, :]]]
-        yield block

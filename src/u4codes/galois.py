@@ -1,10 +1,11 @@
 """Arithmetic in the coefficient field F_{p^m}.
 
-A field is described by a monic irreducible modulus over F_p supplied at
-construction.  Elements are polynomials in a root ``a`` of the modulus,
-encoded as integers in [0, q): the base-p digits of the encoding are the
-coefficients, lowest degree first.  All binary operations are table driven
-(q <= 256), so bulk vector arithmetic reduces to numpy fancy indexing.
+A field is described by a monic irreducible modulus over F_p, by default the
+first one of degree m in ``_monic_polys`` order.  Elements are polynomials in
+a root ``a`` of the modulus, encoded as integers in [0, q): the base-p digits
+of the encoding are the coefficients, lowest degree first.  All binary
+operations are table driven (q <= 256), so bulk vector arithmetic reduces to
+numpy fancy indexing.
 """
 
 from __future__ import annotations
@@ -17,18 +18,6 @@ from .errors import DegreeOutOfRange, DivisionByZero, NonPrime, NotMonic, Reduci
 
 MAX_P = 251
 MAX_Q = 256
-
-# Small set of fixed moduli so that common fields render identically across
-# runs without the caller having to pick a polynomial.
-DEFAULT_MODULI = {
-    (2, 1): (0, 1),
-    (3, 1): (0, 1),
-    (5, 1): (0, 1),
-    (2, 2): (1, 1, 1),      # a^2 + a + 1
-    (5, 2): (2, 0, 1),      # a^2 + 2
-    (2, 3): (1, 1, 0, 1),   # a^3 + a + 1
-    (3, 2): (1, 0, 1),      # a^2 + 1
-}
 
 
 def _is_prime(p: int) -> bool:
@@ -71,6 +60,27 @@ def _monic_polys(degree: int, p: int):
         yield coeffs + [1]
 
 
+def _check_size(p: int, m: int) -> None:
+    """p prime and 1 <= m with q = p^m <= MAX_Q.  The bounds come first, so
+    that no huge p is trial-divided and no huge power is formed (p >= 2, so
+    m >= bit_length(MAX_Q) already means q > MAX_Q)."""
+    if p <= MAX_P and not _is_prime(p):
+        raise NonPrime(p)
+    if p > MAX_P or not 1 <= m < MAX_Q.bit_length() or p**m > MAX_Q:
+        raise DegreeOutOfRange(f"p={p}, m={m} outside supported range (q <= {MAX_Q})")
+
+
+def _factor(modulus, p: int):
+    """A monic factor of degree 1..m//2, None when the modulus is irreducible.
+
+    Trial division: a nontrivial factorization must contain such a factor."""
+    for d in range(1, (len(modulus) - 1) // 2 + 1):
+        for cand in _monic_polys(d, p):
+            if not _poly_rem(list(modulus), cand, p):
+                return cand
+    return None
+
+
 class FieldSpec:
     """Validated description of F_{p^m} plus its operation tables.
 
@@ -78,19 +88,13 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, m: int, modulus):
-        if not _is_prime(p):
-            raise NonPrime(p)
+        _check_size(p, m)
         modulus = tuple(int(c) % p for c in modulus)
-        if m < 1 or p**m > MAX_Q or p > MAX_P:
-            raise DegreeOutOfRange(f"p={p}, m={m} outside supported range (q <= {MAX_Q})")
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise NotMonic(f"modulus must be monic of degree {m}")
-        # Irreducibility by trial division against every monic polynomial of
-        # degree 1..m//2; a nontrivial factorization must contain one.
-        for d in range(1, m // 2 + 1):
-            for cand in _monic_polys(d, p):
-                if not _poly_rem(list(modulus), cand, p):
-                    raise Reducible(modulus, cand)
+        witness = _factor(modulus, p)
+        if witness is not None:
+            raise Reducible(modulus, witness)
         self.p = p
         self.m = m
         self.q = p**m
@@ -316,29 +320,9 @@ def _from_enc(spec: FieldSpec, e: int) -> FieldElement:
 
 
 def field_make(p: int, m: int, modulus=None) -> FieldSpec:
-    """Build a validated FieldSpec; modulus defaults from the built-in table."""
+    """Build a validated FieldSpec.  The default modulus is the first monic
+    irreducible polynomial of degree m in ``_monic_polys`` order."""
     if modulus is None:
-        try:
-            modulus = DEFAULT_MODULI[(p, m)]
-        except KeyError:
-            raise DegreeOutOfRange(f"no default modulus for (p, m) = ({p}, {m})") from None
+        _check_size(p, m)
+        modulus = next(f for f in _monic_polys(m, p) if _factor(f, p) is None)
     return FieldSpec(p, m, modulus)
-
-
-def elem_arith(spec: FieldSpec, x, y=None, op: str = "add", exponent: int | None = None):
-    """Uniform dispatcher over the field operations (mostly for tests/tools)."""
-    xe = spec.element(x)
-    if op == "inv":
-        return xe.inverse()
-    if op == "pow":
-        return xe ** int(exponent)
-    ye = spec.element(y)
-    if op == "add":
-        return xe + ye
-    if op == "sub":
-        return xe - ye
-    if op == "mul":
-        return xe * ye
-    if op == "div":
-        return xe / ye
-    raise ValueError(f"unknown op {op!r}")

@@ -23,14 +23,31 @@ from __future__ import annotations
 
 import re
 
-from .errors import DuplicateGenerator, NotCanonical, ParseError, UnknownDirective
+from .errors import (
+    DegreeOutOfRange,
+    DuplicateGenerator,
+    NotCanonical,
+    ParseError,
+    UnknownDirective,
+)
 from .chain import RingElement
-from .codes import _CORRECTIONS, CyclicCode, GeneratorForm, validate_canonical
+from .codes import (
+    _CORRECTION_ULEVEL,
+    _CORRECTIONS,
+    _DEGREE_NAMES,
+    CyclicCode,
+    GeneratorForm,
+    code_length,
+    validate_canonical,
+)
 from .galois import FieldSpec, field_make
-from .sring import SPoly, decompose
+from .sring import MAX_N, SPoly, decompose
 
 _XM1 = re.compile(r"\(\s*x\s*-\s*1\s*\)")
 _INT = re.compile(r"\d+")
+
+# (owner generator level, u-level of the term) -> correction slot.
+_SLOT_BY = {(owner, _CORRECTION_ULEVEL[i]): i for i, (owner, _) in _CORRECTIONS.items()}
 
 
 class _Tokens:
@@ -53,7 +70,7 @@ class _Tokens:
                 continue
             m = _INT.match(text, i)
             if m:
-                self.toks.append(("INT", int(m.group()), col))
+                self.toks.append(("INT", _int(m.group(), line, "a shorter integer", col), col))
                 i = m.end()
                 continue
             if ch in "usa":
@@ -146,7 +163,10 @@ class _ExprParser:
 
 
 def parse_expression(spec: FieldSpec, n: int, text: str, line: int = 1, col_offset: int = 0) -> RingElement:
-    return _ExprParser(spec, n, _Tokens(text, line, col_offset)).parse()
+    try:
+        return _ExprParser(spec, n, _Tokens(text, line, col_offset)).parse()
+    except RecursionError:
+        raise ParseError(line, col_offset + 1, "an expression nested less deeply") from None
 
 
 def parse_field_element(spec: FieldSpec, text: str):
@@ -166,6 +186,15 @@ def parse_field_element(spec: FieldSpec, text: str):
 
 def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
+
+
+def _int(text: str, line_no: int, expected: str, col: int = 1) -> int:
+    """int(text), or a ParseError: also for digit strings longer than
+    Python's conversion limit (sys.get_int_max_str_digits)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(line_no, col, expected) from None
 
 
 def _parse_kv(body: str, line_no: int) -> dict[str, str]:
@@ -204,15 +233,21 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
                 inner = kv["modulus"].strip()
                 if not (inner.startswith("[") and inner.endswith("]")):
                     raise ParseError(line_no, 1, "modulus=[c0,c1,...]")
-                modulus = [int(c) for c in inner[1:-1].split(",") if c.strip() != ""]
-            spec = field_make(int(kv["p"]), int(kv["m"]), modulus)
+                modulus = [
+                    _int(c, line_no, "modulus=[c0,c1,...] of integers")
+                    for c in inner[1:-1].split(",")
+                    if c.strip() != ""
+                ]
+            p, m = (_int(kv[key], line_no, f"an integer {key}") for key in ("p", "m"))
+            spec = field_make(p, m, modulus)
         elif head == "length":
             if k is not None:
                 raise ParseError(line_no, 1, "a single length line")
             kv = _parse_kv(body, line_no)
             if "k" not in kv:
                 raise ParseError(line_no, 1, "length: k=..")
-            k = int(kv["k"])
+            k = _int(kv["k"], line_no, "an integer k")
+            length_line = line_no
         elif len(head) == 2 and head[0] == "g" and head[1] in "0123":
             level = int(head[1])
             if level in seen_levels:
@@ -229,14 +264,12 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
     if not gen_lines:
         raise ParseError(1, 1, "at least one generator line")
 
-    n = spec.p**k
+    # Checked before any length-n array exists.
+    try:
+        n = code_length(spec.p, k)
+    except DegreeOutOfRange:
+        raise ParseError(length_line, 1, f"k >= 1 with {spec.p}^k <= {MAX_N}") from None
     fields: dict = {}
-    names = {0: "r", 1: "r1", 2: "r2", 3: "r3"}
-    from .codes import _CORRECTION_ULEVEL
-
-    slot_by = {}
-    for i, (owner, _) in _CORRECTIONS.items():
-        slot_by[(owner, _CORRECTION_ULEVEL[i])] = i
 
     for line_no, level, body in gen_lines:
         elem = parse_expression(spec, n, body, line=line_no)
@@ -253,12 +286,12 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
                 f"line {line_no}: the u^{level} component of g{level} must be a plain "
                 f"power of (x-1)"
             )
-        fields[names[level]] = lead.valuation
+        fields[_DEGREE_NAMES[level]] = lead.valuation
         for j in range(level + 1, 4):
             part = elem.parts[j]
             if part.is_zero():
                 continue
-            slot = slot_by[(level, j)]
+            slot = _SLOT_BY[(level, j)]
             d = decompose(part)
             fields[f"k{slot}"] = d.valuation
             fields[f"p{slot}"] = d.unit_part
@@ -282,8 +315,6 @@ def _format_term(ulevel: int, exp: int, poly: SPoly | None) -> str:
 
 
 def format_generator(code: CyclicCode, level: int) -> str:
-    from .codes import _CORRECTION_ULEVEL
-
     form = code.form
     chunks = [_format_term(level, form.degree(level), None)]
     for i, (owner, _) in _CORRECTIONS.items():

@@ -13,7 +13,15 @@ import random
 
 import numpy as np
 
-from .codes import _CORRECTIONS, IDEAL_TYPES, CyclicCode, GeneratorForm, validate_canonical
+from .codes import (
+    _CORRECTIONS,
+    _DEGREE_NAMES,
+    IDEAL_TYPES,
+    CyclicCode,
+    GeneratorForm,
+    code_length,
+    validate_canonical,
+)
 from .galois import FieldSpec
 from .sring import SPoly
 
@@ -31,19 +39,18 @@ def random_unit(rng: random.Random, spec: FieldSpec, n: int) -> SPoly:
 
 
 def random_code(rng: random.Random, spec: FieldSpec, k: int) -> CyclicCode:
-    n = spec.p**k
+    n = code_length(spec.p, k)
     itype = IDEAL_TYPES[rng.randrange(len(IDEAL_TYPES))]
     degrees = sorted((rng.randrange(n) for _ in itype), reverse=True)
     fields: dict = {}
-    names = {0: "r", 1: "r1", 2: "r2", 3: "r3"}
     for level, deg in zip(itype, degrees):
-        fields[names[level]] = deg
+        fields[_DEGREE_NAMES[level]] = deg
 
     for i in range(1, 7):
         owner, bounder = _CORRECTIONS[i]
         if owner not in itype:
             continue
-        bound = fields[names[bounder]] if bounder in itype else n
+        bound = fields[_DEGREE_NAMES[bounder]] if bounder in itype else n
         if bound == 0 or rng.random() < 1 / 3:
             continue
         fields[f"k{i}"] = rng.randrange(bound)

@@ -238,21 +238,6 @@ def decompose(f: SPoly) -> Decomposition:
     return Decomposition(t, SPoly(f.spec, f.n, out))
 
 
-def poly_arith(f: SPoly, g: SPoly | None = None, op: str = "add", c=None, a: int | None = None):
-    """Dispatcher over the ring operations (mirrors the module contract)."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "scalar_mul":
-        return f.scalar_mul(c)
-    if op == "shift":
-        return f.shift(int(a))
-    raise ValueError(f"unknown op {op!r}")
-
-
 # --- basis change between x-powers and s-powers ------------------------------
 
 _BINOM_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -289,19 +274,9 @@ def _transform_matrices(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def basis_transform(spec: FieldSpec, vec, direction: str, n: int | None = None) -> np.ndarray:
-    """Convert a length-n coefficient vector between the x-power and s-power
-    bases (x = s + 1).  Input/output are integer field encodings."""
-    arr = np.asarray(vec, dtype=np.int16)
-    if n is None:
-        n = arr.shape[0]
-    if arr.shape != (n,):
-        raise LengthMismatch("vector length does not match ring length")
-    return basis_transform_rows(spec, arr[None, :], direction)[0]
-
-
 def basis_transform_rows(spec: FieldSpec, rows: np.ndarray, direction: str) -> np.ndarray:
-    """Row-wise basis_transform for a (r, n) matrix of encodings."""
+    """Convert each row of an (r, n) matrix of encodings between the x-power
+    and s-power bases (x = s + 1)."""
     if direction not in ("x_to_s", "s_to_x"):
         raise ValueError(f"unknown direction {direction!r}")
     n = rows.shape[1]

@@ -34,17 +34,7 @@ def _support(vec) -> np.ndarray:
 
 def wt_vector(vec, metric: str) -> int:
     """Weight of one length-n coordinate vector under the chosen metric."""
-    nz = _support(vec)
-    n = nz.size
-    if metric == "hamming":
-        return int(nz.sum())
-    if metric == "symbol_pair":
-        return int((nz | np.roll(nz, -1)).sum())
-    if metric == "rt":
-        if not nz.any():
-            return 0
-        return int(np.nonzero(nz)[0][-1]) + 1
-    raise ValueError(f"unknown metric {metric!r}")
+    return int(_batch_weights(_support(vec)[None, :], metric)[0])
 
 
 def _batch_weights(support: np.ndarray, metric: str) -> np.ndarray:
@@ -114,19 +104,6 @@ def _min_weights_enum(
     if any(v is None for v in best.values()):
         raise InconsistentSet(f"rank {basis.rank} but no nonzero codeword was enumerated")
     return best
-
-
-def min_weight_enum(
-    code: CyclicCode,
-    metric: str,
-    cap: int = 2**20,
-    basis: Optional[SpanBasis] = None,
-    basis_used: str = "x_basis",
-) -> int:
-    """Exhaustive minimum weight over all nonzero codewords."""
-    if basis is None:
-        basis = span_basis(code)
-    return _min_weights_enum(code, (metric,), cap, basis, basis_used)[metric]
 
 
 def min_weights(

@@ -277,3 +277,69 @@ def test_sweep_csv(tmp_path):
     assert lines[0] == "p,m,k,ideal_type,degrees,t3,wt_sp,wt_rt,verified"
     assert len(lines) == 6
     assert all(line.endswith("true") for line in lines[1:])
+
+
+# --- rejected inputs ---------------------------------------------------------------
+
+BAD_CODE_FILES = {
+    "huge_k": "field: p=2 m=1\nlength: k=99999999\ng3: u^3\n",
+    "k_too_large": "field: p=2 m=1\nlength: k=40\ng3: u^3\n",
+    "k_negative": "field: p=2 m=1\nlength: k=-1\ng3: u^3\n",
+    "k_not_int": "field: p=2 m=1\nlength: k=two\ng3: u^3\n",
+    "length_first": "length: k=13\nfield: p=2 m=1\ng3: u^3\n",
+    "p_not_int": "field: p=x m=1\nlength: k=2\ng3: u^3\n",
+    "modulus_not_int": "field: p=2 m=1 modulus=[1,x]\nlength: k=2\ng3: u^3\n",
+    # the prime 2^61 - 1, and a degree whose power 2^m would not fit in memory
+    "p_huge": "field: p=2305843009213693951 m=1\nlength: k=1\ng3: u^3\n",
+    "m_huge": "field: p=2 m=1000000000000 modulus=[1,1]\nlength: k=1\ng3: u^3\n",
+    "deep_nesting": "field: p=2 m=1\nlength: k=2\ng3: " + "(" * 3000 + "u^3" + ")" * 3000 + "\n",
+    # longer than Python's int-from-string limit of 4300 digits
+    "long_literal": "field: p=2 m=1\nlength: k=2\ng3: u^3*" + "1" * 5000 + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CODE_FILES))
+def test_bad_code_file_exits_66(tmp_path, capsys, name):
+    path = tmp_path / "bad.code"
+    path.write_text(BAD_CODE_FILES[name])
+    status, out = run(["analyze", str(path)])
+    assert status == 66 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_field_outside_the_old_table():
+    # F_7 has a default modulus by rule (the first irreducible, a = 0)
+    status, out = run(["verify", "--p", "7", "--m", "1", "--k", "1", "--trials", "5", "--seed", "1"])
+    assert status == 0
+    assert "5/5 formula==oracle" in out
+
+
+@pytest.mark.parametrize("k", ["0", "40", "-3"])
+def test_verify_bad_length_is_usage_error(capsys, k):
+    status, out = run(["verify", "--p", "2", "--m", "1", "--k", k, "--trials", "3", "--seed", "1"])
+    assert status == 64 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"p": 2}, {"p": ["2"]}, {"p": [4]}, {"k": [40]}, {"k": [0]}, {"m": [True]}],
+    ids=["p_int", "p_str", "p_not_prime", "k_40", "k_0", "m_bool"],
+)
+def test_bad_sweep_config_exits_66(tmp_path, capsys, override):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"p": [2], "m": [1], "k": [2], "trials": 2, **override}))
+    out_path = tmp_path / "rows.csv"
+    status, _ = run(["sweep", str(config), "--out", str(out_path)])
+    assert status == 66 and not out_path.exists()
+    assert "bad sweep config" in capsys.readouterr().err
+
+
+def test_sweep_field_outside_the_old_table(tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"p": [7], "m": [1], "k": [1], "trials": 3, "seed": 2}))
+    out_path = tmp_path / "rows.csv"
+    status, _ = run(["sweep", str(config), "--out", str(out_path)])
+    assert status == 0
+    lines = out_path.read_text().splitlines()
+    assert len(lines) == 4 and all(line.endswith("true") for line in lines[1:])

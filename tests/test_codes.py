@@ -5,7 +5,7 @@ import pytest
 
 import u4codes as u
 from u4codes.chain import RingElement
-from u4codes.codes import _CORRECTIONS, codeword_batches
+from u4codes.codes import _CORRECTIONS
 from u4codes.errors import (
     CorrectionDegreeTooLarge,
     CorrectionNotUnit,
@@ -16,6 +16,7 @@ from u4codes.errors import (
 from u4codes.galois import FieldSpec
 from u4codes.randgen import random_unit
 from u4codes.sring import SPoly
+from u4codes.weights import _all_combinations
 from conftest import golden_g0_g1_f2, golden_g1_f4
 
 
@@ -275,21 +276,59 @@ def test_torsion_oracle_examples(F3, F4):
     assert u.torsion_oracle(g3code, 3) == 2
 
 
-def test_torsion_oracle_matches_linear_scan(F2):
-    # binary search against the definition, on a handful of codes
-    rng = random.Random(42)
-    spec = F2
-    for _ in range(25):
-        code = u.random_code(rng, spec, 3)
-        basis = u.span_basis(code)
-        for i in range(4):
-            fast = u.torsion_oracle(code, i, basis)
-            slow = code.n
-            for s in range(code.n):
-                if u.contains(basis, RingElement.from_part(i, SPoly.monomial(spec, code.n, s))):
-                    slow = s
-                    break
-            assert fast == slow
+def linear_scan(code, basis, i):
+    """t_i by its definition: the first t with u^i s^t a member, n if none."""
+    for t in range(code.n):
+        if u.contains(basis, RingElement.from_part(i, SPoly.monomial(code.field, code.n, t))):
+            return t
+    return code.n
+
+
+# The six ORACLE_GRID configurations of the acceptance tests, then F_8, F_9, F_25.
+SCAN_CONFIGS = [
+    (2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2), (5, 1, 1), (2, 1, 4),
+    (2, 3, 2), (3, 2, 1), (5, 2, 1),
+]
+
+
+def test_torsion_oracle_matches_linear_scan():
+    # the read-off from the reduced basis against membership tests, all 15 types
+    for (p, m, k) in SCAN_CONFIGS:
+        spec = u.field_make(p, m)
+        rng = random.Random(100 * p + 10 * m + k)
+        for itype in u.IDEAL_TYPES:
+            for corrections in (True, False):
+                code = code_of_type(rng, spec, k, itype, corrections)
+                basis = u.span_basis(code)
+                profile = u.torsion_profile(code, basis)
+                for i in range(4):
+                    assert profile[i] == u.torsion_oracle(code, i, basis)
+                    assert profile[i] == linear_scan(code, basis, i), (p, m, k, itype, i)
+
+
+def test_torsion_oracle_matches_bisection_at_625(F5):
+    # an analyze_large shape; membership of u^i s^t is monotone in t (multiply
+    # by s), so a binary search over contains gives the same least t
+    rng = random.Random(625)
+    code = u.validate_canonical(
+        F5, 4, u.GeneratorForm(r1=600, r3=500, k5=450, p5=random_unit(rng, F5, 625))
+    )
+    basis = u.span_basis(code)
+
+    def member(i, t):
+        return u.contains(basis, RingElement.from_part(i, SPoly.monomial(F5, 625, t)))
+
+    for i in range(4):
+        lo, hi = 0, 625
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if member(i, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        assert u.torsion_oracle(code, i, basis) == lo
+    # u g1 = u^2 s^600; s^25 g1 = u^3 s^475 p5, so t3 = 475 < r3 = 500
+    assert u.torsion_profile(code, basis) == (625, 625, 600, 475)
 
 
 def test_torsion_ordering_property():
@@ -317,18 +356,16 @@ def test_pure_power_ideals_have_rectangular_profile(F3):
 
 def test_enumerate_counts(F2):
     one_dim = u.span_basis(u.validate_canonical(F2, 2, u.GeneratorForm(r3=3)))
-    words = list(u.enumerate_codewords(one_dim))
-    assert len(words) == 2
+    assert _all_combinations(F2, one_dim.rows).shape == (2, 16)
 
     four_dim = u.span_basis(u.validate_canonical(F2, 2, u.GeneratorForm(r3=0)))
-    words = list(u.enumerate_codewords(four_dim))
-    assert len(words) == 16
+    assert _all_combinations(F2, four_dim.rows).shape == (16, 16)
 
 
 def test_enumerate_unique_and_closed(F2):
     code = golden_g0_g1_f2(F2)
     basis = u.span_basis(code)
-    words = list(u.enumerate_codewords(basis))
+    words = [RingElement.from_vector(F2, code.n, w) for w in _all_combinations(F2, basis.rows)]
     assert len(words) == 2**basis.rank
     seen = {w.to_vector().tobytes() for w in words}
     assert len(seen) == len(words)
@@ -336,21 +373,25 @@ def test_enumerate_unique_and_closed(F2):
     for _ in range(30):
         a, b = rng.choice(words), rng.choice(words)
         assert (a + b).to_vector().tobytes() in seen
+        assert u.contains(basis, a)
 
 
 def test_enumerate_cap(F25):
     code = u.validate_canonical(F25, 3, u.GeneratorForm(r2=51))
     basis = u.span_basis(code)
     with pytest.raises(TooLarge):
-        list(u.enumerate_codewords(basis, cap=2**20))
+        u.min_weights(code, cap=2**20, basis=basis)
 
 
 def test_batches_match_stream(F2):
+    # the split that min_weights enumerates: every sum of a word from the first
+    # half of the rows and one from the second half, which is the whole code
     code = golden_g0_g1_f2(F2)
     basis = u.span_basis(code)
-    stream = {w.to_vector().tobytes() for w in u.enumerate_codewords(basis)}
-    batched = set()
-    for block in codeword_batches(basis, cap=2**20):
-        for row in block:
-            batched.add(row.astype("int16").tobytes())
+    stream = {w.tobytes() for w in _all_combinations(F2, basis.rows)}
+    half = basis.rank // 2
+    left = _all_combinations(F2, basis.rows[:half])
+    right = _all_combinations(F2, basis.rows[half:])
+    batched = {w.tobytes() for row in left for w in F2.add_table[row[None, :], right]}
     assert stream == batched
+    assert len(stream) == 2**basis.rank

@@ -36,10 +36,41 @@ def test_field_make_rejects_nonprime_nonmonic_degree():
         u.field_make(257, 1, [0, 1])
 
 
+# The moduli that were once a fixed table; the rule must keep every one of them.
+PINNED_MODULI = {
+    (2, 1): (0, 1),
+    (3, 1): (0, 1),
+    (5, 1): (0, 1),
+    (2, 2): (1, 1, 1),      # a^2 + a + 1
+    (5, 2): (2, 0, 1),      # a^2 + 2
+    (2, 3): (1, 1, 0, 1),   # a^3 + a + 1
+    (3, 2): (1, 0, 1),      # a^2 + 1
+}
+
+
 def test_default_moduli_all_valid():
-    for (p, m) in u.DEFAULT_MODULI:
+    for (p, m) in PINNED_MODULI:
         spec = u.field_make(p, m)
         assert spec.q == p**m
+
+
+def test_default_moduli_by_rule():
+    for (p, m), modulus in PINNED_MODULI.items():
+        assert u.field_make(p, m).modulus == modulus
+    # fields outside the old table: the first irreducible in enumeration order
+    assert u.field_make(7, 1).modulus == (0, 1)
+    assert u.field_make(2, 4).modulus == (1, 1, 0, 0, 1)        # a^4 + a + 1
+    assert u.field_make(3, 3).modulus == (1, 2, 0, 1)           # a^3 + 2a + 1
+    # every supported field has a default, and each is irreducible
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, 9):
+            if p**m <= 256:
+                spec = u.field_make(p, m)
+                assert u.field_make(p, m, spec.modulus) == spec
+    with pytest.raises(DegreeOutOfRange):
+        u.field_make(2, 9)
+    with pytest.raises(NonPrime):
+        u.field_make(6, 1)
 
 
 def test_f4_multiplication_against_bruteforce():
@@ -113,14 +144,14 @@ def test_inverses_and_unit_group_order(p, m):
         assert x ** (spec.q - 1) == one
 
 
-def test_elem_arith_dispatcher():
+def test_element_operators():
     spec = u.field_make(2, 2)
     a = spec.gen()
-    assert u.elem_arith(spec, a, a, "mul") == a + 1
-    assert u.elem_arith(spec, a, None, "pow", exponent=3) == spec.one()
-    assert u.elem_arith(spec, a, a, "div") == spec.one()
+    assert a * a == a + 1
+    assert a**3 == spec.one()
+    assert a / a == spec.one()
     with pytest.raises(DivisionByZero):
-        u.elem_arith(spec, a, spec.zero(), "div")
+        a / spec.zero()
 
 
 def test_element_display():

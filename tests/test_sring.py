@@ -7,14 +7,14 @@ import pytest
 import u4codes as u
 from u4codes.errors import DivisionByZero, MixedField, MixedLength
 from u4codes.galois import FieldSpec
-from u4codes.sring import SPoly, basis_transform, decompose
+from u4codes.sring import SPoly, basis_transform_rows, decompose
 
 
 def rand_poly(rng, spec, n):
     return SPoly(spec, n, np.array([rng.randrange(spec.q) for _ in range(n)], dtype=np.int16))
 
 
-# --- poly_arith ------------------------------------------------------------------
+# --- ring operations -------------------------------------------------------------
 
 
 def test_truncation_at_n(F2):
@@ -30,7 +30,7 @@ def test_char2_squaring(F2):
 
 def test_derived_shift_truncates(F3):
     f = SPoly.monomial(F3, 9, 1) * u.SPoly.from_ints(F3, 9, [2, 1])  # s*(2+s)
-    assert u.poly_arith(f, op="shift", a=7) == u.SPoly.from_ints(
+    assert f.shift(7) == u.SPoly.from_ints(
         F3, 9, [0] * 8 + [2]
     )  # 2s^8, the s^9 term truncated
 
@@ -162,6 +162,10 @@ def test_mul_and_inverse_at_max_length(F5):
 # --- basis transform ----------------------------------------------------------------
 
 
+def basis_transform(spec, vec, direction):
+    return basis_transform_rows(spec, np.array([vec], dtype=np.int16), direction)[0]
+
+
 def test_basis_transform_examples(F2, F3):
     assert list(basis_transform(F2, [1, 1, 0, 0], "x_to_s")) == [0, 1, 0, 0]
     assert list(basis_transform(F2, [0, 0, 1, 0], "x_to_s")) == [1, 0, 1, 0]
@@ -180,8 +184,6 @@ def test_basis_transform_roundtrip(p, m, k):
     n = p**k
     rng = np.random.default_rng(1234)
     vecs = rng.integers(0, spec.q, size=(500, n)).astype(np.int16)
-    from u4codes.sring import basis_transform_rows
-
     there = basis_transform_rows(spec, vecs, "x_to_s")
     back = basis_transform_rows(spec, there, "s_to_x")
     assert np.array_equal(back, vecs)
@@ -190,8 +192,6 @@ def test_basis_transform_roundtrip(p, m, k):
 def test_rowwise_matches_single(F3):
     rng = random.Random(5)
     vecs = np.array([[rng.randrange(3) for _ in range(9)] for _ in range(20)], dtype=np.int16)
-    from u4codes.sring import basis_transform_rows
-
     rows = basis_transform_rows(F3, vecs, "s_to_x")
     for i in range(20):
         assert np.array_equal(rows[i], basis_transform(F3, vecs[i], "s_to_x"))

@@ -32,29 +32,33 @@ def test_wt_vector_accepts_field_elements(F4):
 # --- enumeration minima -----------------------------------------------------------
 
 
+def min_weight(code, metric, **kwargs):
+    return u.min_weights(code, (metric,), **kwargs)[metric]
+
+
 def test_min_weight_g3_examples(F2):
     code = u.validate_canonical(F2, 2, u.GeneratorForm(r3=3))
-    assert u.min_weight_enum(code, "symbol_pair") == 4
+    assert min_weight(code, "symbol_pair") == 4
 
     code1 = u.validate_canonical(F2, 2, u.GeneratorForm(r3=1))
-    assert u.min_weight_enum(code1, "symbol_pair") == 3
-    assert u.min_weight_enum(code1, "rt") == 2
+    assert min_weight(code1, "symbol_pair") == 3
+    assert min_weight(code1, "rt") == 2
 
     code0 = u.validate_canonical(F2, 2, u.GeneratorForm(r3=0))
-    assert u.min_weight_enum(code0, "hamming") == 1
+    assert min_weight(code0, "hamming") == 1
 
 
 def test_min_weight_cap(F25):
     with pytest.raises(TooLarge):
-        u.min_weight_enum(golden_g2_f25(F25), "rt", cap=2**20)
+        min_weight(golden_g2_f25(F25), "rt", cap=2**20)
 
 
 def test_s_basis_diagnostic_mode(F2):
     # for <g3> codes the minimum RT weight agrees between the two bases
     for r3 in range(4):
         code = u.validate_canonical(F2, 2, u.GeneratorForm(r3=r3))
-        x = u.min_weight_enum(code, "rt", basis_used="x_basis")
-        s = u.min_weight_enum(code, "rt", basis_used="s_basis")
+        x = min_weight(code, "rt", basis_used="x_basis")
+        s = min_weight(code, "rt", basis_used="s_basis")
         assert x == s == r3 + 1
 
 
