@@ -151,10 +151,16 @@ class CyclicCode:
         return {level: self.generator(level) for level in self.ideal_type}
 
     def without_g3(self) -> "CyclicCode":
-        """The sub-code generated by everything except g3."""
+        """The sub-code generated by everything except g3.
+
+        Dropping a generator keeps a validated form canonical (every bound
+        it imposed relaxes to k_i < n), so the sub-code is not re-validated.
+        """
         if 3 not in self.ideal_type:
             return self
-        return validate_canonical(self.field, self.k, replace(self.form, r3=None))
+        if self.ideal_type == (3,):
+            raise EmptyGeneratorSet("at least one generator must be present")
+        return replace(self, form=replace(self.form, r3=None), ideal_type=self.ideal_type[:-1])
 
 
 def code_length(p: int, k: int) -> int:
@@ -237,19 +243,24 @@ def _valuation(col: np.ndarray) -> int:
     return int(nz[0]) if nz.size else col.size
 
 
+def _shift(x: np.ndarray, a: int, b: int = 0) -> np.ndarray:
+    """u^b s^a x for a (4, n) encoding array, truncated at u^4 and at s^n."""
+    n = x.shape[1]
+    out = np.zeros_like(x)
+    if a < n:
+        out[b:, a:] = x[: 4 - b, : n - a]
+    return out
+
+
 def _module_rows(code: CyclicCode) -> list[np.ndarray]:
     """The module generators u^b g_i (i + b <= 3) as (4, n) encoding arrays.
 
     u^b g_i vanishes for i + b >= 4, so these at most 10 rows span the code
     as an F[s]/<s^n>-module."""
-    n = code.n
     rows = []
     for level in code.ideal_type:
-        g = code.generator(level).to_vector().reshape(4, n)
-        for b in range(4 - level):
-            row = np.zeros((4, n), dtype=np.int16)
-            row[b:] = g[: 4 - b]
-            rows.append(row)
+        g = code.generator(level).to_vector().reshape(4, code.n)
+        rows.extend(_shift(g, 0, b) for b in range(4 - level))
     return rows
 
 
@@ -308,8 +319,7 @@ def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, n
                 rest.append(r)
         # s^(n-v) h is zero in column c but may survive in later columns; the
         # F-span of the s^j h with j < n - v misses it, so it stays a generator.
-        howell = np.zeros_like(h)
-        howell[:, n - v :] = h[:, :v]
+        howell = _shift(h, n - v)
         if howell.any():
             rest.append(howell)
         heads[c] = (v, h)

@@ -10,7 +10,9 @@ Cost model: every product goes through one kernel, ``_mul_trunc``, which
 cuts both operands to their nonzero spans and convolves their base-p digits
 at C level (numpy), so a product costs m^2 convolutions of the two span
 lengths.  ``SPoly.inverse`` is a Newton iteration on the same kernel: two
-products per doubling of the precision, O(log n) kernel calls in all.
+products per doubling of the precision, O(log n) kernel calls in all.  The
+x/s basis change costs K passes of a p x p matrix product over the m digit
+planes for n = p^K, and builds no n x n matrix.
 """
 
 from __future__ import annotations
@@ -116,10 +118,6 @@ class SPoly:
 
     def __neg__(self) -> "SPoly":
         return SPoly(self.spec, self.n, self.spec.neg_table[self.coeffs])
-
-    def scalar_mul(self, c) -> "SPoly":
-        e = self.spec.element(c).encoding
-        return SPoly(self.spec, self.n, self.spec.mul_table[e, self.coeffs])
 
     def __mul__(self, other: "SPoly") -> "SPoly":
         self._check(other)
@@ -240,52 +238,37 @@ def decompose(f: SPoly) -> Decomposition:
 
 # --- basis change between x-powers and s-powers ------------------------------
 
-_BINOM_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _transform_matrices(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M_xs, M_sx) with M_xs[i, j] = C(i, j) mod p and
-    M_sx[j, i] = C(j, i) * (-1)^(j-i) mod p, computed digitwise (Lucas)."""
-    key = (p, n)
-    if key in _BINOM_CACHE:
-        return _BINOM_CACHE[key]
-    small = np.zeros((p, p), dtype=np.int64)
-    small[0, 0] = 1
-    for i in range(1, p):
-        small[i, 0] = 1
-        for j in range(1, i + 1):
-            small[i, j] = (small[i - 1, j - 1] + small[i - 1, j]) % p
-    ndig = 1
-    while p**ndig < n:
-        ndig += 1
-    idx = np.arange(n)
-    digits = np.zeros((n, ndig), dtype=np.int64)
-    v = idx.copy()
-    for d in range(ndig):
-        digits[:, d] = v % p
-        v //= p
-    binom = np.ones((n, n), dtype=np.int64)
-    for d in range(ndig):
-        binom = binom * small[digits[:, None, d], digits[None, :, d]] % p
-    signs = np.where((idx[:, None] - idx[None, :]) % 2 == 0, 1, p - 1)
-    m_sx = binom * signs % p
-    out = (binom.astype(np.int16), m_sx.astype(np.int16))
-    _BINOM_CACHE[key] = out
-    return out
-
 
 def basis_transform_rows(spec: FieldSpec, rows: np.ndarray, direction: str) -> np.ndarray:
     """Convert each row of an (r, n) matrix of encodings between the x-power
-    and s-power bases (x = s + 1)."""
+    and s-power bases (x = s + 1).
+
+    x^i = sum_j C(i, j) s^j and s^i = sum_j C(i, j) (-1)^(i-j) x^j.  For
+    n = p^K, Lucas's theorem gives C(i, j) = prod_d C(i_d, j_d) mod p over
+    the base-p digits of i and j, and for odd p the sign splits the same
+    way, so the n x n matrix is the K-fold Kronecker power of its p x p
+    corner.  The map is F_p-linear, so it runs on each base-p digit plane of
+    the encodings, one digit axis of the index at a time; another n is
+    padded with zero columns to the next power of p and cut back after.
+    """
     if direction not in ("x_to_s", "s_to_x"):
         raise ValueError(f"unknown direction {direction!r}")
-    n = rows.shape[1]
-    m_xs, m_sx = _transform_matrices(spec.p, n)
-    mat = m_xs if direction == "x_to_s" else m_sx
-    out = np.zeros_like(rows)
-    for i in range(n):
-        col = rows[:, i]
-        if not col.any():
-            continue
-        out = spec.add_table[out, spec.mul_table[col[:, None], mat[i][None, :]]]
-    return out
+    p, (r, n) = spec.p, rows.shape
+    corner = np.zeros((p, p))
+    corner[:, 0] = 1
+    for a in range(1, p):
+        corner[a, 1:] = (corner[a - 1, 1:] + corner[a - 1, :-1]) % p
+    if direction == "s_to_x":
+        odd = np.add.outer(np.arange(p), np.arange(p)) % 2 == 1
+        corner[odd] = (p - corner[odd]) % p
+    size, digits = 1, 0
+    while size < n:
+        size, digits = size * p, digits + 1
+    planes = np.zeros((spec.m * r, size))
+    planes[:, :n] = spec.digit_rows[:, rows].reshape(-1, n)
+    # Each pass maps the leading digit axis through the corner and rotates it
+    # to the end, so after K passes every axis is mapped and back in place.
+    for _ in range(digits):
+        planes = (planes.reshape(-1, p, size // p).transpose(0, 2, 1) @ corner % p).reshape(-1, size)
+    out = spec.digit_weights @ planes.reshape(spec.m, -1)
+    return out.reshape(r, size)[:, :n].astype(np.int16)

@@ -11,34 +11,40 @@ reading its valuation off a decomposition, never by exponent bookkeeping
 alone: differences of terms can cancel below their nominal degrees, and the
 decomposition measures the true offset.  Each candidate fed into a min is
 the valuation of an explicitly constructed member of the code (or a value
->= some other candidate), so the minimum is always witnessed.
+>= some other candidate), so the minimum is always witnessed.  The g0 path
+builds those members as (4, n) arrays of s-basis encodings, row b the
+u^b-part, with the oracle's own primitives (``codes._shift``,
+``codes._sub_multiple``, ``sring._mul_trunc``); the case formulas stay on
+``SPoly`` because their traces print the polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from .errors import InconsistentSet, WrongIdealType
-from .chain import RingElement
-from .codes import CyclicCode, GeneratorForm, validate_canonical
-from .sring import SPoly, decompose
+from .codes import CyclicCode, GeneratorForm, _shift, _sub_multiple, _valuation
+from .galois import FieldSpec
+from .sring import SPoly, _mul_trunc, decompose
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class U2Element:
-    """A code member of shape u^2 s^omega h1 + u^3 s^omega_tilde h2.
+    """A code member of shape u^2 s^omega h1 + u^3 s^omega_tilde h2 (h1, h2
+    units), held as a read-only (4, n) encoding array whose rows 0 and 1
+    are zero.
 
-    omega / omega_tilde are present exactly when the matching part is
-    nonzero; h1 / h2 are the unit cofactors (zero polynomials otherwise).
+    omega / omega_tilde are the valuations of rows 2 and 3, present exactly
+    when the row is nonzero.
     """
 
     source: str
-    element: RingElement
+    element: np.ndarray
     omega: Optional[int]
     omega_tilde: Optional[int]
-    h1: SPoly
-    h2: SPoly
 
 
 @dataclass(frozen=True)
@@ -47,49 +53,48 @@ class T3Result:
     path: dict
 
 
-def _as_u2_element(source: str, elem: RingElement) -> U2Element:
-    if not (elem.parts[0].is_zero() and elem.parts[1].is_zero()):
+def _u2_degrees(source: str, elem: np.ndarray) -> tuple[Optional[int], Optional[int]]:
+    """(omega, omega_tilde) of a (4, n) array whose rows 0 and 1 are zero."""
+    if elem[:2].any():
         raise InconsistentSet(f"{source}: nonzero residue or u-part")
-    d2 = decompose(elem.parts[2])
-    d3 = decompose(elem.parts[3])
-    return U2Element(
-        source=source,
-        element=elem,
-        omega=d2.valuation if d2.valuation < elem.n else None,
-        omega_tilde=d3.valuation if d3.valuation < elem.n else None,
-        h1=d2.unit_part,
-        h2=d3.unit_part,
-    )
+    n = elem.shape[1]
+    return tuple(v if v < n else None for v in map(_valuation, elem[2:]))
+
+
+def _as_u2_element(source: str, elem: np.ndarray) -> U2Element:
+    elem.flags.writeable = False
+    return U2Element(source, elem, *_u2_degrees(source, elem))
 
 
 def _check_u2_element(f: U2Element):
-    n = f.element.n
-    rebuilt = RingElement.from_part(2, f.h1.shift(f.omega if f.omega is not None else n))
-    rebuilt = rebuilt + RingElement.from_part(
-        3, f.h2.shift(f.omega_tilde if f.omega_tilde is not None else n)
-    )
-    if rebuilt != f.element:
-        raise InconsistentSet(f"{f.source}: fields do not reassemble the element")
-    if (f.omega is None) != f.h1.is_zero() or (f.omega_tilde is None) != f.h2.is_zero():
-        raise InconsistentSet(f"{f.source}: degree/unit presence mismatch")
+    if _u2_degrees(f.source, f.element) != (f.omega, f.omega_tilde):
+        raise InconsistentSet(f"{f.source}: degrees do not match the element")
 
 
-def _elim_u_level(x: RingElement, y: RingElement) -> RingElement:
-    """Combination of x and y with the u-parts cancelled exactly.
+def _unit_inverse(field: FieldSpec, f: np.ndarray) -> np.ndarray:
+    """Inverse, at full precision n, of the unit part of f = s^v * unit
+    (f's first v entries are zero, so rolling them to the end leaves it)."""
+    return SPoly(field, f.size, np.roll(f, -_valuation(f))).inverse().coeffs
 
-    Shifts whichever has the smaller u-part valuation up to the other and
-    subtracts with the unit ratio, so the u-part vanishes identically.
+
+def _cancel(
+    field: FieldSpec, x: np.ndarray, y: np.ndarray, level: int, x_inv: np.ndarray | None = None
+) -> np.ndarray:
+    """y minus the multiple s^d * ratio * x that cancels its u^level-part.
+
+    Needs val(x[level]) <= val(y[level]); d is their difference and ratio
+    the quotient of the unit parts.  x_inv, the inverse of x's unit part at
+    full precision n, may be passed in when x is cancelled against several
+    y.  The u^level-part of the result vanishes identically.
     """
-    dx = decompose(x.parts[1])
-    dy = decompose(y.parts[1])
-    if dx.valuation <= dy.valuation:
-        ratio = dy.unit_part * dx.unit_part.inverse()
-        out = y - x.shift_mul(dy.valuation - dx.valuation).poly_mul(ratio)
-    else:
-        ratio = dx.unit_part * dy.unit_part.inverse()
-        out = x - y.shift_mul(dx.valuation - dy.valuation).poly_mul(ratio)
-    if not out.parts[1].is_zero():
-        raise InconsistentSet("u-part elimination left a nonzero u-part")
+    n = x.shape[1]
+    vx, vy = _valuation(x[level]), _valuation(y[level])
+    if x_inv is None:
+        x_inv = _unit_inverse(field, x[level])
+    out = y.copy()
+    _sub_multiple(field, out, _mul_trunc(field, x_inv, y[level, vy:], n), _shift(x, vy - vx), 0)
+    if out[level].any():
+        raise InconsistentSet(f"u^{level}-part left after cancellation")
     return out
 
 
@@ -173,9 +178,8 @@ def t3_g1_g2(code: CyclicCode) -> T3Result:
     r1, r2 = form.r1, form.r2
     k4, p4, k5, p5, k6, p6 = form.k4, form.p4, form.k5, form.p5, form.k6, form.p6
 
-    sub = validate_canonical(
-        code.field, code.k, GeneratorForm(r1=r1, k4=k4, k5=k5, p4=p4, p5=p5)
-    )
+    # dropping g2 keeps the form canonical, so the sub-code needs no re-validation
+    sub = replace(code, form=GeneratorForm(r1=r1, k4=k4, k5=k5, p4=p4, p5=p5), ideal_type=(1,))
     t_sub = t3_g1(sub)
 
     # elimination of s^(n-r1)*g1 against g2 (u^2 level)
@@ -235,48 +239,51 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
 
         sA = s^(n-r) g0,   uB = u g0,   g1,
 
-    via exact pairwise u-part eliminations, the u- and s-shifts that kill a
+    via exact pairwise u-part cancellations, the u- and s-shifts that kill a
     u-part outright, and the direct u^2-level generator g2.  Zero results are
     dropped; every member is an explicitly constructed element of the code.
     """
     if code.ideal_type not in _U2_TYPES:
         raise WrongIdealType("a g0-containing, g3-free type", str(code.ideal_type))
-    n = code.n
-    g0 = code.generator(0)
-    A = g0.shift_mul(n - code.form.r)
-    B = g0.shift_mul(0, 1)
-    D = code.generator(1) if 1 in code.ideal_type else None
+    field, n = code.field, code.n
+    gens = {level: g.to_vector().reshape(4, n) for level, g in code.generators().items()}
+    A = _shift(gens[0], n - code.form.r)
+    B = _shift(gens[0], 0, 1)
+    D = gens.get(1)
 
-    raw: list[tuple[str, RingElement]] = []
-    a_val = decompose(A.parts[1]).valuation
+    def elim(x, y):
+        # the element of smaller u-part valuation is the one shifted
+        return _cancel(field, *sorted((x, y), key=lambda e: _valuation(e[1])), 1)
+
+    raw: list[tuple[str, np.ndarray]] = []
+    a_val = _valuation(A[1])
     a_has_u = a_val < n
 
     if D is not None:
-        r1val = decompose(D.parts[1]).valuation
         if a_has_u:
-            raw.append(("elim(sA,ug0)", _elim_u_level(A, B)))
-            raw.append(("elim(sA,g1)", _elim_u_level(A, D)))
+            raw.append(("elim(sA,ug0)", elim(A, B)))
+            raw.append(("elim(sA,g1)", elim(A, D)))
         else:
             raw.append(("sA", A))
-        raw.append(("elim(ug0,g1)", _elim_u_level(B, D)))
+        raw.append(("elim(ug0,g1)", elim(B, D)))
         if a_has_u:
-            raw.append(("s-shift(sA)", A.shift_mul(n - a_val)))
-            raw.append(("u*sA", A.shift_mul(0, 1)))
-        raw.append(("s-shift(g1)", D.shift_mul(n - r1val)))
-        raw.append(("u*ug0", B.shift_mul(0, 1)))
-        raw.append(("u*g1", D.shift_mul(0, 1)))
+            raw.append(("s-shift(sA)", _shift(A, n - a_val)))
+            raw.append(("u*sA", _shift(A, 0, 1)))
+        raw.append(("s-shift(g1)", _shift(D, n - _valuation(D[1]))))
+        raw.append(("u*ug0", _shift(B, 0, 1)))
+        raw.append(("u*g1", _shift(D, 0, 1)))
     else:
         if a_has_u:
-            raw.append(("elim(sA,ug0)", _elim_u_level(A, B)))
-            raw.append(("u*sA", A.shift_mul(0, 1)))
+            raw.append(("elim(sA,ug0)", elim(A, B)))
+            raw.append(("u*sA", _shift(A, 0, 1)))
         else:
             raw.append(("sA", A))
-        raw.append(("u*ug0", B.shift_mul(0, 1)))
+        raw.append(("u*ug0", _shift(B, 0, 1)))
 
-    if 2 in code.ideal_type:
-        raw.append(("g2", code.generator(2)))
+    if 2 in gens:
+        raw.append(("g2", gens[2]))
 
-    return [_as_u2_element(src, elem) for src, elem in raw if not elem.is_zero()]
+    return [_as_u2_element(src, elem) for src, elem in raw if elem.any()]
 
 
 def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
@@ -284,7 +291,7 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
 
     Candidates: omega_i (u * f_i), n - omega_i + omega~_i (s^(n-omega_i) f_i),
     omega~ of the pure-u^3 members, and the valuations of all pairwise
-    u^2-eliminations.  All are valuations of explicit code members.
+    u^2-cancellations.  All are valuations of explicit code members.
     """
     n = code.n
     for f in members:
@@ -297,24 +304,22 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
     min_set: list[tuple[str, int]] = []
     for f in with_u2:
         min_set.append((f"w[{f.source}]", f.omega))
-        shifted = f.element.shift_mul(n - f.omega)
-        if not shifted.parts[2].is_zero():
+        shifted = _shift(f.element, n - f.omega)
+        if shifted[2].any():
             raise InconsistentSet(f"{f.source}: s-shift left a nonzero u^2-part")
-        if not shifted.is_zero():
-            min_set.append((f"shift[{f.source}]", decompose(shifted.parts[3]).valuation))
+        if shifted.any():
+            min_set.append((f"shift[{f.source}]", _valuation(shifted[3])))
     for f in u3_only:
         min_set.append((f"u3[{f.source}]", f.omega_tilde))
 
     taus = []
     for a, fi in enumerate(with_u2[:-1]):
-        h1_inv = fi.h1.inverse()
+        # one inverse per member, not per pair
+        fi_inv = _unit_inverse(code.field, fi.element[2])
         for fj in with_u2[a + 1 :]:
-            ratio = h1_inv * fj.h1
-            elim = fj.element - fi.element.shift_mul(fj.omega - fi.omega).poly_mul(ratio)
-            if not elim.parts[2].is_zero():
-                raise InconsistentSet(f"elim[{fi.source}|{fj.source}]: nonzero u^2-part")
-            if not elim.is_zero():
-                tau = decompose(elim.parts[3]).valuation
+            elim = _cancel(code.field, fi.element, fj.element, 2, fi_inv)
+            if elim.any():
+                tau = _valuation(elim[3])
                 taus.append(tau)
                 min_set.append((f"elim[{fi.source}|{fj.source}]", tau))
 

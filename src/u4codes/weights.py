@@ -190,10 +190,6 @@ class VerifyRecord:
     rt_match: Optional[bool]
     enum_skipped: Optional[str]
 
-    def all_ok(self) -> bool:
-        checks = [self.t3_match, self.sp_match, self.rt_match]
-        return all(c for c in checks if c is not None)
-
 
 @dataclass(frozen=True)
 class WeightReport:

@@ -241,6 +241,19 @@ def test_analyze_verify_at_max_length(tmp_path, F5):
     assert doc["enum"]["skipped"]
 
 
+def test_analyze_verify_enumerates_at_max_length(tmp_path):
+    # n = 3125, rank 5: small enough to enumerate, so the basis change to
+    # x-powers runs at the full length
+    path = tmp_path / "g3.code"
+    path.write_text("field: p=5 m=1 modulus=[0,1]\nlength: k=5\ng3: u^3*(x-1)^3120\n")
+    status, out = run(["analyze", str(path), "--verify", "--json"])
+    assert status == 0
+    doc = json.loads(out)
+    assert (doc["t3"], doc["wt_sp"], doc["wt_rt"]) == (3120, 1250, 3121)
+    assert doc["enum"] == {"wt_sp": 1250, "wt_rt": 3121, "skipped": None}
+    assert all(doc["verdicts"].values())
+
+
 def test_usage_error_code():
     status, _ = run(["analyze"])
     assert status == 64

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,6 +209,36 @@ def test_span_basis_matches_reference_all_15_types(p, m, modulus, k):
     for itype in u.IDEAL_TYPES:
         for corrections in (True, False):
             assert_matches_reference(code_of_type(rng, spec, k, itype, corrections))
+
+
+def test_sub_codes_equal_revalidated_all_15_types(monkeypatch):
+    # without_g3 and the <g1> sub-code of t3_g1_g2 are built without
+    # re-validation; each must equal validate_canonical of the same form
+    captured = []
+    t3_g1 = u.torsion.t3_g1
+
+    def capture(code):
+        captured.append(code)
+        return t3_g1(code)
+
+    monkeypatch.setattr(u.torsion, "t3_g1", capture)
+    for p, m, modulus, k in SPAN_FIELDS[:5]:
+        spec = u.field_make(p, m) if modulus is None else FieldSpec(p, m, modulus)
+        rng = random.Random(2000 * p + 10 * m + k)
+        for itype in u.IDEAL_TYPES:
+            for corrections in (True, False):
+                code = code_of_type(rng, spec, k, itype, corrections)
+                if itype == (3,):
+                    with pytest.raises(EmptyGeneratorSet):
+                        code.without_g3()
+                    continue
+                form = replace(code.form, r3=None)
+                assert code.without_g3() == u.validate_canonical(spec, k, form)
+                if itype == (1, 2):
+                    captured.clear()
+                    u.t3_g1_g2(code)
+                    form = replace(code.form, r2=None, k6=None, p6=None)
+                    assert captured == [u.validate_canonical(spec, k, form)]
 
 
 def test_span_basis_matches_reference_edge_cases(F2, F3, F4):

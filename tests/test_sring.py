@@ -197,6 +197,68 @@ def test_rowwise_matches_single(F3):
         assert np.array_equal(rows[i], basis_transform(F3, vecs[i], "s_to_x"))
 
 
+def reference_basis_transform(spec, rows, direction):
+    """The dense Lucas matrices and the n-step table loop that the digit-plane
+    Kronecker transform replaced, kept verbatim as its reference."""
+    p, n = spec.p, rows.shape[1]
+    small = np.zeros((p, p), dtype=np.int64)
+    small[0, 0] = 1
+    for i in range(1, p):
+        small[i, 0] = 1
+        for j in range(1, i + 1):
+            small[i, j] = (small[i - 1, j - 1] + small[i - 1, j]) % p
+    ndig = 1
+    while p**ndig < n:
+        ndig += 1
+    idx = np.arange(n)
+    digits = np.zeros((n, ndig), dtype=np.int64)
+    v = idx.copy()
+    for d in range(ndig):
+        digits[:, d] = v % p
+        v //= p
+    binom = np.ones((n, n), dtype=np.int64)
+    for d in range(ndig):
+        binom = binom * small[digits[:, None, d], digits[None, :, d]] % p
+    signs = np.where((idx[:, None] - idx[None, :]) % 2 == 0, 1, p - 1)
+    m_sx = binom * signs % p
+    mat = binom.astype(np.int16) if direction == "x_to_s" else m_sx.astype(np.int16)
+    out = np.zeros_like(rows)
+    for i in range(n):
+        col = rows[:, i]
+        if not col.any():
+            continue
+        out = spec.add_table[out, spec.mul_table[col[:, None], mat[i][None, :]]]
+    return out
+
+
+@pytest.mark.parametrize("p,m,modulus", KERNEL_FIELDS)
+def test_basis_transform_matches_lucas_matrices(p, m, modulus):
+    spec = kernel_field(p, m, modulus)
+    rng = np.random.default_rng(p * 1000 + m + 2)
+    for n in sorted({1, p, p**2, p**3, 10, 17}):
+        for r in (1, 6):
+            rows = rng.integers(0, spec.q, (r, n)).astype(np.int16)
+            rows[0, rng.random(n) < 0.7] = 0  # a sparse row beside dense ones
+            for direction in ("x_to_s", "s_to_x"):
+                got = basis_transform_rows(spec, rows, direction)
+                assert got.dtype == np.int16
+                assert np.array_equal(got, reference_basis_transform(spec, rows, direction)), (
+                    n, r, direction,
+                )
+
+
+def test_basis_transform_roundtrip_at_max_length(F5):
+    rng = np.random.default_rng(3125)
+    vecs = rng.integers(0, F5.q, size=(8, 3125)).astype(np.int16)
+    there = basis_transform_rows(F5, vecs, "x_to_s")
+    assert np.array_equal(basis_transform_rows(F5, there, "s_to_x"), vecs)
+    # x^(n-1) = (1 + s)^(n-1) = sum_j C(n-1, j) s^j, and C(p^k - 1, j) = (-1)^j mod p
+    top = np.zeros((1, 3125), dtype=np.int16)
+    top[0, -1] = 1
+    expect = np.where(np.arange(3125) % 2 == 0, 1, 4)
+    assert np.array_equal(basis_transform_rows(F5, top, "x_to_s")[0], expect)
+
+
 # --- decompose ----------------------------------------------------------------------
 
 

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 import u4codes as u
 from u4codes.chain import RingElement
 from u4codes.errors import InconsistentSet, WrongIdealType
-from u4codes.sring import SPoly
+from u4codes.sring import SPoly, decompose
+from u4codes.torsion import _as_u2_element, _cancel
 from conftest import (
     golden_g0_f3,
     golden_g0_g1_f2,
@@ -17,6 +19,11 @@ from conftest import (
 
 def oracle_t3(code):
     return u.torsion_oracle(code, 3)
+
+
+def as_ring_element(code, arr):
+    """A (4, n) u^2-part member as the RingElement that ``contains`` takes."""
+    return RingElement.from_vector(code.field, code.n, arr.reshape(-1))
 
 
 # --- t3_g1 -----------------------------------------------------------------------
@@ -109,7 +116,7 @@ def test_u2_set_golden_g0_g1(F2):
     # all members really sit in the code
     basis = u.span_basis(code)
     for f in members:
-        assert u.contains(basis, f.element)
+        assert u.contains(basis, as_ring_element(code, f.element))
 
 
 def test_u2_set_golden_g0_f3(F3):
@@ -118,7 +125,7 @@ def test_u2_set_golden_g0_f3(F3):
     assert len(members) == 3
     basis = u.span_basis(code)
     for f in members:
-        assert u.contains(basis, f.element)
+        assert u.contains(basis, as_ring_element(code, f.element))
     # the reference elimination of the two plain members is present: the
     # shift-and-subtract of u^2 s^5 + ... against u^2 s^6 (1+2s) has value 3
     res = u.t3_from_u2_set(members, code)
@@ -143,9 +150,7 @@ def test_u2_set_wrong_type(F2):
 def test_t3_from_u2_set_singleton_u3(F2):
     code = u.validate_canonical(F2, 3, u.GeneratorForm(r=4))
     # fabricate a pure-u^3 witness set
-    elem = RingElement.from_part(3, SPoly.monomial(F2, 8, 5))
-    from u4codes.torsion import _as_u2_element
-
+    elem = RingElement.from_part(3, SPoly.monomial(F2, 8, 5)).to_vector().reshape(4, 8)
     res = u.t3_from_u2_set([_as_u2_element("w", elem)], code)
     assert res.t3 == 5
     assert res.path["nu"] == 0
@@ -159,11 +164,10 @@ def test_t3_from_u2_set_rejects_corrupt_member(F2):
         element=good.element,
         omega=good.omega,
         omega_tilde=3,  # claims a u^3 part that is not there
-        h1=good.h1,
-        h2=SPoly.one(F2, 4),
     )
     with pytest.raises(InconsistentSet):
         u.t3_from_u2_set([bad], code)
+    assert not good.element.flags.writeable
 
 
 def test_u2_set_elimination_members_in_code():
@@ -180,16 +184,20 @@ def test_u2_set_elimination_members_in_code():
             basis = u.span_basis(code)
             members = u.u2_part_set(code)
             for f in members:
-                assert u.contains(basis, f.element)
+                assert u.contains(basis, as_ring_element(code, f.element))
             with_u2 = sorted(
                 (f for f in members if f.omega is not None), key=lambda f: f.omega
             )
             for i in range(len(with_u2)):
                 for j in range(i + 1, len(with_u2)):
                     fi, fj = with_u2[i], with_u2[j]
-                    ratio = fi.h1.inverse() * fj.h1
-                    elim = fj.element - fi.element.shift_mul(fj.omega - fi.omega).poly_mul(ratio)
+                    ei, ej = as_ring_element(code, fi.element), as_ring_element(code, fj.element)
+                    # the reference elimination on ring elements
+                    ratio = decompose(ei.parts[2]).unit_part.inverse() * decompose(ej.parts[2]).unit_part
+                    elim = ej - ei.shift_mul(fj.omega - fi.omega).poly_mul(ratio)
                     assert u.contains(basis, elim)
+                    fast = _cancel(spec, fi.element, fj.element, 2)
+                    assert np.array_equal(fast, elim.to_vector().reshape(4, code.n))
 
 
 # --- adjoining g3 ------------------------------------------------------------------
