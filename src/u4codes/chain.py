@@ -1,25 +1,69 @@
 """Arithmetic in R[x]/<x^n - 1> for the chain ring R = F_{p^m}[u]/<u^4>.
 
-Elements are stored u-adically as a quadruple of SPoly parts
-a0 + u*a1 + u^2*a2 + u^3*a3, so that "the u^2-part" of an element is a plain
-component access.  Both truncation rules (u^4 = 0 and s^n = 0) apply.
+An element a0 + u*a1 + u^2*a2 + u^3*a3 is one read-only (4, n) int16 array of
+s-basis encodings, row b the u^b-part; both truncation rules (u^4 = 0 and
+s^n = 0) apply.  The primitives on such arrays live here too, so that this
+module alone fixes the layout that ``codes`` and ``torsion`` compute on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MixedField, MixedLength
+from .errors import LengthMismatch, MixedField, MixedLength
 from .galois import FieldSpec
-from .sring import SPoly
+from .sring import MAX_N, SPoly, _mul_trunc
+
+
+def _valuation(col: np.ndarray) -> int:
+    """First nonzero index of a coefficient vector, its length if all zero."""
+    nz = col.nonzero()[0]
+    return int(nz[0]) if nz.size else col.size
+
+
+def _shift(x: np.ndarray, a: int, b: int = 0) -> np.ndarray:
+    """u^b s^a x for a (4, n) encoding array, truncated at u^4 and at s^n."""
+    n = x.shape[1]
+    out = np.zeros_like(x)
+    if a < n:
+        out[b:, a:] = x[: 4 - b, : n - a]
+    return out
+
+
+def _sub_multiple(field: FieldSpec, r: np.ndarray, q: np.ndarray, h: np.ndarray, first: int):
+    """r[j] -= q * h[j] in place for the columns j >= first."""
+    n = r.shape[1]
+    for j in range(first, 4):
+        if h[j].any():
+            r[j] = field.sub_table[r[j], _mul_trunc(field, q, h[j], n)]
 
 
 class RingElement:
-    """Quadruple (a0, a1, a2, a3) of SPoly meaning a0 + u*a1 + u^2*a2 + u^3*a3."""
+    """a0 + u*a1 + u^2*a2 + u^3*a3 as a read-only (4, n) array of encodings.
 
-    __slots__ = ("spec", "n", "parts")
+    Instances are immutable: ``coeffs`` is a frozen copy made on construction.
+    """
 
-    def __init__(self, parts):
+    __slots__ = ("spec", "n", "coeffs")
+
+    def __init__(self, spec: FieldSpec, n: int, coeffs):
+        if not 1 <= n <= MAX_N:
+            raise LengthMismatch(f"length {n} outside supported range")
+        arr = np.array(coeffs, dtype=np.int16)
+        if arr.ndim != 2 or arr.shape[0] != 4:
+            raise MixedLength("a ring element has exactly four u-adic parts")
+        if arr.shape[1] != n:
+            raise LengthMismatch(f"expected {n} coefficients per part, got shape {arr.shape}")
+        arr.flags.writeable = False
+        self.spec = spec
+        self.n = n
+        self.coeffs = arr
+
+    # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def from_parts(cls, parts) -> "RingElement":
+        """The element with u-adic parts (a0, a1, a2, a3), each an SPoly."""
         parts = tuple(parts)
         if len(parts) != 4:
             raise MixedLength("a ring element has exactly four u-adic parts")
@@ -29,30 +73,38 @@ class RingElement:
                 raise MixedField("u-adic parts over different fields")
             if part.n != first.n:
                 raise MixedLength("u-adic parts of different lengths")
-        self.spec = first.spec
-        self.n = first.n
-        self.parts = parts
-
-    # -- constructors ---------------------------------------------------------
+        return cls(first.spec, first.n, [part.coeffs for part in parts])
 
     @classmethod
     def zero(cls, spec: FieldSpec, n: int) -> "RingElement":
-        z = SPoly.zero(spec, n)
-        return cls((z, z, z, z))
+        return cls(spec, n, np.zeros((4, n), dtype=np.int16))
 
     @classmethod
     def from_part(cls, level: int, poly: SPoly) -> "RingElement":
-        """u^level * poly."""
-        z = SPoly.zero(poly.spec, poly.n)
-        parts = [z, z, z, z]
-        parts[level] = poly
-        return cls(parts)
+        """u^level * poly, zero for level >= 4."""
+        arr = np.zeros((4, poly.n), dtype=np.int16)
+        if level < 4:
+            arr[level] = poly.coeffs
+        return cls(poly.spec, poly.n, arr)
 
     @classmethod
     def constant(cls, spec: FieldSpec, n: int, value) -> "RingElement":
-        return cls.from_part(0, SPoly.from_ints(spec, n, [value]))
+        """An integer (reduced mod p) or FieldElement as a ring element."""
+        arr = np.zeros((4, n), dtype=np.int16)
+        arr[0, 0] = spec.element(value).encoding
+        return cls(spec, n, arr)
+
+    @classmethod
+    def from_vector(cls, spec: FieldSpec, n: int, vec: np.ndarray) -> "RingElement":
+        """Inverse of ``to_vector``."""
+        return cls(spec, n, np.reshape(vec, (4, -1)))
 
     # -- basics ------------------------------------------------------------------
+
+    @property
+    def parts(self) -> tuple[SPoly, SPoly, SPoly, SPoly]:
+        """The u-adic parts (a0, a1, a2, a3) as SPoly."""
+        return tuple(SPoly(self.spec, self.n, row) for row in self.coeffs)
 
     def _check(self, other: "RingElement"):
         if self.spec != other.spec:
@@ -61,87 +113,61 @@ class RingElement:
             raise MixedLength("ring elements of different lengths")
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.parts)
+        return not self.coeffs.any()
 
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
             and self.spec == other.spec
             and self.n == other.n
-            and all(a == b for a, b in zip(self.parts, other.parts))
+            and np.array_equal(self.coeffs, other.coeffs)
         )
 
     def __hash__(self):
-        return hash((self.spec, self.n) + self.parts)
+        return hash((self.spec, self.n, self.coeffs.tobytes()))
 
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(tuple(a + b for a, b in zip(self.parts, other.parts)))
+        return RingElement(self.spec, self.n, self.spec.add_table[self.coeffs, other.coeffs])
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(tuple(a - b for a, b in zip(self.parts, other.parts)))
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(tuple(-a for a in self.parts))
+        return RingElement(self.spec, self.n, self.spec.sub_table[self.coeffs, other.coeffs])
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        z = SPoly.zero(self.spec, self.n)
-        out = [z, z, z, z]
-        for i, a in enumerate(self.parts):
-            if a.is_zero():
+        spec, n = self.spec, self.n
+        out = np.zeros((4, n), dtype=np.int16)
+        for i, a in enumerate(self.coeffs):
+            if not a.any():
                 continue
-            for j in range(4 - i):
-                b = other.parts[j]
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return RingElement(out)
+            for j, b in enumerate(other.coeffs[: 4 - i]):
+                if b.any():
+                    out[i + j] = spec.add_table[out[i + j], _mul_trunc(spec, a, b, n)]
+        return RingElement(spec, n, out)
 
     def poly_mul(self, f: SPoly) -> "RingElement":
-        return RingElement(tuple(a * f for a in self.parts))
-
-    def __pow__(self, e: int) -> "RingElement":
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        out = RingElement.constant(self.spec, self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        """Multiply every u-adic part by the polynomial f."""
+        self._check(f)
+        out = np.zeros((4, self.n), dtype=np.int16)
+        for b, a in enumerate(self.coeffs):
+            if a.any():
+                out[b] = _mul_trunc(self.spec, a, f.coeffs, self.n)
+        return RingElement(self.spec, self.n, out)
 
     def shift_mul(self, a: int, b: int = 0) -> "RingElement":
         """Multiply by u^b * s^a with both truncation rules applied."""
         if a < 0 or not 0 <= b <= 3:
             raise ValueError("invalid shift")
-        z = SPoly.zero(self.spec, self.n)
-        out = [z, z, z, z]
-        for j in range(4 - b):
-            out[j + b] = self.parts[j].shift(a)
-        return RingElement(out)
-
-    def u_valuation(self) -> int:
-        """Smallest j with nonzero u^j-part; 4 for the zero element."""
-        for j, part in enumerate(self.parts):
-            if not part.is_zero():
-                return j
-        return 4
+        return RingElement(self.spec, self.n, _shift(self.coeffs, a, b))
 
     # -- flattening for the linear-algebra oracle -----------------------------------
 
     def to_vector(self) -> np.ndarray:
-        """Concatenation (a0 || a1 || a2 || a3) of s-basis encodings."""
-        return np.concatenate([p.coeffs for p in self.parts])
-
-    @classmethod
-    def from_vector(cls, spec: FieldSpec, n: int, vec: np.ndarray) -> "RingElement":
-        return cls(tuple(SPoly(spec, n, vec[j * n : (j + 1) * n]) for j in range(4)))
+        """Read-only view (a0 || a1 || a2 || a3) of the s-basis encodings."""
+        return self.coeffs.reshape(4 * self.n)
 
     # -- display -------------------------------------------------------------------
 

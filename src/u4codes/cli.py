@@ -16,7 +16,7 @@ import sys
 from .errors import DegreeOutOfRange, TooLarge, U4CodesError
 from .codes import code_length, span_basis, torsion_oracle, torsion_profile
 from .galois import field_make
-from .parsing import format_generator, parse_code_file
+from .parsing import format_code_file, format_generator, parse_code_file
 from .randgen import random_code
 from .weights import analyze as analyze_code
 from .weights import min_weights, wt_rt_from_t3, wt_sp_from_t3
@@ -206,6 +206,7 @@ def _cmd_verify(args, out) -> int:
                     "degrees": _degrees_summary(code),
                     "t3_formula": res.t3,
                     "t3_oracle": oracle,
+                    "code": format_code_file(code),
                 }
             )
         try:
@@ -224,6 +225,7 @@ def _cmd_verify(args, out) -> int:
                         "degrees": _degrees_summary(code),
                         "weights_enum": [sp, rt],
                         "weights_table": [expect_sp, expect_rt],
+                        "code": format_code_file(code),
                     }
                 )
         except TooLarge:

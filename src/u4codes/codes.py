@@ -9,7 +9,8 @@ subset of
     g3 = u^3 s^r3
 
 with s = x - 1, degrees r3 <= r2 <= r1 <= r < n restricted to the present
-generators, and unit-or-zero correction parts p1..p6.  This module also holds
+generators, and unit-or-zero correction parts p1..p6.  Each g_i is one (4, n)
+array in the ``chain`` layout.  This module also holds
 the independent linear-algebra oracle: the code as an F_{p^m}-subspace of
 F^(4n) in reduced row-echelon form, its membership test, and the torsional
 degrees t_i = min{t : u^i s^t in C}, read off the reduced basis (the unit
@@ -22,7 +23,8 @@ at most 10 rows u^b g_i, and their reduced echelon (Howell) form over the
 chain ring A (Howell 1986; Storjohann and Mulders 1998) has one leading row
 h_c = s^(v_c) e_c + (later columns) per pivot column c.  The rows s^j h_c,
 j < n - v_c, are the reduced row-echelon F-basis up to a few scalar row
-operations each, so building it costs O(rank * 4n) in all.
+operations each, so building it costs O(rank * 4n) in all.  The echelon form
+runs on the generators' arrays with the primitives of ``chain``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     MixedField,
     MixedLength,
 )
-from .chain import RingElement
+from .chain import RingElement, _shift, _sub_multiple, _valuation
 from .galois import FieldSpec
 from .sring import MAX_N, SPoly, _mul_trunc
 
@@ -133,19 +135,22 @@ class CyclicCode:
         return ideal_type_name(self.ideal_type)
 
     def generator(self, level: int) -> RingElement:
-        """Materialize g_level as a ring element."""
+        """Materialize g_level: each of its terms has a u-level row of its own,
+        where s^k_i p_i keeps the coefficients of p_i below s^(n - k_i)."""
         deg = self.form.degree(level)
         if deg is None:
             raise MalformedGeneratorForm(f"g{level} is not part of this code")
-        elem = RingElement.from_part(level, SPoly.monomial(self.field, self.n, deg))
+        n = self.n
+        g = np.zeros((4, n), dtype=np.int16)
+        g[level, deg] = 1
         for i, (owner, _) in _CORRECTIONS.items():
             if owner != level:
                 continue
             ki, pi = self.form.correction(i)
             if pi is None:
                 continue
-            elem = elem + RingElement.from_part(_CORRECTION_ULEVEL[i], pi.shift(ki))
-        return elem
+            g[_CORRECTION_ULEVEL[i], ki:] = pi.coeffs[: n - ki]
+        return RingElement(self.field, n, g)
 
     def generators(self) -> dict[int, RingElement]:
         return {level: self.generator(level) for level in self.ideal_type}
@@ -237,21 +242,6 @@ class SpanBasis:
         return len(self.pivots)
 
 
-def _valuation(col: np.ndarray) -> int:
-    """First nonzero index of a coefficient vector, its length if all zero."""
-    nz = col.nonzero()[0]
-    return int(nz[0]) if nz.size else col.size
-
-
-def _shift(x: np.ndarray, a: int, b: int = 0) -> np.ndarray:
-    """u^b s^a x for a (4, n) encoding array, truncated at u^4 and at s^n."""
-    n = x.shape[1]
-    out = np.zeros_like(x)
-    if a < n:
-        out[b:, a:] = x[: 4 - b, : n - a]
-    return out
-
-
 def _module_rows(code: CyclicCode) -> list[np.ndarray]:
     """The module generators u^b g_i (i + b <= 3) as (4, n) encoding arrays.
 
@@ -259,7 +249,7 @@ def _module_rows(code: CyclicCode) -> list[np.ndarray]:
     as an F[s]/<s^n>-module."""
     rows = []
     for level in code.ideal_type:
-        g = code.generator(level).to_vector().reshape(4, code.n)
+        g = code.generator(level).coeffs
         rows.extend(_shift(g, 0, b) for b in range(4 - level))
     return rows
 
@@ -278,14 +268,6 @@ def _make_monic(field: FieldSpec, h: np.ndarray, c: int, v: int) -> np.ndarray:
     for j in range(c + 1, 4):
         out[j] = _mul_trunc(field, w, h[j], n)
     return out
-
-
-def _sub_multiple(field: FieldSpec, r: np.ndarray, q: np.ndarray, h: np.ndarray, first: int):
-    """r[j] -= q * h[j] in place for the columns j >= first."""
-    n = r.shape[1]
-    for j in range(first, 4):
-        if h[j].any():
-            r[j] = field.sub_table[r[j], _mul_trunc(field, q, h[j], n)]
 
 
 def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, np.ndarray]]:

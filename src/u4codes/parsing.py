@@ -14,9 +14,10 @@ Expression grammar:
             | felem | '(' expr ')'
     felem  := int | 'a' ['^' int]
 
-Expressions are evaluated to full ring elements and then decomposed into the
-canonical degrees/corrections, so algebraically equal inputs parse to equal
-codes regardless of how they are spelled.
+Expressions are evaluated to full ring elements ((4, n) arrays, see ``chain``;
+a power u^e, s^e, (x-1)^e or a^e is one monomial or constant, whatever e) and
+then decomposed into the canonical degrees/corrections, so algebraically equal
+inputs parse to equal codes regardless of how they are spelled.
 """
 
 from __future__ import annotations
@@ -112,9 +113,6 @@ class _ExprParser:
         self.n = n
         self.t = tokens
 
-    def _const(self, value) -> RingElement:
-        return RingElement.constant(self.spec, self.n, value)
-
     def parse(self) -> RingElement:
         value = self.expr()
         self.t.expect("EOF", "end of expression")
@@ -142,19 +140,15 @@ class _ExprParser:
 
     def factor(self) -> RingElement:
         kind, value, col = self.t.next()
+        spec, n = self.spec, self.n
         if kind == "U":
-            return RingElement.from_part(1, SPoly.one(self.spec, self.n)) ** self._opt_exponent()
+            return RingElement.from_part(self._opt_exponent(), SPoly.one(spec, n))
         if kind in ("S", "XM1"):
-            return RingElement.from_part(
-                0, SPoly.monomial(self.spec, self.n, 1)
-            ) ** self._opt_exponent()
+            return RingElement.from_part(0, SPoly.monomial(spec, n, self._opt_exponent()))
         if kind == "A":
-            gen = RingElement.from_part(
-                0, SPoly.from_ints(self.spec, self.n, [self.spec.gen()])
-            )
-            return gen ** self._opt_exponent()
+            return RingElement.constant(spec, n, spec.gen() ** self._opt_exponent())
         if kind == "INT":
-            return self._const(value)
+            return RingElement.constant(spec, n, value)
         if kind == "LPAREN":
             inner = self.expr()
             self.t.expect("RPAREN", "closing parenthesis")
@@ -170,15 +164,11 @@ def parse_expression(spec: FieldSpec, n: int, text: str, line: int = 1, col_offs
 
 
 def parse_field_element(spec: FieldSpec, text: str):
-    """Parse the field-element sub-grammar; the result must be constant."""
-    elem = parse_expression(spec, 8, text)
-    for part in elem.parts[1:]:
-        if not part.is_zero():
-            raise ParseError(1, 1, "a field element (no u factors)")
-    poly = elem.parts[0]
-    if poly.coeffs[1:].any():
-        raise ParseError(1, 1, "a field element (no s / (x-1) factors)")
-    return poly.coeff(0)
+    """Parse the field-element sub-grammar: integers, a, + * ^ and parentheses."""
+    for kind, _, col in _Tokens(text, 1).toks:
+        if kind in ("U", "S", "XM1"):
+            raise ParseError(1, col, "a field element (no u, s or (x-1) factors)")
+    return spec.from_encoding(int(parse_expression(spec, 1, text).coeffs[0, 0]))
 
 
 # --- code files -------------------------------------------------------------------
@@ -272,13 +262,13 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
     fields: dict = {}
 
     for line_no, level, body in gen_lines:
-        elem = parse_expression(spec, n, body, line=line_no)
+        parts = parse_expression(spec, n, body, line=line_no).parts
         for j in range(level):
-            if not elem.parts[j].is_zero():
+            if not parts[j].is_zero():
                 raise NotCanonical(
                     f"line {line_no}: g{level} has a nonzero u^{j} component"
                 )
-        lead = decompose(elem.parts[level])
+        lead = decompose(parts[level])
         if lead.unit_part.is_zero():
             raise NotCanonical(f"line {line_no}: g{level} has a zero u^{level} component")
         if not lead.unit_part == SPoly.one(spec, n):
@@ -288,7 +278,7 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
             )
         fields[_DEGREE_NAMES[level]] = lead.valuation
         for j in range(level + 1, 4):
-            part = elem.parts[j]
+            part = parts[j]
             if part.is_zero():
                 continue
             slot = _SLOT_BY[(level, j)]

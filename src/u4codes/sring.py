@@ -92,9 +92,6 @@ class SPoly:
         term, i.e. polynomials not vanishing at x = 1."""
         return self.coeffs[0] != 0
 
-    def coeff(self, i: int) -> FieldElement:
-        return self.spec.from_encoding(int(self.coeffs[i]))
-
     def __eq__(self, other):
         return (
             isinstance(other, SPoly)

@@ -12,10 +12,10 @@ alone: differences of terms can cancel below their nominal degrees, and the
 decomposition measures the true offset.  Each candidate fed into a min is
 the valuation of an explicitly constructed member of the code (or a value
 >= some other candidate), so the minimum is always witnessed.  The g0 path
-builds those members as (4, n) arrays of s-basis encodings, row b the
-u^b-part, with the oracle's own primitives (``codes._shift``,
-``codes._sub_multiple``, ``sring._mul_trunc``); the case formulas stay on
-``SPoly`` because their traces print the polynomial.
+builds those members from the generators' (4, n) arrays (``chain`` layout)
+with the primitives the oracle shares (``chain._shift``, ``_sub_multiple``,
+``sring._mul_trunc``); the case formulas stay on ``SPoly`` because their
+traces print the polynomial.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconsistentSet, WrongIdealType
-from .codes import CyclicCode, GeneratorForm, _shift, _sub_multiple, _valuation
+from .chain import _shift, _sub_multiple, _valuation
+from .codes import CyclicCode, GeneratorForm
 from .galois import FieldSpec
 from .sring import SPoly, _mul_trunc, decompose
 
@@ -246,7 +247,7 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
     if code.ideal_type not in _U2_TYPES:
         raise WrongIdealType("a g0-containing, g3-free type", str(code.ideal_type))
     field, n = code.field, code.n
-    gens = {level: g.to_vector().reshape(4, n) for level, g in code.generators().items()}
+    gens = {level: g.coeffs for level, g in code.generators().items()}
     A = _shift(gens[0], n - code.form.r)
     B = _shift(gens[0], 0, 1)
     D = gens.get(1)

@@ -1,4 +1,8 @@
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import u4codes as u
 
@@ -26,6 +30,12 @@ def F5():
 @pytest.fixture(scope="session")
 def F25():
     return u.field_make(5, 2)
+
+
+def dense_unit(rng, spec, n):
+    """A unit of F[s]/<s^n> with all n coefficients random."""
+    coeffs = [rng.randrange(1, spec.q)] + [rng.randrange(spec.q) for _ in range(n - 1)]
+    return u.SPoly(spec, n, coeffs)
 
 
 # --- the five golden example codes -------------------------------------------
@@ -79,3 +89,26 @@ def golden_g2_f25(F25):
     """F_25, n=125: <u^2(x-1)^51 + u^3(x-1)^67 h(x)> for a unit h."""
     h = u.SPoly.from_ints(F25, 125, [1, 2, F25.gen()])
     return u.validate_canonical(F25, 3, u.GeneratorForm(r2=51, k6=67, p6=h))
+
+
+# --- hypothesis ------------------------------------------------------------------
+
+# Derandomized and without an example database, so that a test run draws the
+# same examples every time.
+settings.register_profile("u4codes", derandomize=True, deadline=None, database=None)
+settings.load_profile("u4codes")
+
+
+# Hypothesis also caches the constants of local modules under its home
+# directory, .hypothesis/ by default, and does so while collecting: a
+# temporary home for the session keeps the tree free of .hypothesis/.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="u4codes-hypothesis-")
+
+
+def pytest_configure(config):
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    _HYPOTHESIS_HOME.cleanup()

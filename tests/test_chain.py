@@ -5,12 +5,13 @@ import pytest
 
 import u4codes as u
 from u4codes.chain import RingElement
-from u4codes.errors import MixedLength
+from u4codes.errors import LengthMismatch, MixedLength
+from u4codes.parsing import parse_expression
 from u4codes.sring import SPoly
 
 
 def rand_relem(rng, spec, n):
-    return RingElement(
+    return RingElement.from_parts(
         tuple(
             SPoly(spec, n, np.array([rng.randrange(spec.q) for _ in range(n)], dtype=np.int16))
             for _ in range(4)
@@ -75,13 +76,6 @@ def test_shift_examples(F2):
     assert x.shift_mul(0, 0) == x
 
 
-def test_u_valuation(F2):
-    assert RingElement.from_part(2, SPoly.monomial(F2, 4, 1)).u_valuation() == 2
-    assert RingElement.zero(F2, 4).u_valuation() == 4
-    x = RingElement.constant(F2, 4, 1) + RingElement.from_part(3, SPoly.monomial(F2, 4, 1))
-    assert x.u_valuation() == 0
-
-
 def test_ring_axioms_random(F4):
     rng = random.Random(3)
     for _ in range(120):
@@ -100,7 +94,7 @@ def test_vector_roundtrip(F3):
 
 def test_part_count_enforced(F2):
     with pytest.raises(MixedLength):
-        RingElement((SPoly.one(F2, 4), SPoly.one(F2, 4)))
+        RingElement.from_parts((SPoly.one(F2, 4), SPoly.one(F2, 4)))
 
 
 def test_display(F2):
@@ -112,8 +106,87 @@ def test_display(F2):
 
 
 def test_pow(F2):
-    s = RingElement.from_part(0, SPoly.monomial(F2, 4, 1))
-    assert s**4 == RingElement.zero(F2, 4)
-    uu = RingElement.from_part(1, SPoly.one(F2, 4))
-    assert uu**3 == RingElement.from_part(3, SPoly.one(F2, 4))
-    assert uu**4 == RingElement.zero(F2, 4)
+    assert parse_expression(F2, 4, "s^4") == RingElement.zero(F2, 4)
+    assert parse_expression(F2, 4, "u^3") == RingElement.from_part(3, SPoly.one(F2, 4))
+    assert parse_expression(F2, 4, "u^4") == RingElement.zero(F2, 4)
+
+
+# --- references: the SPoly-quadruple arithmetic that the (4, n) array replaced ---
+
+
+def reference_mul(x, y):
+    """The product of the quadruple representation, verbatim."""
+    z = SPoly.zero(x.spec, x.n)
+    out = [z, z, z, z]
+    for i, a in enumerate(x.parts):
+        if a.is_zero():
+            continue
+        for j in range(4 - i):
+            b = y.parts[j]
+            if b.is_zero():
+                continue
+            out[i + j] = out[i + j] + a * b
+    return RingElement.from_parts(out)
+
+
+def reference_poly_mul(x, f):
+    return RingElement.from_parts(tuple(a * f for a in x.parts))
+
+
+def rand_sparse_relem(rng, spec, n):
+    """A random element whose u-adic parts are each zero with probability 1/2."""
+    arr = rand_relem(rng, spec, n).coeffs.copy()
+    arr[[rng.random() < 0.5 for _ in range(4)]] = 0
+    return RingElement(spec, n, arr)
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 8), (3, 1, 9), (2, 2, 8), (5, 1, 25), (2, 3, 16)])
+def test_mul_matches_reference(p, m, n):
+    spec = u.field_make(p, m)
+    rng = random.Random(10 * p + m)
+    for _ in range(60):
+        x, y = rand_sparse_relem(rng, spec, n), rand_sparse_relem(rng, spec, n)
+        f = rand_sparse_relem(rng, spec, n).parts[rng.randrange(4)]
+        assert x * y == reference_mul(x, y)
+        assert x.poly_mul(f) == reference_poly_mul(x, f)
+
+
+def reference_power(base, e):
+    """base^e by repeated multiplication."""
+    out = RingElement.constant(base.spec, base.n, 1)
+    for _ in range(e):
+        out = reference_mul(out, base)
+    return out
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 1)])
+def test_parser_powers_match_repeated_multiplication(p, m, k):
+    spec, n = u.field_make(p, m), p**k
+    bases = {name: parse_expression(spec, n, name) for name in ("u", "s", "(x-1)", "a")}
+    for name, base in bases.items():
+        for e in range(6 if name == "u" else n + 2):
+            assert parse_expression(spec, n, f"{name}^{e}") == reference_power(base, e), (name, e)
+
+
+def test_parser_huge_exponents():
+    # 4000 digits: a power is one monomial, not a chain of squarings
+    spec, e = u.field_make(2, 3), int("9" * 4000)
+    assert parse_expression(spec, 8, f"u^{e}").is_zero()
+    assert parse_expression(spec, 8, f"(x-1)^{e}").is_zero()
+    a_e = RingElement.constant(spec, 8, spec.gen() ** (e % (spec.q - 1)))
+    assert a_e != RingElement.constant(spec, 8, 1)
+    assert parse_expression(spec, 8, f"a^{e}") == a_e
+    assert parse_expression(spec, 8, f"u^3*a^{e}") == a_e.shift_mul(0, 3)
+
+
+def test_constructor_checks_shape(F2):
+    with pytest.raises(MixedLength):
+        RingElement(F2, 4, np.zeros((3, 4), dtype=np.int16))
+    with pytest.raises(LengthMismatch):
+        RingElement(F2, 4, np.zeros((4, 5), dtype=np.int16))
+    with pytest.raises(LengthMismatch):
+        RingElement.from_vector(F2, 4, np.zeros(20, dtype=np.int16))
+    arr = np.zeros((4, 4), dtype=np.int16)
+    x = RingElement(F2, 4, arr)
+    arr[0, 0] = 1
+    assert x.is_zero() and not x.coeffs.flags.writeable and not x.to_vector().flags.writeable

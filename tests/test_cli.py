@@ -1,11 +1,13 @@
 import io
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import u4codes as u
+from u4codes import torsion
 from u4codes.cli import run_command
 from u4codes.errors import DuplicateGenerator, NotCanonical, ParseError, UnknownDirective
 from u4codes.parsing import format_code_file, parse_code_file, parse_field_element
@@ -110,6 +112,10 @@ def test_parse_field_element(F4):
     assert parse_field_element(F4, "a^2") == a * a
     assert parse_field_element(F4, "(a+1)*(a+1)") == a
     assert parse_field_element(F4, "1+1") == F4.zero()
+    # u, s and (x-1) factors are rejected, also where they truncate to zero
+    for text in ("(x-1)^8", "s^9", "u^4", "u^2*u^2"):
+        with pytest.raises(ParseError):
+            parse_field_element(F4, text)
 
 
 def test_roundtrip_all_golden_files(F2, F4, F25):
@@ -278,6 +284,23 @@ def test_verify_json_shape():
     doc = json.loads(out)
     assert doc["t3_pass"] == 20
     assert doc["mismatches"] == []
+
+
+def test_verify_mismatch_replays_through_analyze(tmp_path, monkeypatch):
+    # a closed form off by one: every record carries its code as a code file
+    real_t3 = torsion.t3
+    monkeypatch.setattr(torsion, "t3", lambda code: replace(real_t3(code), t3=abs(real_t3(code).t3 - 1)))
+    args = ["verify", "--p", "2", "--m", "1", "--k", "2", "--trials", "3", "--seed", "1", "--json"]
+    status, out = run(args)
+    assert status == 2
+    records = json.loads(out)["mismatches"]
+    assert records
+    for i, record in enumerate(records):
+        path = tmp_path / f"mismatch{i}.code"
+        path.write_text(record["code"])
+        status, out = run(["analyze", str(path), "--json"])
+        assert status == 2
+        assert json.loads(out)["ideal_type"] == record["ideal_type"]
 
 
 def test_sweep_csv(tmp_path):

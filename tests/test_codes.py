@@ -6,7 +6,7 @@ import pytest
 
 import u4codes as u
 from u4codes.chain import RingElement
-from u4codes.codes import _CORRECTIONS
+from u4codes.codes import _CORRECTION_ULEVEL, _CORRECTIONS
 from u4codes.errors import (
     CorrectionDegreeTooLarge,
     CorrectionNotUnit,
@@ -18,7 +18,7 @@ from u4codes.galois import FieldSpec
 from u4codes.randgen import random_unit
 from u4codes.sring import SPoly
 from u4codes.weights import _all_combinations
-from conftest import golden_g0_g1_f2, golden_g1_f4
+from conftest import dense_unit, golden_g0_g1_f2, golden_g1_f4
 
 
 def test_validate_golden_g1(F4):
@@ -335,6 +335,44 @@ def test_torsion_oracle_matches_linear_scan():
                 for i in range(4):
                     assert profile[i] == u.torsion_oracle(code, i, basis)
                     assert profile[i] == linear_scan(code, basis, i), (p, m, k, itype, i)
+
+
+def reference_generator(code, level):
+    """g_level as a sum of SPoly-part ring elements: the assembly that writing
+    each term into one array replaced, verbatim."""
+    deg = code.form.degree(level)
+    elem = RingElement.from_part(level, SPoly.monomial(code.field, code.n, deg))
+    for i, (owner, _) in _CORRECTIONS.items():
+        if owner != level:
+            continue
+        ki, pi = code.form.correction(i)
+        if pi is None:
+            continue
+        elem = elem + RingElement.from_part(_CORRECTION_ULEVEL[i], pi.shift(ki))
+    return elem
+
+
+def test_generator_matches_reference():
+    # all 15 types, with and without corrections; the second code of each pair
+    # has dense units, whose coefficients reach past s^(n - k_i)
+    truncated = 0
+    for (p, m, k) in SCAN_CONFIGS:
+        spec = u.field_make(p, m)
+        rng = random.Random(1000 + 100 * p + 10 * m + k)
+        for itype in u.IDEAL_TYPES:
+            for corrections in (True, False):
+                code = code_of_type(rng, spec, k, itype, corrections)
+                n, dense = code.n, {}
+                for i in _CORRECTIONS:
+                    ki, pi = code.form.correction(i)
+                    if pi is not None:
+                        dense[f"p{i}"] = dense_unit(rng, spec, n)
+                        truncated += bool(dense[f"p{i}"].coeffs[n - ki :].any())
+                dense_code = u.validate_canonical(spec, k, replace(code.form, **dense))
+                for c in (code, dense_code):
+                    for level in c.ideal_type:
+                        assert c.generator(level) == reference_generator(c, level), (p, m, k, itype)
+    assert truncated > 0
 
 
 def test_torsion_oracle_matches_bisection_at_625(F5):
