@@ -94,11 +94,6 @@ class RingElement:
         arr[0, 0] = spec.element(value).encoding
         return cls(spec, n, arr)
 
-    @classmethod
-    def from_vector(cls, spec: FieldSpec, n: int, vec: np.ndarray) -> "RingElement":
-        """Inverse of ``to_vector``."""
-        return cls(spec, n, np.reshape(vec, (4, -1)))
-
     # -- basics ------------------------------------------------------------------
 
     @property
@@ -162,12 +157,6 @@ class RingElement:
         if a < 0 or not 0 <= b <= 3:
             raise ValueError("invalid shift")
         return RingElement(self.spec, self.n, _shift(self.coeffs, a, b))
-
-    # -- flattening for the linear-algebra oracle -----------------------------------
-
-    def to_vector(self) -> np.ndarray:
-        """Read-only view (a0 || a1 || a2 || a3) of the s-basis encodings."""
-        return self.coeffs.reshape(4 * self.n)
 
     # -- display -------------------------------------------------------------------
 

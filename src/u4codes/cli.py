@@ -84,7 +84,7 @@ def _cmd_analyze(args, out) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
         spec, code = parse_code_file(text)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_FILE
     except U4CodesError as exc:

@@ -10,26 +10,27 @@ subset of
 
 with s = x - 1, degrees r3 <= r2 <= r1 <= r < n restricted to the present
 generators, and unit-or-zero correction parts p1..p6.  Each g_i is one (4, n)
-array in the ``chain`` layout.  This module also holds
-the independent linear-algebra oracle: the code as an F_{p^m}-subspace of
-F^(4n) in reduced row-echelon form, its membership test, and the torsional
-degrees t_i = min{t : u^i s^t in C}, read off the reduced basis (the unit
-vector of u^i s^t is a member exactly when it is a basis row).  Codeword
-enumeration lives in ``weights``.
+array in the ``chain`` layout.  This module also holds the independent
+oracle: the code's echelon form, its membership test, the torsional degrees
+t_i = min{t : u^i s^t in C}, and, for enumeration in ``weights``, the code's
+reduced row-echelon basis as an F_{p^m}-subspace of F^(4n).
 
-The oracle's basis comes from generic module algebra, not from the torsion
-formulas: the code is the submodule of A^4, A = F[s]/<s^n>, spanned by the
-at most 10 rows u^b g_i, and their reduced echelon (Howell) form over the
-chain ring A (Howell 1986; Storjohann and Mulders 1998) has one leading row
-h_c = s^(v_c) e_c + (later columns) per pivot column c.  The rows s^j h_c,
-j < n - v_c, are the reduced row-echelon F-basis up to a few scalar row
-operations each, so building it costs O(rank * 4n) in all.  The echelon form
-runs on the generators' arrays with the primitives of ``chain``.
+The oracle comes from generic module algebra, not from the torsion formulas:
+the code is the submodule of A^4, A = F[s]/<s^n>, spanned by the at most 10
+rows u^b g_i, and their reduced echelon (Howell) form over the chain ring A
+(Howell 1986; Storjohann and Mulders 1998) has one leading row
+h_c = s^(v_c) e_c + (later columns) per pivot column c.  One reduction on
+these heads gives the least d with s^d w in C: 0 for a member, t_i for u^i.
+The rows s^j h_c, j < n - v_c, are the reduced row-echelon F-basis up to a
+few scalar row operations each, so it costs O(rank * 4n), and it is built
+only to enumerate codewords.  The echelon form runs on the generators'
+arrays with the primitives of ``chain``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -83,7 +84,9 @@ class GeneratorForm:
     """Degrees and unit correction parts of a canonical generator subset.
 
     An absent correction (p_i is None) means the whole term is zero and the
-    matching k_i must be absent too.
+    matching k_i must be absent too.  In a validated form each p_i is reduced
+    mod s^(n - k_i), so two validated forms are equal exactly when their
+    generators are.
     """
 
     r: Optional[int] = None
@@ -135,8 +138,7 @@ class CyclicCode:
         return ideal_type_name(self.ideal_type)
 
     def generator(self, level: int) -> RingElement:
-        """Materialize g_level: each of its terms has a u-level row of its own,
-        where s^k_i p_i keeps the coefficients of p_i below s^(n - k_i)."""
+        """Materialize g_level: each of its terms has a u-level row of its own."""
         deg = self.form.degree(level)
         if deg is None:
             raise MalformedGeneratorForm(f"g{level} is not part of this code")
@@ -180,7 +182,8 @@ def code_length(p: int, k: int) -> int:
 
 
 def validate_canonical(field: FieldSpec, k: int, form: GeneratorForm) -> CyclicCode:
-    """Check every canonical-form invariant and infer the ideal type."""
+    """Check every canonical-form invariant, truncate each p_i mod
+    s^(n - k_i), and infer the ideal type."""
     n = code_length(field.p, k)
 
     present = form.present_levels()
@@ -217,29 +220,72 @@ def validate_canonical(field: FieldSpec, k: int, form: GeneratorForm) -> CyclicC
         bound = form.degree(bounder) if bounder in present else n
         if not 0 <= ki < bound:
             raise CorrectionDegreeTooLarge(i, ki, bound)
+        # Coefficients at s^(>= n - k_i) vanish in g_i; k_i < n keeps the unit.
+        if pi.coeffs[n - ki :].any():
+            form = replace(form, **{f"p{i}": SPoly(field, n, pi.coeffs * (np.arange(n) < n - ki))})
 
     return CyclicCode(field=field, k=k, n=n, form=form, ideal_type=present)
 
 
-# --- the independent linear-algebra oracle -----------------------------------
+# --- the independent module-algebra oracle -----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanBasis:
-    """Reduced row-echelon basis of the code as an F_{p^m}-subspace of F^(4n).
+    """The code's echelon (Howell) form over A = F[s]/<s^n>: pivot column
+    c -> (v_c, h_c), read-only, as ``_echelon`` returns it.
 
-    Rows are flattened (a0 || a1 || a2 || a3) vectors in the s-basis; the code
-    is the row space, closed under multiplication by u and s by construction.
+    ``rows``, built on first use, is the reduced row-echelon F-basis of the
+    code in F^(4n): flattened (a0 || a1 || a2 || a3) s-basis vectors.
     """
 
     field: FieldSpec
     n: int
-    rows: np.ndarray
-    pivots: tuple[int, ...]
+    heads: dict[int, tuple[int, np.ndarray]]
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return sum(self.n - v for v, _ in self.heads.values())
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Block c is s^j h_c for j < n - v_c, with pivot c*n + v_c + j.
+
+        Row j + 1 of a block is s times row j, whose only entries on later
+        pivot columns sit at each later block's first pivot c'*n + v_c', so at
+        most three scalar multiples of leading rows clear it.  The cost is
+        O(rank * 4n) table lookups in all: no F-linear elimination.
+        """
+        field, n, heads = self.field, self.n, self.heads
+        width = 4 * n
+        rows = np.zeros((self.rank, width), dtype=np.int16)
+        add, neg_mul = field.add_table, field.mul_table[field.neg_table]
+        start = 0
+        for c in sorted(heads):
+            v, h = heads[c]
+            rows[start] = h.reshape(width)
+            # (first pivot, span start, span end, -coef * leading row for every coef)
+            later = []
+            for c2 in sorted(k for k in heads if k > c):
+                lead = heads[c2][1].reshape(width)
+                end = int(lead.nonzero()[0][-1]) + 1
+                lo2 = c2 * n
+                later.append((lo2 + heads[c2][0], lo2, end, neg_mul[:, lead[lo2:end]]))
+            # Multiplying by u shows v_c' <= v_c for every later column c', so the
+            # last entry n - 1 of each column of a reduced row is zero (a later
+            # pivot position, or beyond s^(v+j) in column c): the flat shift by
+            # one moves nothing across a column boundary.
+            lo = c * n
+            for r in range(start + 1, start + n - v):
+                row = rows[r]
+                row[lo + 1 :] = rows[r - 1, lo:-1]
+                for idx, a, b, scaled in later:
+                    coef = row[idx]
+                    if coef:
+                        row[a:b] = add[row[a:b], scaled[coef]]
+            start += n - v
+        rows.flags.writeable = False
+        return rows
 
 
 def _module_rows(code: CyclicCode) -> list[np.ndarray]:
@@ -270,10 +316,19 @@ def _make_monic(field: FieldSpec, h: np.ndarray, c: int, v: int) -> np.ndarray:
     return out
 
 
+def _clear(field: FieldSpec, r: np.ndarray, c: int, v: int, h: np.ndarray):
+    """r -= (r[c] >> v) * h in place for a head h[c] = s^v; r[c, :v] stays."""
+    n = r.shape[1]
+    q = np.zeros(n, dtype=np.int16)
+    q[: n - v] = r[c, v:]
+    r[c, v:] = 0
+    _sub_multiple(field, r, q, h, c + 1)
+
+
 def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, np.ndarray]]:
     """Reduced echelon (Howell) form of a submodule of A^4, A = F[s]/<s^n>.
 
-    Returns column c -> (v_c, h_c) for the columns that have a pivot: h_c is
+    Returns column c -> (v_c, h_c), h_c read-only, for the pivot columns: h_c is
     zero before column c, h_c[c] = s^(v_c), and h_c is zero on the pivot
     positions (c', j >= v_c') of every other pivot column c'.  The module is
     the F-span of the rows s^j h_c for j < n - v_c.
@@ -292,11 +347,7 @@ def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, n
             if idx == i:
                 continue
             if vals[idx] < n:
-                # r[c] = s^v * (r[c] >> v) because val(r[c]) >= v = h's pivot.
-                q = np.zeros(n, dtype=np.int16)
-                q[: n - v] = r[c, v:]
-                r[c] = 0
-                _sub_multiple(field, r, q, h, c + 1)
+                _clear(field, r, c, v, h)
             if r.any():
                 rest.append(r)
         # s^(n-v) h is zero in column c but may survive in later columns; the
@@ -313,101 +364,59 @@ def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, n
         for c2 in sorted(k for k in heads if k > c):
             v2, h2 = heads[c2]
             if h[c2, v2:].any():
-                q = np.zeros(n, dtype=np.int16)
-                q[: n - v2] = h[c2, v2:]
-                h[c2, v2:] = 0
-                _sub_multiple(field, h, q, h2, c2 + 1)
-        heads[c] = (v, h)
+                _clear(field, h, c2, v2, h2)
+        h.flags.writeable = False
     return heads
 
 
 def span_basis(code: CyclicCode) -> SpanBasis:
-    """Reduced row-echelon F-basis of the code, built from its echelon form
-    over A = F[s]/<s^n>.
+    """The code's echelon form over A = F[s]/<s^n>, from the at most 10
+    module rows u^b g_i; its dense F-basis ``rows`` is built on first use."""
+    return SpanBasis(field=code.field, n=code.n, heads=_echelon(code.field, _module_rows(code)))
 
-    The at most 10 module rows u^b g_i are brought to reduced echelon form
-    over A (``_echelon``): a leading row h_c with h_c[c] = s^(v_c) for each
-    pivot column c.  Block c of the F-basis is then s^j h_c for j < n - v_c,
-    with pivot c*n + v_c + j.  Row j + 1 of a block is s times row j, whose
-    only entries on later pivot columns sit at each later block's first pivot
-    c'*n + v_c', so at most three scalar multiples of leading rows clear it.
-    The cost is O(rank * 4n) table lookups in all: no F-linear elimination.
+
+def _least_shift(basis: SpanBasis, w: np.ndarray) -> int:
+    """The least d with s^d w in the code, for a (4, n) array w.
+
+    A member whose earlier columns are zero has column c a multiple of s^(v_c)
+    (zero without a head), so w is shifted until it is, and h_c clears column
+    c; by the Howell property the later heads span the rest, so d is exact.
     """
-    field, n = code.field, code.n
-    heads = _echelon(field, _module_rows(code))
-    width = 4 * n
-    rank = sum(n - v for v, _ in heads.values())
-    rows = np.zeros((rank, width), dtype=np.int16)
-    pivots: list[int] = []
-    add, neg_mul = field.add_table, field.mul_table[field.neg_table]
-    start = 0
-    for c in sorted(heads):
-        v, h = heads[c]
-        rows[start] = h.reshape(width)
-        # (first pivot, span start, span end, -coef * leading row for every coef)
-        later = []
-        for c2 in sorted(k for k in heads if k > c):
-            lead = heads[c2][1].reshape(width)
-            end = int(lead.nonzero()[0][-1]) + 1
-            lo2 = c2 * n
-            later.append((lo2 + heads[c2][0], lo2, end, neg_mul[:, lead[lo2:end]]))
-        # Multiplying by u shows v_c' <= v_c for every later column c', so the
-        # last entry n - 1 of each column of a reduced row is zero (a later
-        # pivot position, or beyond s^(v+j) in column c): the flat shift by
-        # one moves nothing across a column boundary.
-        lo = c * n
-        for r in range(start + 1, start + n - v):
-            row = rows[r]
-            row[lo + 1 :] = rows[r - 1, lo:-1]
-            for idx, a, b, scaled in later:
-                coef = row[idx]
-                if coef:
-                    row[a:b] = add[row[a:b], scaled[coef]]
-        pivots.extend(range(lo + v, lo + n))
-        start += n - v
-    rows.flags.writeable = False
-    return SpanBasis(field=field, n=n, rows=rows, pivots=tuple(pivots))
+    n = basis.n
+    w = np.array(w, dtype=np.int16)
+    d = 0
+    for c in range(4):
+        v, h = basis.heads.get(c, (n, None))
+        val = _valuation(w[c])
+        if val < v:
+            w = _shift(w, v - val)
+            d += v - val
+        if v < n and w[c].any():
+            _clear(basis.field, w, c, v, h)
+    return d
 
 
 def contains(basis: SpanBasis, elem: RingElement) -> bool:
-    """Membership: the flattened element reduces to zero against the rows."""
+    """Membership: no shift is needed to bring the element into the code."""
     if elem.spec != basis.field:
         raise MixedField("element over a different field")
     if elem.n != basis.n:
         raise MixedLength("element of a different length")
-    v = elem.to_vector().astype(np.int16)
-    sub, mul = basis.field.sub_table, basis.field.mul_table
-    for p, b in zip(basis.pivots, basis.rows):
-        c = v[p]
-        if c:
-            v = sub[v, mul[c, b]]
-    return not v.any()
+    return _least_shift(basis, elem.coeffs) == 0
 
 
 def torsion_oracle(code: CyclicCode, i: int, basis: SpanBasis | None = None) -> int:
-    """Least t with u^i * (x-1)^t in the code, n if there is none.
-
-    Read off the reduced basis: a member v equals sum v[pivot_r] * row_r, so
-    the unit vector e_j is in the code exactly when j is a pivot and the row
-    with pivot j is e_j itself.  u^i s^t flattens to e_(i*n + t), so t_i is
-    the least t whose row with pivot i*n + t has a single nonzero entry.
-    Only block i's contiguous slice of rows is looked at, and only beyond
-    block i: the code is closed under s, so every column from block i's first
-    pivot to its end is a pivot column, where a reduced row of block i is
-    zero except at its own pivot.
-    """
+    """Least t with u^i * (x-1)^t in the code, n if there is none: the least
+    shift of the unit vector u^i, which is v_3 for i = 3."""
     if basis is None:
         basis = span_basis(code)
-    n = code.n
-    lo, hi = np.searchsorted(basis.pivots, (i * n, (i + 1) * n))
-    unit = ~basis.rows[lo:hi, (i + 1) * n :].any(axis=1)
-    if not unit.any():
-        return n
-    return basis.pivots[lo + int(unit.argmax())] - i * n
+    unit = np.zeros((4, code.n), dtype=np.int16)
+    unit[i, 0] = 1
+    return _least_shift(basis, unit)
 
 
 def torsion_profile(code: CyclicCode, basis: SpanBasis | None = None) -> tuple[int, int, int, int]:
-    """(t0, t1, t2, t3), each read off the reduced basis by ``torsion_oracle``."""
+    """(t0, t1, t2, t3), each the least shift of a unit vector (``torsion_oracle``)."""
     if basis is None:
         basis = span_basis(code)
     return tuple(torsion_oracle(code, i, basis) for i in range(4))

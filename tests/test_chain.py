@@ -89,7 +89,10 @@ def test_vector_roundtrip(F3):
     rng = random.Random(4)
     for _ in range(50):
         x = rand_relem(rng, F3, 9)
-        assert RingElement.from_vector(F3, 9, x.to_vector()) == x
+        # the flat layout a0 || a1 || a2 || a3 of the span basis rows
+        flat = x.coeffs.reshape(-1)
+        assert all(np.array_equal(flat[9 * b : 9 * b + 9], x.parts[b].coeffs) for b in range(4))
+        assert RingElement(F3, 9, flat.reshape(4, -1)) == x
 
 
 def test_part_count_enforced(F2):
@@ -185,8 +188,8 @@ def test_constructor_checks_shape(F2):
     with pytest.raises(LengthMismatch):
         RingElement(F2, 4, np.zeros((4, 5), dtype=np.int16))
     with pytest.raises(LengthMismatch):
-        RingElement.from_vector(F2, 4, np.zeros(20, dtype=np.int16))
+        RingElement(F2, 4, np.zeros(20, dtype=np.int16).reshape(4, -1))
     arr = np.zeros((4, 4), dtype=np.int16)
     x = RingElement(F2, 4, arr)
     arr[0, 0] = 1
-    assert x.is_zero() and not x.coeffs.flags.writeable and not x.to_vector().flags.writeable
+    assert x.is_zero() and not x.coeffs.flags.writeable

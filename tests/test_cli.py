@@ -178,6 +178,14 @@ def test_analyze_empty_file(tmp_path):
     assert status == 66
 
 
+def test_analyze_undecodable_file_exits_66(tmp_path, capsys):
+    path = tmp_path / "bytes.code"
+    path.write_bytes(b"field: p=2 m=1\nlength: k=2\ng3: u^3\xff\n")
+    status, out = run(["analyze", str(path)])
+    assert status == 66 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
 def test_wrong_inverse_exits_internal(tmp_path, monkeypatch, capsys):
     # A series off by a unit leaves the u-part elimination of <g0> uncancelled;
     # the guard raises (it is no assert, so python -O keeps it) and the CLI
@@ -245,6 +253,31 @@ def test_analyze_verify_at_max_length(tmp_path, F5):
     assert doc["n"] == 3125 and doc["verdicts"] == {"t3_formula_eq_oracle": True}
     assert doc["torsion_oracle"][3] == doc["t3"]
     assert doc["enum"]["skipped"]
+
+
+LARGE_G0_FILE = """\
+field: p=5 m=1 modulus=[0,1]
+length: k=5
+g0: (x-1)^220 + u*(x-1)^3*(1+2*(x-1)) + u^2*(x-1)^7
+"""
+
+
+def test_analyze_large_rank_builds_no_rows(tmp_path, monkeypatch):
+    # rank 11,620 at n = 3125: the torsion profile comes from the echelon
+    # heads, and enumeration is refused on the rank, so the dense basis
+    # (about 290 MB) is never built
+    def no_rows(basis):
+        raise AssertionError("dense rows built")
+
+    monkeypatch.setattr(u.codes.SpanBasis, "rows", property(no_rows))
+    path = tmp_path / "large.code"
+    path.write_text(LARGE_G0_FILE)
+    for flags in ([], ["--verify"], ["--verify", "--json"]):
+        status, out = run(["analyze", str(path)] + flags)
+        assert status == 0
+    doc = json.loads(out)
+    assert doc["torsion_oracle"][3] == doc["t3"] and doc["enum"]["skipped"]
+    assert u.span_basis(parse_code_file(LARGE_G0_FILE)[1]).rank == 11620
 
 
 def test_analyze_verify_enumerates_at_max_length(tmp_path):

@@ -43,6 +43,16 @@ def test_validate_empty(F2):
         u.validate_canonical(F2, 2, u.GeneratorForm())
 
 
+def test_validate_truncates_corrections(F2):
+    # n = 4, k4 = 2: the s^2 term of p4 vanishes in g1 = u s^3 + u^2 s^2 p4
+    plain = u.validate_canonical(F2, 2, u.GeneratorForm(r1=3, k4=2, p4=SPoly.one(F2, 4)))
+    longer = u.validate_canonical(
+        F2, 2, u.GeneratorForm(r1=3, k4=2, p4=SPoly.from_ints(F2, 4, [1, 0, 1]))
+    )
+    assert longer.generator(1) == plain.generator(1)
+    assert longer.form == plain.form and longer == plain
+
+
 def test_validate_correction_rules(F2):
     nonunit = SPoly.monomial(F2, 4, 1)
     with pytest.raises(CorrectionNotUnit):
@@ -94,7 +104,7 @@ def test_span_closure_under_u_and_s(F4):
     code = golden_g1_f4(F4)
     basis = u.span_basis(code)
     for row in basis.rows:
-        elem = RingElement.from_vector(F4, 8, row)
+        elem = RingElement(F4, 8, row.reshape(4, -1))
         assert u.contains(basis, elem.shift_mul(0, 1))
         assert u.contains(basis, elem.shift_mul(1, 0))
 
@@ -156,7 +166,7 @@ def reference_span_basis(code):
 
     def spanning_rows():
         for level in code.ideal_type:
-            g = code.generator(level).to_vector().reshape(4, n)
+            g = code.generator(level).coeffs
             for b in range(4):
                 shifted_u = np.zeros((4, n), dtype=np.int16)
                 shifted_u[b:, :] = g[: 4 - b, :]
@@ -168,10 +178,15 @@ def reference_span_basis(code):
     return _rref(code.field, spanning_rows(), 4 * n)
 
 
+def row_pivots(rows):
+    """The first nonzero column of each row of a reduced row-echelon basis."""
+    return tuple(int(j) for j in (rows != 0).argmax(axis=1))
+
+
 def assert_matches_reference(code):
     basis = u.span_basis(code)
     rows, pivots = reference_span_basis(code)
-    assert basis.pivots == pivots
+    assert row_pivots(basis.rows) == pivots
     assert basis.rows.dtype == np.int16 and not basis.rows.flags.writeable
     assert np.array_equal(basis.rows, rows)
 
@@ -261,7 +276,7 @@ def test_span_basis_matches_reference_edge_cases(F2, F3, F4):
     ]
     for code in cases:
         assert_matches_reference(code)
-    assert 9 + 3 in u.span_basis(cases[4]).pivots
+    assert 9 + 3 in row_pivots(u.span_basis(cases[4]).rows)
 
 
 def test_span_basis_matches_reference_at_625(F5):
@@ -282,13 +297,14 @@ def test_span_basis_invariants_at_max_length(F5):
         fields[f"p{i}"] = random_unit(rng, F5, n)
     code = u.validate_canonical(F5, 5, u.GeneratorForm(**fields))
     basis = u.span_basis(code)
-    pivots = np.asarray(basis.pivots)
+    pivots = np.asarray(row_pivots(basis.rows))
     assert basis.rows.shape == (basis.rank, 4 * n) and basis.rank > 0
     assert np.all(np.diff(pivots) > 0)
-    # reduced echelon: identity on the pivot columns, zero before each pivot
+    # reduced echelon: identity on the pivot columns (the first nonzero ones),
+    # which are c*n + j for j >= v_c in each column c with a head
     assert np.array_equal(basis.rows[:, pivots], np.eye(basis.rank, dtype=np.int16))
-    first = (basis.rows != 0).argmax(axis=1)
-    assert np.array_equal(first, pivots)
+    blocks = sorted(basis.heads.items())
+    assert pivots.tolist() == [c * n + j for c, (v, _) in blocks for j in range(v, n)]
     for level in code.ideal_type:
         g = code.generator(level)
         assert u.contains(basis, g)
@@ -307,10 +323,38 @@ def test_torsion_oracle_examples(F3, F4):
     assert u.torsion_oracle(g3code, 3) == 2
 
 
+def reference_contains(basis, elem):
+    """Membership: the flattened element reduces to zero against the rows.
+    The dense loop that the reduction on the heads replaced."""
+    pivots = row_pivots(basis.rows)
+    v = elem.coeffs.reshape(-1).astype(np.int16)
+    sub, mul = basis.field.sub_table, basis.field.mul_table
+    for p, b in zip(pivots, basis.rows):
+        c = v[p]
+        if c:
+            v = sub[v, mul[c, b]]
+    return not v.any()
+
+
+def reference_torsion_oracle(code, i, basis):
+    """t_i read off the reduced basis: a member v equals sum v[pivot_r] * row_r,
+    so the unit vector of u^i s^t is a member exactly when the row with pivot
+    i*n + t is that unit vector.  The dense read-off that the reduction on the
+    heads replaced."""
+    n = code.n
+    pivots = row_pivots(basis.rows)
+    lo, hi = np.searchsorted(pivots, (i * n, (i + 1) * n))
+    unit = ~basis.rows[lo:hi, (i + 1) * n :].any(axis=1)
+    if not unit.any():
+        return n
+    return pivots[lo + int(unit.argmax())] - i * n
+
+
 def linear_scan(code, basis, i):
     """t_i by its definition: the first t with u^i s^t a member, n if none."""
     for t in range(code.n):
-        if u.contains(basis, RingElement.from_part(i, SPoly.monomial(code.field, code.n, t))):
+        elem = RingElement.from_part(i, SPoly.monomial(code.field, code.n, t))
+        if reference_contains(basis, elem):
             return t
     return code.n
 
@@ -323,7 +367,8 @@ SCAN_CONFIGS = [
 
 
 def test_torsion_oracle_matches_linear_scan():
-    # the read-off from the reduced basis against membership tests, all 15 types
+    # the least shift on the heads against the dense read-off and against
+    # dense membership tests, all 15 types
     for (p, m, k) in SCAN_CONFIGS:
         spec = u.field_make(p, m)
         rng = random.Random(100 * p + 10 * m + k)
@@ -334,7 +379,44 @@ def test_torsion_oracle_matches_linear_scan():
                 profile = u.torsion_profile(code, basis)
                 for i in range(4):
                     assert profile[i] == u.torsion_oracle(code, i, basis)
+                    assert profile[i] == reference_torsion_oracle(code, i, basis)
                     assert profile[i] == linear_scan(code, basis, i), (p, m, k, itype, i)
+
+
+def random_member(rng, basis):
+    """A random F-linear combination of the basis rows, as a ring element."""
+    field = basis.field
+    v = np.zeros(4 * basis.n, dtype=np.int16)
+    for row in basis.rows:
+        v = field.add_table[v, field.mul_table[rng.randrange(field.q), row]]
+    return RingElement(field, basis.n, v.reshape(4, -1))
+
+
+def test_contains_matches_reference():
+    # random members, members plus one random term (mostly not members), and
+    # random elements, for all 15 types
+    seen = set()
+    for (p, m, k) in SCAN_CONFIGS:
+        spec = u.field_make(p, m)
+        rng = random.Random(300 + 100 * p + 10 * m + k)
+        for itype in u.IDEAL_TYPES:
+            for corrections in (True, False):
+                code = code_of_type(rng, spec, k, itype, corrections)
+                basis, n = u.span_basis(code), code.n
+                for _ in range(4):
+                    member = random_member(rng, basis)
+                    term = RingElement.from_part(
+                        rng.randrange(4), SPoly.monomial(spec, n, rng.randrange(n))
+                    )
+                    noise = RingElement(
+                        spec, n, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(4)]
+                    )
+                    assert u.contains(basis, member) and reference_contains(basis, member)
+                    for elem in (member + term, noise):
+                        got = u.contains(basis, elem)
+                        assert got == reference_contains(basis, elem), (p, m, k, itype)
+                        seen.add(got)
+    assert seen == {True, False}
 
 
 def reference_generator(code, level):
@@ -385,7 +467,7 @@ def test_torsion_oracle_matches_bisection_at_625(F5):
     basis = u.span_basis(code)
 
     def member(i, t):
-        return u.contains(basis, RingElement.from_part(i, SPoly.monomial(F5, 625, t)))
+        return reference_contains(basis, RingElement.from_part(i, SPoly.monomial(F5, 625, t)))
 
     for i in range(4):
         lo, hi = 0, 625
@@ -434,14 +516,14 @@ def test_enumerate_counts(F2):
 def test_enumerate_unique_and_closed(F2):
     code = golden_g0_g1_f2(F2)
     basis = u.span_basis(code)
-    words = [RingElement.from_vector(F2, code.n, w) for w in _all_combinations(F2, basis.rows)]
+    words = [RingElement(F2, code.n, w.reshape(4, -1)) for w in _all_combinations(F2, basis.rows)]
     assert len(words) == 2**basis.rank
-    seen = {w.to_vector().tobytes() for w in words}
+    seen = {w.coeffs.tobytes() for w in words}
     assert len(seen) == len(words)
     rng = random.Random(5)
     for _ in range(30):
         a, b = rng.choice(words), rng.choice(words)
-        assert (a + b).to_vector().tobytes() in seen
+        assert (a + b).coeffs.tobytes() in seen
         assert u.contains(basis, a)
 
 

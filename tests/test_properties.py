@@ -1,4 +1,5 @@
-"""Property tests: code files round-trip, and no code file ends in a traceback."""
+"""Property tests: code files round-trip, no code file ends in a traceback,
+and the closed form and the oracle agree on random codes."""
 
 import contextlib
 import io
@@ -15,7 +16,7 @@ from u4codes.cli import run_command
 from u4codes.parsing import format_code_file, parse_code_file
 from u4codes.randgen import random_code
 from conftest import dense_unit
-from test_codes import SCAN_CONFIGS
+from test_codes import SCAN_CONFIGS, reference_torsion_oracle
 from test_cli import (
     GOLDEN_G0_F3_FILE,
     GOLDEN_G0_G1_FILE,
@@ -29,9 +30,8 @@ DEGREES = ("r", "r1", "r2", "r3", "k1", "k2", "k3", "k4", "k5", "k6")
 
 @given(st.sampled_from(SCAN_CONFIGS), st.integers(0, 2**32), st.booleans())
 def test_code_file_round_trip(config, seed, dense):
-    # Generators, not forms: the coefficients of p_i at s^(>= n - k_i) vanish
-    # in g_i, so the parser cannot recover them.  Dense units have such
-    # coefficients whenever k_i > 0.
+    # Dense units have coefficients at s^(>= n - k_i) whenever k_i > 0; they
+    # vanish in g_i, and validation drops them, so the forms compare equal.
     p, m, k = config
     rng, spec = random.Random(seed), u.field_make(p, m)
     code = random_code(rng, spec, k)
@@ -43,7 +43,21 @@ def test_code_file_round_trip(config, seed, dense):
     assert spec == code.field
     assert again.ideal_type == code.ideal_type
     assert [getattr(again.form, d) for d in DEGREES] == [getattr(code.form, d) for d in DEGREES]
+    assert again.form == code.form
     assert again.generators() == code.generators()
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(SCAN_CONFIGS), st.integers(0, 2**32))
+def test_formula_equals_oracle(config, seed):
+    # t3 by the closed form and by the least shift on the echelon heads, and
+    # every t_i by the least shift and by the dense read-off of the basis rows
+    p, m, k = config
+    code = random_code(random.Random(seed), u.field_make(p, m), k)
+    basis = u.span_basis(code)
+    assert u.t3(code).t3 == u.torsion_oracle(code, 3, basis)
+    profile = u.torsion_profile(code, basis)
+    assert list(profile) == [reference_torsion_oracle(code, i, basis) for i in range(4)]
 
 
 SEED_FILES = [GOLDEN_G1_FILE, GOLDEN_G3_FILE, GOLDEN_G2_F25_FILE, GOLDEN_G0_F3_FILE, GOLDEN_G0_G1_FILE]

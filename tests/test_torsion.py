@@ -23,7 +23,7 @@ def oracle_t3(code):
 
 def as_ring_element(code, arr):
     """A (4, n) u^2-part member as the RingElement that ``contains`` takes."""
-    return RingElement.from_vector(code.field, code.n, arr.reshape(-1))
+    return RingElement(code.field, code.n, arr)
 
 
 # --- t3_g1 -----------------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_u2_set_wrong_type(F2):
 def test_t3_from_u2_set_singleton_u3(F2):
     code = u.validate_canonical(F2, 3, u.GeneratorForm(r=4))
     # fabricate a pure-u^3 witness set
-    elem = RingElement.from_part(3, SPoly.monomial(F2, 8, 5)).to_vector().reshape(4, 8)
+    elem = RingElement.from_part(3, SPoly.monomial(F2, 8, 5)).coeffs
     res = u.t3_from_u2_set([_as_u2_element("w", elem)], code)
     assert res.t3 == 5
     assert res.path["nu"] == 0
@@ -197,7 +197,7 @@ def test_u2_set_elimination_members_in_code():
                     elim = ej - ei.shift_mul(fj.omega - fi.omega).poly_mul(ratio)
                     assert u.contains(basis, elim)
                     fast = _cancel(spec, fi.element, fj.element, 2)
-                    assert np.array_equal(fast, elim.to_vector().reshape(4, code.n))
+                    assert np.array_equal(fast, elim.coeffs)
 
 
 # --- adjoining g3 ------------------------------------------------------------------
