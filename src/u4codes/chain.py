@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, MixedField, MixedLength
+from .errors import LengthMismatch, MixedField, MixedLength, OutOfRange
 from .galois import FieldSpec
 from .sring import MAX_N, SPoly, _mul_trunc
 
@@ -39,7 +39,8 @@ def _sub_multiple(field: FieldSpec, r: np.ndarray, q: np.ndarray, h: np.ndarray,
 
 
 class RingElement:
-    """a0 + u*a1 + u^2*a2 + u^3*a3 as a read-only (4, n) array of encodings.
+    """a0 + u*a1 + u^2*a2 + u^3*a3 as a read-only (4, n) array of encodings
+    in [0, q).
 
     Instances are immutable: ``coeffs`` is a frozen copy made on construction.
     """
@@ -54,6 +55,8 @@ class RingElement:
             raise MixedLength("a ring element has exactly four u-adic parts")
         if arr.shape[1] != n:
             raise LengthMismatch(f"expected {n} coefficients per part, got shape {arr.shape}")
+        if arr.view(np.uint16).max() >= spec.q:
+            raise OutOfRange(f"coefficient encodings must lie in [0, {spec.q})")
         arr.flags.writeable = False
         self.spec = spec
         self.n = n

@@ -12,19 +12,18 @@ with s = x - 1, degrees r3 <= r2 <= r1 <= r < n restricted to the present
 generators, and unit-or-zero correction parts p1..p6.  Each g_i is one (4, n)
 array in the ``chain`` layout.  This module also holds the independent
 oracle: the code's echelon form, its membership test, the torsional degrees
-t_i = min{t : u^i s^t in C}, and, for enumeration in ``weights``, the code's
-reduced row-echelon basis as an F_{p^m}-subspace of F^(4n).
+t_i = min{t : u^i s^t in C}, and, for enumeration in ``weights``, an
+F_{p^m}-basis of the code as a subspace of F^(4n).
 
 The oracle comes from generic module algebra, not from the torsion formulas:
 the code is the submodule of A^4, A = F[s]/<s^n>, spanned by the at most 10
-rows u^b g_i, and their reduced echelon (Howell) form over the chain ring A
+rows u^b g_i, and their echelon (Howell) form over the chain ring A
 (Howell 1986; Storjohann and Mulders 1998) has one leading row
 h_c = s^(v_c) e_c + (later columns) per pivot column c.  One reduction on
 these heads gives the least d with s^d w in C: 0 for a member, t_i for u^i.
-The rows s^j h_c, j < n - v_c, are the reduced row-echelon F-basis up to a
-few scalar row operations each, so it costs O(rank * 4n), and it is built
-only to enumerate codewords.  The echelon form runs on the generators'
-arrays with the primitives of ``chain``.
+The rows s^j h_c, j < n - v_c, have distinct leading 1s and span C over F,
+so they are an F-basis; they are built only to enumerate codewords.  The
+echelon form runs on the generators' arrays with the primitives of ``chain``.
 """
 
 from __future__ import annotations
@@ -235,8 +234,8 @@ class SpanBasis:
     """The code's echelon (Howell) form over A = F[s]/<s^n>: pivot column
     c -> (v_c, h_c), read-only, as ``_echelon`` returns it.
 
-    ``rows``, built on first use, is the reduced row-echelon F-basis of the
-    code in F^(4n): flattened (a0 || a1 || a2 || a3) s-basis vectors.
+    ``rows``, built on first use, is the code's F-basis in F^(4n): the rows
+    s^j h_c as flattened (a0 || a1 || a2 || a3) s-basis vectors.
     """
 
     field: FieldSpec
@@ -249,41 +248,10 @@ class SpanBasis:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """Block c is s^j h_c for j < n - v_c, with pivot c*n + v_c + j.
-
-        Row j + 1 of a block is s times row j, whose only entries on later
-        pivot columns sit at each later block's first pivot c'*n + v_c', so at
-        most three scalar multiples of leading rows clear it.  The cost is
-        O(rank * 4n) table lookups in all: no F-linear elimination.
-        """
-        field, n, heads = self.field, self.n, self.heads
-        width = 4 * n
-        rows = np.zeros((self.rank, width), dtype=np.int16)
-        add, neg_mul = field.add_table, field.mul_table[field.neg_table]
-        start = 0
-        for c in sorted(heads):
-            v, h = heads[c]
-            rows[start] = h.reshape(width)
-            # (first pivot, span start, span end, -coef * leading row for every coef)
-            later = []
-            for c2 in sorted(k for k in heads if k > c):
-                lead = heads[c2][1].reshape(width)
-                end = int(lead.nonzero()[0][-1]) + 1
-                lo2 = c2 * n
-                later.append((lo2 + heads[c2][0], lo2, end, neg_mul[:, lead[lo2:end]]))
-            # Multiplying by u shows v_c' <= v_c for every later column c', so the
-            # last entry n - 1 of each column of a reduced row is zero (a later
-            # pivot position, or beyond s^(v+j) in column c): the flat shift by
-            # one moves nothing across a column boundary.
-            lo = c * n
-            for r in range(start + 1, start + n - v):
-                row = rows[r]
-                row[lo + 1 :] = rows[r - 1, lo:-1]
-                for idx, a, b, scaled in later:
-                    coef = row[idx]
-                    if coef:
-                        row[a:b] = add[row[a:b], scaled[coef]]
-            start += n - v
+        """Block c is s^j h_c for j < n - v_c, with a leading 1 at c*n + v_c + j."""
+        heads = [self.heads[c] for c in sorted(self.heads)]
+        shifts = [_shift(h, j) for v, h in heads for j in range(self.n - v)]
+        rows = np.array(shifts, dtype=np.int16).reshape(self.rank, 4 * self.n)
         rows.flags.writeable = False
         return rows
 
@@ -317,7 +285,7 @@ def _make_monic(field: FieldSpec, h: np.ndarray, c: int, v: int) -> np.ndarray:
 
 
 def _clear(field: FieldSpec, r: np.ndarray, c: int, v: int, h: np.ndarray):
-    """r -= (r[c] >> v) * h in place for a head h[c] = s^v; r[c, :v] stays."""
+    """r -= (r[c] >> v) * h in place, for a head h[c] = s^v and r[c, :v] zero."""
     n = r.shape[1]
     q = np.zeros(n, dtype=np.int16)
     q[: n - v] = r[c, v:]
@@ -326,12 +294,11 @@ def _clear(field: FieldSpec, r: np.ndarray, c: int, v: int, h: np.ndarray):
 
 
 def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, np.ndarray]]:
-    """Reduced echelon (Howell) form of a submodule of A^4, A = F[s]/<s^n>.
+    """Echelon (Howell) form of a submodule of A^4, A = F[s]/<s^n>.
 
     Returns column c -> (v_c, h_c), h_c read-only, for the pivot columns: h_c is
-    zero before column c, h_c[c] = s^(v_c), and h_c is zero on the pivot
-    positions (c', j >= v_c') of every other pivot column c'.  The module is
-    the F-span of the rows s^j h_c for j < n - v_c.
+    zero before column c and h_c[c] = s^(v_c).  The module is the F-span of
+    the rows s^j h_c for j < n - v_c.
     """
     n = rows[0].shape[1]
     heads: dict[int, tuple[int, np.ndarray]] = {}
@@ -355,17 +322,9 @@ def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, n
         howell = _shift(h, n - v)
         if howell.any():
             rest.append(howell)
+        h.flags.writeable = False
         heads[c] = (v, h)
         rows = rest
-    # Clear every pivot column above its pivot row, later columns first, so
-    # that each h_c is the leading row of its block of the reduced F-basis.
-    for c in sorted(heads, reverse=True):
-        v, h = heads[c]
-        for c2 in sorted(k for k in heads if k > c):
-            v2, h2 = heads[c2]
-            if h[c2, v2:].any():
-                _clear(field, h, c2, v2, h2)
-        h.flags.writeable = False
     return heads
 
 

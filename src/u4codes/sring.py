@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZero, LengthMismatch, MixedField, MixedLength
+from .errors import DivisionByZero, LengthMismatch, MixedField, MixedLength, OutOfRange
 from .galois import FieldElement, FieldSpec
 
 MAX_N = 3125
@@ -30,8 +30,8 @@ MAX_N = 3125
 class SPoly:
     """Element of F_{p^m}[s]/<s^n> as a dense coefficient vector.
 
-    Coefficients are stored as integer field encodings in a read-only numpy
-    array of length n.  Instances are immutable.
+    Coefficients are stored as integer field encodings in [0, q) in a
+    read-only numpy array of length n.  Instances are immutable.
     """
 
     __slots__ = ("spec", "n", "coeffs")
@@ -42,6 +42,8 @@ class SPoly:
         arr = np.asarray(coeffs, dtype=np.int16)
         if arr.shape != (n,):
             raise LengthMismatch(f"expected {n} coefficients, got shape {arr.shape}")
+        if arr.view(np.uint16).max() >= spec.q:
+            raise OutOfRange(f"coefficient encodings must lie in [0, {spec.q})")
         arr = arr.copy()
         arr.flags.writeable = False
         self.spec = spec

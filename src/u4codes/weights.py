@@ -182,8 +182,6 @@ def wt_rt_from_t3(t3: int, p: int, k: int) -> int:
 @dataclass(frozen=True)
 class VerifyRecord:
     torsion: tuple[int, int, int, int]
-    oracle_t3: int
-    t3_match: bool
     sp_enum: Optional[int]
     rt_enum: Optional[int]
     sp_match: Optional[bool]
@@ -222,8 +220,6 @@ def analyze(code: CyclicCode, verify: bool = False, cap: int = 2**20) -> WeightR
             skipped = str(exc)
         verified = VerifyRecord(
             torsion=profile,
-            oracle_t3=profile[3],
-            t3_match=profile[3] == res.t3,
             sp_enum=sp_enum,
             rt_enum=rt_enum,
             sp_match=sp_match,

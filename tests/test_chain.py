@@ -5,7 +5,7 @@ import pytest
 
 import u4codes as u
 from u4codes.chain import RingElement
-from u4codes.errors import LengthMismatch, MixedLength
+from u4codes.errors import LengthMismatch, MixedLength, OutOfRange
 from u4codes.parsing import parse_expression
 from u4codes.sring import SPoly
 
@@ -193,3 +193,11 @@ def test_constructor_checks_shape(F2):
     x = RingElement(F2, 4, arr)
     arr[0, 0] = 1
     assert x.is_zero() and not x.coeffs.flags.writeable
+
+
+def test_constructor_rejects_encodings_out_of_range(F2, F4):
+    for spec, bad in ((F2, 2), (F2, -1), (F4, 4)):
+        arr = np.zeros((4, 4), dtype=np.int16)
+        arr[2, 1] = bad
+        with pytest.raises(OutOfRange):
+            RingElement(spec, 4, arr)

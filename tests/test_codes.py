@@ -179,16 +179,18 @@ def reference_span_basis(code):
 
 
 def row_pivots(rows):
-    """The first nonzero column of each row of a reduced row-echelon basis."""
+    """The first nonzero column of each row of an echelon basis."""
     return tuple(int(j) for j in (rows != 0).argmax(axis=1))
 
 
 def assert_matches_reference(code):
+    # the rows s^j h_c span the reference row space: equal reduced forms
     basis = u.span_basis(code)
     rows, pivots = reference_span_basis(code)
     assert row_pivots(basis.rows) == pivots
     assert basis.rows.dtype == np.int16 and not basis.rows.flags.writeable
-    assert np.array_equal(basis.rows, rows)
+    reduced, _ = _rref(code.field, basis.rows, 4 * code.n)
+    assert np.array_equal(reduced, rows)
 
 
 _DEGREE_NAMES = {0: "r", 1: "r1", 2: "r2", 3: "r3"}
@@ -300,9 +302,9 @@ def test_span_basis_invariants_at_max_length(F5):
     pivots = np.asarray(row_pivots(basis.rows))
     assert basis.rows.shape == (basis.rank, 4 * n) and basis.rank > 0
     assert np.all(np.diff(pivots) > 0)
-    # reduced echelon: identity on the pivot columns (the first nonzero ones),
+    # echelon: a leading 1 on every pivot column (the first nonzero ones),
     # which are c*n + j for j >= v_c in each column c with a head
-    assert np.array_equal(basis.rows[:, pivots], np.eye(basis.rank, dtype=np.int16))
+    assert np.all(basis.rows[np.arange(basis.rank), pivots] == 1)
     blocks = sorted(basis.heads.items())
     assert pivots.tolist() == [c * n + j for c, (v, _) in blocks for j in range(v, n)]
     for level in code.ideal_type:
@@ -324,8 +326,9 @@ def test_torsion_oracle_examples(F3, F4):
 
 
 def reference_contains(basis, elem):
-    """Membership: the flattened element reduces to zero against the rows.
-    The dense loop that the reduction on the heads replaced."""
+    """Membership: the flattened element reduces to zero against the rows, in
+    pivot order, which needs only an echelon basis with leading 1s.  The
+    dense loop that the reduction on the heads replaced."""
     pivots = row_pivots(basis.rows)
     v = elem.coeffs.reshape(-1).astype(np.int16)
     sub, mul = basis.field.sub_table, basis.field.mul_table
@@ -337,14 +340,14 @@ def reference_contains(basis, elem):
 
 
 def reference_torsion_oracle(code, i, basis):
-    """t_i read off the reduced basis: a member v equals sum v[pivot_r] * row_r,
-    so the unit vector of u^i s^t is a member exactly when the row with pivot
-    i*n + t is that unit vector.  The dense read-off that the reduction on the
-    heads replaced."""
+    """t_i read off the reduced row-echelon form of the basis rows: a member v
+    equals sum v[pivot_r] * row_r, so the unit vector of u^i s^t is a member
+    exactly when the row with pivot i*n + t is that unit vector.  The dense
+    read-off that the reduction on the heads replaced."""
     n = code.n
-    pivots = row_pivots(basis.rows)
+    rows, pivots = _rref(code.field, basis.rows, 4 * n)
     lo, hi = np.searchsorted(pivots, (i * n, (i + 1) * n))
-    unit = ~basis.rows[lo:hi, (i + 1) * n :].any(axis=1)
+    unit = ~rows[lo:hi, (i + 1) * n :].any(axis=1)
     if not unit.any():
         return n
     return pivots[lo + int(unit.argmax())] - i * n

@@ -5,8 +5,11 @@ import contextlib
 import io
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,7 +54,7 @@ def test_code_file_round_trip(config, seed, dense):
 @given(st.sampled_from(SCAN_CONFIGS), st.integers(0, 2**32))
 def test_formula_equals_oracle(config, seed):
     # t3 by the closed form and by the least shift on the echelon heads, and
-    # every t_i by the least shift and by the dense read-off of the basis rows
+    # every t_i by the least shift and by the dense read-off of the rows' RREF
     p, m, k = config
     code = random_code(random.Random(seed), u.field_make(p, m), k)
     basis = u.span_basis(code)
@@ -115,3 +118,30 @@ def test_fuzzed_code_file_exits_cleanly(text):
         with contextlib.redirect_stderr(io.StringIO()):
             status = run_command(["analyze", path, "--json"], out=io.StringIO())
     assert status in (0, 2, 64, 66, 70)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_is_reported(tmp_path):
+    # On failure hypothesis imports libcst, whose import warns; under the
+    # project's warning filters that must stay a test failure (exit 1), not
+    # an INTERNALERROR (exit 3) that stops the session.
+    (tmp_path / "test_demo.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_demo.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import u4codes as u
-from u4codes.errors import DivisionByZero, MixedField, MixedLength
+from u4codes.errors import DivisionByZero, MixedField, MixedLength, OutOfRange
 from u4codes.galois import FieldSpec
 from u4codes.sring import SPoly, basis_transform_rows, decompose
 
@@ -41,6 +41,14 @@ def test_mixed_operands_rejected(F2, F3):
         f + SPoly.one(F3, 4)
     with pytest.raises(MixedLength):
         f + SPoly.one(F2, 8)
+
+
+def test_encodings_out_of_range_rejected(F2, F4):
+    # 5 is no F_2 encoding, and -1 must not index the last table entry
+    for spec, bad in ((F2, 5), (F2, -1), (F4, 4), (F4, -32768)):
+        with pytest.raises(OutOfRange):
+            SPoly(spec, 4, [bad, 0, 0, 0])
+    assert SPoly(F4, 4, [3, 0, 0, 0]).coeffs.tolist() == [3, 0, 0, 0]
 
 
 def test_mul_commutative_associative_random(F4):

@@ -153,7 +153,7 @@ def test_random_chain_codes_equivalence():
 def test_analyze_golden_g1(F4):
     rep = u.analyze(golden_g1_f4(F4), verify=True)
     assert (rep.t3, rep.wt_sp, rep.wt_rt) == (1, 3, 2)
-    assert rep.verified.t3_match
+    assert rep.verified.torsion[3] == rep.t3
     assert rep.basis_used == "x_basis"
 
 
@@ -166,6 +166,6 @@ def test_analyze_golden_g0_g1(F2):
 def test_analyze_g2_f25_skips_enum(F25):
     rep = u.analyze(golden_g2_f25(F25), verify=True)
     assert (rep.t3, rep.wt_sp, rep.wt_rt) == (51, 8, 52)
-    assert rep.verified.t3_match
+    assert rep.verified.torsion[3] == rep.t3
     assert rep.verified.enum_skipped is not None
     assert rep.verified.sp_match is None
