@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, MixedField, MixedLength, OutOfRange
+from .errors import LengthMismatch, MixedField, MixedLength
 from .galois import FieldSpec
-from .sring import MAX_N, SPoly, _mul_trunc
+from .sring import MAX_N, SPoly, _frozen_encodings, _mul_trunc
 
 
 def _valuation(col: np.ndarray) -> int:
@@ -50,17 +50,14 @@ class RingElement:
     def __init__(self, spec: FieldSpec, n: int, coeffs):
         if not 1 <= n <= MAX_N:
             raise LengthMismatch(f"length {n} outside supported range")
-        arr = np.array(coeffs, dtype=np.int16)
+        arr = np.asarray(coeffs)
         if arr.ndim != 2 or arr.shape[0] != 4:
             raise MixedLength("a ring element has exactly four u-adic parts")
         if arr.shape[1] != n:
             raise LengthMismatch(f"expected {n} coefficients per part, got shape {arr.shape}")
-        if arr.view(np.uint16).max() >= spec.q:
-            raise OutOfRange(f"coefficient encodings must lie in [0, {spec.q})")
-        arr.flags.writeable = False
         self.spec = spec
         self.n = n
-        self.coeffs = arr
+        self.coeffs = _frozen_encodings(arr, spec.q)
 
     # -- constructors ---------------------------------------------------------
 

@@ -170,6 +170,17 @@ def _print_trace(trace: dict, out, indent: str):
             _print_trace(trace[key], out, indent + "  ")
 
 
+def _mismatch(trial: int, code, **found) -> dict:
+    """One verify mismatch record; ``code`` replays through ``analyze``."""
+    return {
+        "trial": trial,
+        "ideal_type": code.type_name(),
+        "degrees": _degrees_summary(code),
+        **found,
+        "code": format_code_file(code),
+    }
+
+
 def _cmd_verify(args, out) -> int:
     try:
         spec = field_make(args.p, args.m)
@@ -199,16 +210,7 @@ def _cmd_verify(args, out) -> int:
         if ok:
             t3_pass += 1
         else:
-            mismatches.append(
-                {
-                    "trial": trial,
-                    "ideal_type": code.type_name(),
-                    "degrees": _degrees_summary(code),
-                    "t3_formula": res.t3,
-                    "t3_oracle": oracle,
-                    "code": format_code_file(code),
-                }
-            )
+            mismatches.append(_mismatch(trial, code, t3_formula=res.t3, t3_oracle=oracle))
         try:
             minima = min_weights(code, cap=VERIFY_ENUM_CAP, basis=basis)
             sp, rt = minima["symbol_pair"], minima["rt"]
@@ -219,14 +221,9 @@ def _cmd_verify(args, out) -> int:
                 weight_pass += 1
             else:
                 mismatches.append(
-                    {
-                        "trial": trial,
-                        "ideal_type": code.type_name(),
-                        "degrees": _degrees_summary(code),
-                        "weights_enum": [sp, rt],
-                        "weights_table": [expect_sp, expect_rt],
-                        "code": format_code_file(code),
-                    }
+                    _mismatch(
+                        trial, code, weights_enum=[sp, rt], weights_table=[expect_sp, expect_rt]
+                    )
                 )
         except TooLarge:
             pass

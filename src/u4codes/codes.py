@@ -63,7 +63,8 @@ def ideal_type_name(levels) -> str:
 
 # Correction slot -> (owner generator level, bounding generator level).
 # The degree bound k_i < r_bound applies when the bounding generator is
-# present; otherwise it relaxes to k_i < n.
+# present; otherwise it relaxes to k_i < n.  The bounding level is also the
+# u-level of the correction term inside its owner.
 _CORRECTIONS = {
     1: (0, 1),
     2: (0, 2),
@@ -72,8 +73,6 @@ _CORRECTIONS = {
     5: (1, 3),
     6: (2, 3),
 }
-# Correction slot -> u-level of the correction term inside its generator.
-_CORRECTION_ULEVEL = {1: 1, 2: 2, 3: 3, 4: 2, 5: 3, 6: 3}
 # Generator level -> name of its degree field in GeneratorForm.
 _DEGREE_NAMES = {0: "r", 1: "r1", 2: "r2", 3: "r3"}
 
@@ -144,13 +143,13 @@ class CyclicCode:
         n = self.n
         g = np.zeros((4, n), dtype=np.int16)
         g[level, deg] = 1
-        for i, (owner, _) in _CORRECTIONS.items():
+        for i, (owner, ulevel) in _CORRECTIONS.items():
             if owner != level:
                 continue
             ki, pi = self.form.correction(i)
             if pi is None:
                 continue
-            g[_CORRECTION_ULEVEL[i], ki:] = pi.coeffs[: n - ki]
+            g[ulevel, ki:] = pi.coeffs[: n - ki]
         return RingElement(self.field, n, g)
 
     def generators(self) -> dict[int, RingElement]:

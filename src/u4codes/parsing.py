@@ -33,7 +33,6 @@ from .errors import (
 )
 from .chain import RingElement
 from .codes import (
-    _CORRECTION_ULEVEL,
     _CORRECTIONS,
     _DEGREE_NAMES,
     CyclicCode,
@@ -48,7 +47,7 @@ _XM1 = re.compile(r"\(\s*x\s*-\s*1\s*\)")
 _INT = re.compile(r"\d+")
 
 # (owner generator level, u-level of the term) -> correction slot.
-_SLOT_BY = {(owner, _CORRECTION_ULEVEL[i]): i for i, (owner, _) in _CORRECTIONS.items()}
+_SLOT_BY = {levels: i for i, levels in _CORRECTIONS.items()}
 
 
 class _Tokens:
@@ -307,13 +306,13 @@ def _format_term(ulevel: int, exp: int, poly: SPoly | None) -> str:
 def format_generator(code: CyclicCode, level: int) -> str:
     form = code.form
     chunks = [_format_term(level, form.degree(level), None)]
-    for i, (owner, _) in _CORRECTIONS.items():
+    for i, (owner, ulevel) in _CORRECTIONS.items():
         if owner != level:
             continue
         ki, pi = form.correction(i)
         if pi is None:
             continue
-        chunks.append(_format_term(_CORRECTION_ULEVEL[i], ki, pi))
+        chunks.append(_format_term(ulevel, ki, pi))
     return " + ".join(chunks)
 
 

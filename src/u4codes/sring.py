@@ -27,6 +27,20 @@ from .galois import FieldElement, FieldSpec
 MAX_N = 3125
 
 
+def _frozen_encodings(arr: np.ndarray, q: int) -> np.ndarray:
+    """A read-only int16 copy of a nonempty array of encodings, checked to
+    lie in [0, q) in its own dtype, before the cast could wrap or truncate."""
+    if arr.dtype == np.int16:
+        bad = arr.view(np.uint16).max() >= q
+    else:
+        bad = arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= q
+    if bad:
+        raise OutOfRange(f"coefficient encodings must lie in [0, {q})")
+    out = arr.astype(np.int16)
+    out.flags.writeable = False
+    return out
+
+
 class SPoly:
     """Element of F_{p^m}[s]/<s^n> as a dense coefficient vector.
 
@@ -39,16 +53,12 @@ class SPoly:
     def __init__(self, spec: FieldSpec, n: int, coeffs):
         if not 1 <= n <= MAX_N:
             raise LengthMismatch(f"length {n} outside supported range")
-        arr = np.asarray(coeffs, dtype=np.int16)
+        arr = np.asarray(coeffs)
         if arr.shape != (n,):
             raise LengthMismatch(f"expected {n} coefficients, got shape {arr.shape}")
-        if arr.view(np.uint16).max() >= spec.q:
-            raise OutOfRange(f"coefficient encodings must lie in [0, {spec.q})")
-        arr = arr.copy()
-        arr.flags.writeable = False
         self.spec = spec
         self.n = n
-        self.coeffs = arr
+        self.coeffs = _frozen_encodings(arr, spec.q)
 
     # -- constructors -------------------------------------------------------
 

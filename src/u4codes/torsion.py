@@ -7,20 +7,20 @@ u^2-part set) followed by pairwise eliminations; adjoining g3 caps the
 result by its degree.
 
 Every formula here is evaluated by constructing the actual polynomial and
-reading its valuation off a decomposition, never by exponent bookkeeping
-alone: differences of terms can cancel below their nominal degrees, and the
-decomposition measures the true offset.  Each candidate fed into a min is
-the valuation of an explicitly constructed member of the code (or a value
->= some other candidate), so the minimum is always witnessed.  The g0 path
-builds those members from the generators' (4, n) arrays (``chain`` layout)
-with the primitives the oracle shares (``chain._shift``, ``_sub_multiple``,
-``sring._mul_trunc``); the case formulas stay on ``SPoly`` because their
-traces print the polynomial.
+reading its valuation, never by exponent bookkeeping alone: differences of
+terms can cancel below their nominal degrees, and the valuation measures the
+true offset.  Each candidate fed into a min is the valuation of an explicitly
+constructed member of the code (or a value >= some other candidate), so the
+minimum is always witnessed.  The g0 path builds those members from the
+generators' (4, n) arrays (``chain`` layout) with the primitives the oracle
+shares (``chain._shift``, ``_sub_multiple``, ``sring._mul_trunc``); the case
+formulas stay on ``SPoly`` because their traces print the polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,23 +29,34 @@ from .errors import InconsistentSet, WrongIdealType
 from .chain import _shift, _sub_multiple, _valuation
 from .codes import CyclicCode, GeneratorForm
 from .galois import FieldSpec
-from .sring import SPoly, _mul_trunc, decompose
+from .sring import SPoly, _mul_trunc
 
 
 @dataclass(frozen=True, eq=False)
 class U2Element:
     """A code member of shape u^2 s^omega h1 + u^3 s^omega_tilde h2 (h1, h2
-    units), held as a read-only (4, n) encoding array whose rows 0 and 1
-    are zero.
+    units), held as a (4, n) encoding array whose rows 0 and 1 are zero; the
+    array is made read-only on construction.
 
-    omega / omega_tilde are the valuations of rows 2 and 3, present exactly
-    when the row is nonzero.
+    omega / omega_tilde are the valuations of rows 2 and 3, None when the row
+    is zero.
     """
 
     source: str
     element: np.ndarray
-    omega: Optional[int]
-    omega_tilde: Optional[int]
+
+    def __post_init__(self):
+        if self.element[:2].any():
+            raise InconsistentSet(f"{self.source}: nonzero residue or u-part")
+        self.element.flags.writeable = False
+
+    @cached_property
+    def omega(self) -> Optional[int]:
+        return _nonzero_valuation(self.element[2])
+
+    @cached_property
+    def omega_tilde(self) -> Optional[int]:
+        return _nonzero_valuation(self.element[3])
 
 
 @dataclass(frozen=True)
@@ -54,22 +65,18 @@ class T3Result:
     path: dict
 
 
-def _u2_degrees(source: str, elem: np.ndarray) -> tuple[Optional[int], Optional[int]]:
-    """(omega, omega_tilde) of a (4, n) array whose rows 0 and 1 are zero."""
-    if elem[:2].any():
-        raise InconsistentSet(f"{source}: nonzero residue or u-part")
-    n = elem.shape[1]
-    return tuple(v if v < n else None for v in map(_valuation, elem[2:]))
+def _nonzero_valuation(col: np.ndarray) -> Optional[int]:
+    v = _valuation(col)
+    return v if v < col.size else None
 
 
-def _as_u2_element(source: str, elem: np.ndarray) -> U2Element:
-    elem.flags.writeable = False
-    return U2Element(source, elem, *_u2_degrees(source, elem))
-
-
-def _check_u2_element(f: U2Element):
-    if _u2_degrees(f.source, f.element) != (f.omega, f.omega_tilde):
-        raise InconsistentSet(f"{f.source}: degrees do not match the element")
+def _witnessed(n: int, min_set: list[tuple[str, int]], method: str, **details) -> T3Result:
+    """t3 as the least witnessed candidate (n when there is none), traced as
+    {"method", *details, "min_set"}."""
+    return T3Result(
+        t3=min((v for _, v in min_set), default=n),
+        path={"method": method, **details, "min_set": [[label, v] for label, v in min_set]},
+    )
 
 
 def _unit_inverse(field: FieldSpec, f: np.ndarray) -> np.ndarray:
@@ -127,32 +134,18 @@ def t3_g1(code: CyclicCode) -> T3Result:
     r1, k4, p4, k5, p5 = form.r1, form.k4, form.p4, form.k5, form.p5
 
     if p4 is None or n - r1 + k4 >= r1:
-        case = "a"
-        base = ("r1", r1)
+        case, base = "a", ("r1", r1)
         poly = _term(spec, n, None if p4 is None else n - 2 * r1 + 2 * k4,
                      None if p4 is None else p4 * p4)
         poly = poly - _term(spec, n, n - r1 + k5 if p5 is not None else None, p5)
     else:
-        case = "b"
-        base = ("n-r1+k4", n - r1 + k4)
+        case, base = "b", ("n-r1+k4", n - r1 + k4)
         poly = _term(spec, n, k4, p4 * p4)
         poly = poly - _term(spec, n, r1 - k4 + k5 if p5 is not None else None, p5)
 
-    dec = decompose(poly)
-    min_set = [base]
-    if not dec.unit_part.is_zero():
-        min_set.append(("tau", dec.valuation))
-    t3 = min(v for _, v in min_set)
-    return T3Result(
-        t3=t3,
-        path={
-            "method": "g1",
-            "case": case,
-            "tau_poly": str(poly),
-            "tau": None if dec.unit_part.is_zero() else dec.valuation,
-            "min_set": [[label, v] for label, v in min_set],
-        },
-    )
+    tau = _nonzero_valuation(poly.coeffs)
+    min_set = [base] if tau is None else [base, ("tau", tau)]
+    return _witnessed(n, min_set, "g1", case=case, tau_poly=str(poly), tau=tau)
 
 
 def t3_g2(code: CyclicCode) -> T3Result:
@@ -163,13 +156,12 @@ def t3_g2(code: CyclicCode) -> T3Result:
     min_set = [("r2", r2)]
     if p6 is not None:
         min_set.append(("n-r2+k6", n - r2 + k6))
-    t3 = min(v for _, v in min_set)
-    return T3Result(t3=t3, path={"method": "g2", "min_set": [[l, v] for l, v in min_set]})
+    return _witnessed(n, min_set, "g2")
 
 
 def t3_g3(code: CyclicCode) -> T3Result:
     _require(code, (3,))
-    return T3Result(t3=code.form.r3, path={"method": "g3", "min_set": [["r3", code.form.r3]]})
+    return _witnessed(code.n, [("r3", code.form.r3)], "g3")
 
 
 def t3_g1_g2(code: CyclicCode) -> T3Result:
@@ -198,15 +190,10 @@ def t3_g1_g2(code: CyclicCode) -> T3Result:
     poly4 = _term(spec, n, k4 if p4 is not None else None, p4)
     poly4 = poly4 - _term(spec, n, r1 - r2 + k6 if p6 is not None else None, p6)
 
-    dec3, dec4 = decompose(poly3), decompose(poly4)
-    taus = []
     min_set = [("t", t_sub.t3), ("r2", r2)]
-    if not dec3.unit_part.is_zero():
-        taus.append(dec3.valuation)
-        min_set.append(("tau3", dec3.valuation))
-    if not dec4.unit_part.is_zero():
-        taus.append(dec4.valuation)
-        min_set.append(("tau4", dec4.valuation))
+    min_set += [(label, poly.valuation()) for label, poly in (("tau3", poly3), ("tau4", poly4))
+                if not poly.is_zero()]
+    kappa = min((v for _, v in min_set[2:]), default=None)
     if p4 is not None:
         min_set.append(("n-r1+k4", n - r1 + k4))
         if p5 is not None:
@@ -215,17 +202,7 @@ def t3_g1_g2(code: CyclicCode) -> T3Result:
         min_set.append(("n-r2+k6", n - r2 + k6))
 
     # Values >= n come from vanished witnesses; r2 < n keeps the min honest.
-    t3 = min(v for _, v in min_set)
-    return T3Result(
-        t3=t3,
-        path={
-            "method": "g1g2",
-            "branch": branch,
-            "t_sub": t_sub.path,
-            "kappa": min(taus) if taus else None,
-            "min_set": [[label, v] for label, v in min_set],
-        },
-    )
+    return _witnessed(n, min_set, "g1g2", branch=branch, t_sub=t_sub.path, kappa=kappa)
 
 
 # --- ideals containing g0: the u^2-part sets ------------------------------------
@@ -284,7 +261,7 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
     if 2 in gens:
         raw.append(("g2", gens[2]))
 
-    return [_as_u2_element(src, elem) for src, elem in raw if elem.any()]
+    return [U2Element(src, elem) for src, elem in raw if elem.any()]
 
 
 def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
@@ -295,8 +272,6 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
     u^2-cancellations.  All are valuations of explicit code members.
     """
     n = code.n
-    for f in members:
-        _check_u2_element(f)
     with_u2 = sorted(
         (f for f in members if f.omega is not None), key=lambda f: (f.omega, f.source)
     )
@@ -324,19 +299,16 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
                 taus.append(tau)
                 min_set.append((f"elim[{fi.source}|{fj.source}]", tau))
 
-    t3 = min((v for _, v in min_set), default=n)
-    return T3Result(
-        t3=t3,
-        path={
-            "method": "u2-set",
-            "set_size": len(members),
-            "nu": len(with_u2),
-            "omegas": [f.omega for f in with_u2],
-            "taus": sorted(taus),
-            "m": min(taus) if taus else None,
-            "members": [f.source for f in members],
-            "min_set": [[label, v] for label, v in min_set],
-        },
+    return _witnessed(
+        n,
+        min_set,
+        "u2-set",
+        set_size=len(members),
+        nu=len(with_u2),
+        omegas=[f.omega for f in with_u2],
+        taus=sorted(taus),
+        m=min(taus, default=None),
+        members=[f.source for f in members],
     )
 
 

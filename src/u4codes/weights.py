@@ -122,38 +122,20 @@ def min_weights(
 # --- closed forms from the third torsional degree ------------------------------
 
 
-def _sp_table_rows(p: int, k: int):
-    """The symbol-pair case table as (label, predicate, value) triples."""
+def _sp_table_rows(p: int, k: int) -> list[tuple[int, int, int]]:
+    """The symbol-pair case table as (lo, hi, value) triples: the minimum
+    symbol-pair weight is value when lo <= t3 <= hi."""
     n = p**k
-    rows = [("t3=0", lambda t: t == 0, 2)]
+    rows = [(0, 0, 2)]
     for ell in range(0, k - 1):
-        lo = n - p ** (k - ell)
-        step = p ** (k - ell - 1)
-        rows.append((f"t3={lo + 1} (l={ell})", lambda t, lo=lo: t == lo + 1, 3 * p**ell))
-        rows.append(
-            (
-                f"{lo + 2}<=t3<={lo + step} (l={ell})",
-                lambda t, lo=lo, step=step: lo + 2 <= t <= lo + step,
-                4 * p**ell,
-            )
-        )
-        for mu in range(1, p - 1):
-            rows.append(
-                (
-                    f"{lo + mu * step + 1}<=t3<={lo + (mu + 1) * step} (l={ell},mu={mu})",
-                    lambda t, lo=lo, step=step, mu=mu: lo + mu * step + 1
-                    <= t
-                    <= lo + (mu + 1) * step,
-                    2 * (mu + 2) * p**ell,
-                )
-            )
-    for mu in range(1, p - 1):
-        rows.append(
-            (f"t3={n - p + mu}", lambda t, mu=mu: t == n - p + mu, (mu + 2) * p ** (k - 1))
-        )
-    rows.append((f"t3={n - 1}", lambda t: t == n - 1, n))
-    rows.append((f"t3={n}", lambda t: t == n, 0))
-    return rows
+        lo, step, scale = n - p ** (k - ell), p ** (k - ell - 1), p**ell
+        rows += [(lo + 1, lo + 1, 3 * scale), (lo + 2, lo + step, 4 * scale)]
+        rows += [
+            (lo + mu * step + 1, lo + (mu + 1) * step, 2 * (mu + 2) * scale)
+            for mu in range(1, p - 1)
+        ]
+    rows += [(n - p + mu, n - p + mu, (mu + 2) * p ** (k - 1)) for mu in range(1, p - 1)]
+    return rows + [(n - 1, n - 1, n), (n, n, 0)]
 
 
 def wt_sp_from_t3(t3: int, p: int, k: int) -> int:
@@ -162,7 +144,7 @@ def wt_sp_from_t3(t3: int, p: int, k: int) -> int:
     n = p**k
     if not 0 <= t3 <= n:
         raise OutOfRange(f"t3 = {t3} outside [0, {n}]")
-    hits = [value for _, pred, value in _sp_table_rows(p, k) if pred(t3)]
+    hits = [value for lo, hi, value in _sp_table_rows(p, k) if lo <= t3 <= hi]
     if len(hits) != 1:
         raise NoBranch(f"{len(hits)} branches matched t3 = {t3} for (p, k) = ({p}, {k})")
     return hits[0]

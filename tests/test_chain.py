@@ -201,3 +201,11 @@ def test_constructor_rejects_encodings_out_of_range(F2, F4):
         arr[2, 1] = bad
         with pytest.raises(OutOfRange):
             RingElement(spec, 4, arr)
+    # checked before the int16 cast, which would wrap, truncate or overflow
+    for dtype, bad in ((np.int64, 65537), (float, 1.7), (np.int64, 70000)):
+        arr = np.zeros((4, 4), dtype=dtype)
+        arr[2, 1] = bad
+        with pytest.raises(OutOfRange):
+            RingElement(F2, 4, arr)
+    with pytest.raises(OutOfRange):
+        RingElement(F2, 4, [[70000, 0, 0, 0]] + [[0] * 4] * 3)

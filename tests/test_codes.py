@@ -6,7 +6,7 @@ import pytest
 
 import u4codes as u
 from u4codes.chain import RingElement
-from u4codes.codes import _CORRECTION_ULEVEL, _CORRECTIONS
+from u4codes.codes import _CORRECTIONS
 from u4codes.errors import (
     CorrectionDegreeTooLarge,
     CorrectionNotUnit,
@@ -422,9 +422,14 @@ def test_contains_matches_reference():
     assert seen == {True, False}
 
 
+# Correction slot -> u-level of the correction term, written out here so that
+# the reference does not read it off the code it checks.
+_REFERENCE_ULEVEL = {1: 1, 2: 2, 3: 3, 4: 2, 5: 3, 6: 3}
+
+
 def reference_generator(code, level):
     """g_level as a sum of SPoly-part ring elements: the assembly that writing
-    each term into one array replaced, verbatim."""
+    each term into one array replaced."""
     deg = code.form.degree(level)
     elem = RingElement.from_part(level, SPoly.monomial(code.field, code.n, deg))
     for i, (owner, _) in _CORRECTIONS.items():
@@ -433,7 +438,7 @@ def reference_generator(code, level):
         ki, pi = code.form.correction(i)
         if pi is None:
             continue
-        elem = elem + RingElement.from_part(_CORRECTION_ULEVEL[i], pi.shift(ki))
+        elem = elem + RingElement.from_part(_REFERENCE_ULEVEL[i], pi.shift(ki))
     return elem
 
 

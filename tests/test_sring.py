@@ -48,6 +48,11 @@ def test_encodings_out_of_range_rejected(F2, F4):
     for spec, bad in ((F2, 5), (F2, -1), (F4, 4), (F4, -32768)):
         with pytest.raises(OutOfRange):
             SPoly(spec, 4, [bad, 0, 0, 0])
+    # checked before the int16 cast, which would wrap 65537 to 1, truncate
+    # 1.7 to 1 and overflow on 70000
+    for bad in (np.array([65537, 0, 0, 0]), [1.7, 0, 0, 0], [70000, 0, 0, 0]):
+        with pytest.raises(OutOfRange):
+            SPoly(F2, 4, bad)
     assert SPoly(F4, 4, [3, 0, 0, 0]).coeffs.tolist() == [3, 0, 0, 0]
 
 
