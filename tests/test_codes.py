@@ -17,7 +17,7 @@ from u4codes.errors import (
 from u4codes.galois import FieldSpec
 from u4codes.randgen import random_unit
 from u4codes.sring import SPoly
-from u4codes.weights import _all_combinations
+from u4codes.weights import _all_combinations, _position_words
 from conftest import dense_unit, golden_g0_g1_f2, golden_g1_f4
 
 
@@ -542,15 +542,29 @@ def test_enumerate_cap(F25):
         u.min_weights(code, cap=2**20, basis=basis)
 
 
-def test_batches_match_stream(F2):
+def test_batches_match_stream(F2, F5):
     # the split that min_weights enumerates: every sum of a word from the first
     # half of the rows and one from the second half, which is the whole code
-    code = golden_g0_g1_f2(F2)
-    basis = u.span_basis(code)
-    stream = {w.tobytes() for w in _all_combinations(F2, basis.rows)}
-    half = basis.rank // 2
-    left = _all_combinations(F2, basis.rows[:half])
-    right = _all_combinations(F2, basis.rows[half:])
-    batched = {w.tobytes() for row in left for w in F2.add_table[row[None, :], right]}
-    assert stream == batched
-    assert len(stream) == 2**basis.rank
+    odd = u.validate_canonical(
+        F5, 1, u.GeneratorForm(r2=3, k6=1, p6=SPoly.from_ints(F5, 5, [2, 1]), r3=2)
+    )
+    for field, code in ((F2, golden_g0_g1_f2(F2)), (F5, odd)):
+        basis = u.span_basis(code)
+        stream = {w.tobytes() for w in _all_combinations(field, basis.rows)}
+        half = basis.rank // 2
+        left = _all_combinations(field, basis.rows[:half])
+        right = _all_combinations(field, basis.rows[half:])
+        batched = {w.tobytes() for row in left for w in field.add_table[row[None, :], right]}
+        assert stream == batched
+        assert len(stream) == field.q**basis.rank
+
+        # and its zero test: the differences left - right cover the code too,
+        # and a position is in the support of left - right exactly when the
+        # packed u-parts of left and right differ there
+        n = code.n
+        differences = [field.sub_table[row[None, :], right] for row in left]
+        assert {w.tobytes() for block in differences for w in block} == stream
+        right_words = _position_words(right, n)
+        for words, block in zip(_position_words(left, n), differences):
+            support = (block.reshape(-1, 4, n) != 0).any(axis=1)
+            assert np.array_equal(words[None, :] != right_words, support)

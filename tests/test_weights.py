@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 import u4codes as u
 from u4codes.errors import NoBranch, OutOfRange, TooLarge
+from u4codes.sring import basis_transform_rows
+from u4codes.weights import METRICS, _all_combinations, _min_weights_enum, _min_word_weight, _pack
 from conftest import golden_g0_g1_f2, golden_g1_f4, golden_g2_f25
 
 
@@ -16,9 +19,57 @@ def test_wt_vector_examples():
     assert u.wt_vector([1, 1, 1, 1], "rt") == 4
     for metric in ("hamming", "symbol_pair", "rt"):
         assert u.wt_vector([0, 0, 0, 0], metric) == 0
+        assert u.wt_vector([], metric) == 0
     assert u.wt_vector([1, 0, 0, 1], "hamming") == 2
     assert u.wt_vector([1, 0, 0, 1], "symbol_pair") == 3
     assert u.wt_vector([1, 0, 0, 1], "rt") == 4
+
+
+def reference_batch_weights(support, metric):
+    """Weights of bool supports, one row each: the reference that the packed
+    word weights replaced."""
+    n = support.shape[1]
+    if metric == "hamming":
+        return support.sum(axis=1)
+    if metric == "symbol_pair":
+        return (support | np.roll(support, -1, axis=1)).sum(axis=1)
+    if metric == "rt":
+        any_nz = support.any(axis=1)
+        top = n - support[:, ::-1].argmax(axis=1)
+        return np.where(any_nz, top, 0)
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def packed(support):
+    """Bool supports as the enumerator packs them: zero padding to whole
+    uint64 words."""
+    n = support.shape[1]
+    padded = np.zeros((support.shape[0], 64 * -(-n // 64)), dtype=bool)
+    padded[:, :n] = support
+    return _pack(padded)
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 128, 129, 625])
+def test_packed_weights_match_bool_supports(n):
+    # random supports of several densities (so some leave the top word
+    # empty), the full support, a lone bit at each end and the zero word:
+    # the symbol-pair wrap from position n - 1 to 0, the carry between
+    # words and the RT read-off from the top word all show
+    rng = np.random.default_rng(n)
+    rows = [rng.random(n) < density for density in (0.01, 0.05, 0.3, 0.7) for _ in range(10)]
+    lone_first, lone_last = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    lone_first[0] = lone_last[n - 1] = True
+    rows += [np.ones(n, dtype=bool), lone_first, lone_last, np.zeros(n, dtype=bool)]
+    support = np.array(rows)
+    for metric in METRICS:
+        want = reference_batch_weights(support, metric)
+        assert [u.wt_vector(row.tolist(), metric) for row in support] == want.tolist()
+        # the least weight of a set of rows, as one block of the enumerator
+        # weighs it
+        nonzero = np.flatnonzero(support.any(axis=1))
+        for _ in range(20):
+            pick = rng.choice(nonzero, size=rng.integers(1, 8), replace=False)
+            assert _min_word_weight(packed(support[pick]), n, metric) == want[pick].min()
 
 
 def test_wt_vector_accepts_field_elements(F4):
@@ -46,6 +97,122 @@ def test_min_weight_g3_examples(F2):
 
     code0 = u.validate_canonical(F2, 2, u.GeneratorForm(r3=0))
     assert min_weight(code0, "hamming") == 1
+
+
+def reference_min_weights(code, metrics, basis):
+    """The add-table enumerator that the packed comparison replaced: every
+    sum left_i + right_j is formed and its support weighed as bools."""
+    n = code.n
+    rows = basis_transform_rows(code.field, basis.rows.reshape(basis.rank * 4, n), "s_to_x")
+    rows = rows.reshape(basis.rank, 4 * n)
+
+    add = code.field.add_table
+    half = basis.rank // 2
+    left = _all_combinations(code.field, rows[:half])
+    right = _all_combinations(code.field, rows[half:])
+
+    best = {metric: None for metric in metrics}
+    for i in range(left.shape[0]):
+        block = add[left[i][None, :], right]
+        support = (block.reshape(block.shape[0], 4, n) != 0).any(axis=1)
+        nonzero = support.any(axis=1)
+        if not nonzero.any():
+            continue
+        for metric in metrics:
+            weights = reference_batch_weights(support, metric)[nonzero]
+            m = int(weights.min())
+            if best[metric] is None or m < best[metric]:
+                best[metric] = m
+    return best
+
+
+def reference_min_rt(code, basis):
+    """Minimum RT weight with no enumeration (Rosenbloom-Tsfasman 1997).
+
+    The x-basis rows are row-reduced with the columns taken position-major,
+    highest position first.  A nonzero codeword's top position is the highest
+    leading position among the echelon rows it combines, so the least top
+    position over the code is the least leading position.  Reads neither
+    torsion nor the enumerator."""
+    field, n, rank = code.field, code.n, basis.rank
+    if rank == 0:
+        return 0
+    rows = basis_transform_rows(field, basis.rows.reshape(rank * 4, n), "s_to_x")
+    mat = rows.reshape(rank, 4, n)[:, :, ::-1].transpose(0, 2, 1).reshape(rank, 4 * n).copy()
+    sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
+    top = 0
+    for col in range(4 * n):
+        hits = np.flatnonzero(mat[top:, col])
+        if hits.size == 0:
+            continue
+        mat[[top, top + hits[0]]] = mat[[top + hits[0], top]]
+        mat[top] = mul[inv[mat[top, col]], mat[top]]
+        below = mat[top + 1 :]
+        below[:] = sub[below, mul[below[:, col][:, None], mat[top][None, :]]]
+        top += 1
+        if top == rank:
+            return n - col // 4      # column col holds position n - 1 - col // 4
+    raise AssertionError("the basis rows are dependent")
+
+
+# (p, m, k): F_7, F_8 and F_9 at their shortest length, and n up to 32
+ENUM_CONFIGS = [
+    (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (3, 1, 1), (3, 1, 2),
+    (5, 1, 1), (7, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1), (5, 2, 1),
+]
+
+
+@pytest.mark.parametrize("p,m,k", ENUM_CONFIGS)
+def test_min_weights_match_reference_enumerator(p, m, k):
+    spec = u.field_make(p, m)
+    rng = random.Random(100 * p + 10 * m + k)
+    checked = 0
+    while checked < 12:
+        code = u.random_code(rng, spec, k)
+        basis = u.span_basis(code)
+        if basis.rank == 0 or spec.q**basis.rank > 2**14:
+            continue
+        checked += 1
+        mins = u.min_weights(code, METRICS, basis=basis)
+        assert mins == reference_min_weights(code, METRICS, basis)
+        assert mins["rt"] == reference_min_rt(code, basis)
+
+
+@pytest.mark.parametrize("p,k,rank", [(2, 6, 12), (3, 4, 7), (5, 3, 5), (2, 7, 12), (3, 5, 7)])
+def test_min_weights_match_reference_across_words(p, k, rank):
+    # low-rank codes at n = 64, 81, 125, 128 and 243: one full word, and
+    # supports spread over two to four words
+    spec = u.field_make(p, 1)
+    n = p**k
+    r2 = n - rank // 2
+    forms = [
+        u.GeneratorForm(r3=n - rank),
+        u.GeneratorForm(r2=r2, k6=r2 - 1, p6=u.SPoly.from_ints(spec, n, [1, 1])),
+    ]
+    for form in forms:
+        code = u.validate_canonical(spec, k, form)
+        basis = u.span_basis(code)
+        mins = u.min_weights(code, METRICS, basis=basis)
+        assert mins == reference_min_weights(code, METRICS, basis)
+        assert mins["rt"] == reference_min_rt(code, basis)
+
+
+def test_reference_min_rt_reaches_golden_f25(F25):
+    # rank 148 over F_25: far past enumeration, one row reduction here
+    code = golden_g2_f25(F25)
+    assert reference_min_rt(code, u.span_basis(code)) == u.wt_rt_from_t3(51, 5, 3) == 52
+
+
+def test_metric_names_checked_first(F2, F25):
+    with pytest.raises(ValueError):
+        min_weight(golden_g2_f25(F25), "bogus")  # not TooLarge
+    code = golden_g0_g1_f2(F2)
+    basis = u.span_basis(code)
+    with pytest.raises(ValueError):
+        _min_weights_enum(code, ("rt", "bogus"), 2**20, basis, "x_basis")
+    assert "rows" not in vars(basis)  # failed before the rows were built
+    with pytest.raises(ValueError):
+        u.wt_vector([1, 0], "bogus")
 
 
 def test_min_weight_cap(F25):
