@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import random
 import sys
@@ -39,6 +40,15 @@ class _UsageError(Exception):
     pass
 
 
+class _Failure(Exception):
+    """A command's refusal: ``run_command`` prints ``error: {message}`` and
+    returns ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -53,18 +63,18 @@ def _build_parser() -> _Parser:
     pa.add_argument("--verify", action="store_true")
     pa.add_argument("--enum-cap", type=int, default=2**20)
     pa.add_argument("--json", action="store_true")
+    pa.set_defaults(run=_cmd_analyze)
 
     pv = sub.add_parser("verify", help="random formula-vs-oracle cross-check")
-    pv.add_argument("--p", type=int, required=True)
-    pv.add_argument("--m", type=int, required=True)
-    pv.add_argument("--k", type=int, required=True)
-    pv.add_argument("--trials", type=int, required=True)
-    pv.add_argument("--seed", type=int, required=True)
+    for name in ("p", "m", "k", "trials", "seed"):
+        pv.add_argument(f"--{name}", type=int, required=True)
     pv.add_argument("--json", action="store_true")
+    pv.set_defaults(run=_cmd_verify)
 
     ps = sub.add_parser("sweep", help="CSV sweep over a (p, m, k) grid")
     ps.add_argument("config")
     ps.add_argument("--out", required=True)
+    ps.set_defaults(run=_cmd_sweep)
 
     return parser
 
@@ -83,27 +93,24 @@ def _cmd_analyze(args, out) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-        spec, code = parse_code_file(text)
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_FILE
+        raise _Failure(EXIT_FILE, f"cannot read {args.file}: {exc}")
+    try:
+        spec, code = parse_code_file(text)
     except U4CodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
+        raise _Failure(EXIT_FILE, str(exc))
 
     report = analyze_code(code, verify=args.verify, cap=args.enum_cap)
-    if report.verified is not None:
-        profile = report.verified.torsion
-    else:
-        profile = torsion_profile(code, span_basis(code))
-    t3_ok = profile[3] == report.t3
-
-    verdicts = {"t3_formula_eq_oracle": t3_ok}
-    if report.verified is not None:
-        if report.verified.sp_match is not None:
-            verdicts["wt_sp_eq_enum"] = report.verified.sp_match
-        if report.verified.rt_match is not None:
-            verdicts["wt_rt_eq_enum"] = report.verified.rt_match
+    verified = report.verified
+    profile = verified.torsion if verified is not None else torsion_profile(code, span_basis(code))
+    verdicts = {"t3_formula_eq_oracle": profile[3] == report.t3}
+    enum = None
+    if verified is not None:
+        for name, match in (("wt_sp_eq_enum", verified.sp_match), ("wt_rt_eq_enum", verified.rt_match)):
+            if match is not None:
+                verdicts[name] = match
+        enum = {"wt_sp": verified.sp_enum, "wt_rt": verified.rt_enum, "skipped": verified.enum_skipped}
+    generators = {f"g{lvl}": format_generator(code, lvl) for lvl in code.ideal_type}
 
     if args.json:
         doc = {
@@ -112,56 +119,44 @@ def _cmd_analyze(args, out) -> int:
             "k": code.k,
             "n": code.n,
             "ideal_type": code.type_name(),
-            "generators": {f"g{lvl}": format_generator(code, lvl) for lvl in code.ideal_type},
+            "generators": generators,
             "t3": report.t3,
             "wt_sp": report.wt_sp,
             "wt_rt": report.wt_rt,
             "torsion_oracle": list(profile),
             "trace": report.trace,
             "verdicts": verdicts,
-            "enum": None,
+            "enum": enum,
         }
-        if report.verified is not None:
-            doc["enum"] = {
-                "wt_sp": report.verified.sp_enum,
-                "wt_rt": report.verified.rt_enum,
-                "skipped": report.verified.enum_skipped,
-            }
         print(json.dumps(doc), file=out)
     else:
         print(f"field: F_{spec.q} (p={spec.p}, m={spec.m}, modulus={list(spec.modulus)})", file=out)
         print(f"length: n={code.n} (k={code.k})", file=out)
         print(f"ideal type: {code.type_name()}", file=out)
-        for lvl in code.ideal_type:
-            print(f"  g{lvl} = {format_generator(code, lvl)}", file=out)
-        print(f"torsional degrees (oracle): t0={profile[0]} t1={profile[1]} "
-              f"t2={profile[2]} t3={profile[3]}", file=out)
+        for name, text in generators.items():
+            print(f"  {name} = {text}", file=out)
+        degrees = " ".join(f"t{i}={t}" for i, t in enumerate(profile))
+        print(f"torsional degrees (oracle): {degrees}", file=out)
         print(f"t3 (closed form) = {report.t3}", file=out)
         _print_trace(report.trace, out, indent="  ")
         print(f"wt_sp = {report.wt_sp}", file=out)
         print(f"wt_rt = {report.wt_rt}", file=out)
         for name, ok in verdicts.items():
             print(f"verdict {name}: {'ok' if ok else 'MISMATCH'}", file=out)
-        if report.verified is not None and report.verified.enum_skipped:
-            print(f"enumeration skipped: {report.verified.enum_skipped}", file=out)
+        if enum is not None and enum["skipped"]:
+            print(f"enumeration skipped: {enum['skipped']}", file=out)
 
     return EXIT_OK if all(verdicts.values()) else EXIT_MISMATCH
 
 
 def _print_trace(trace: dict, out, indent: str):
-    method = trace.get("method")
-    print(f"{indent}derivation [{method}]", file=out)
-    scalar_keys = [
-        key
-        for key in ("case", "branch", "tau", "kappa", "nu", "set_size", "m", "r3", "t_hat")
-        if trace.get(key) is not None
-    ]
-    for key in scalar_keys:
-        print(f"{indent}  {key} = {trace[key]}", file=out)
-    if trace.get("omegas"):
-        print(f"{indent}  omegas = {trace['omegas']}", file=out)
-    if trace.get("taus"):
-        print(f"{indent}  taus = {trace['taus']}", file=out)
+    print(f"{indent}derivation [{trace.get('method')}]", file=out)
+    for key in ("case", "branch", "tau", "kappa", "nu", "set_size", "m", "r3", "t_hat"):
+        if trace.get(key) is not None:
+            print(f"{indent}  {key} = {trace[key]}", file=out)
+    for key in ("omegas", "taus"):
+        if trace.get(key):
+            print(f"{indent}  {key} = {trace[key]}", file=out)
     if trace.get("min_set"):
         body = ", ".join(f"{label}:{value}" for label, value in trace["min_set"])
         print(f"{indent}  min over {{{body}}}", file=out)
@@ -185,16 +180,13 @@ def _cmd_verify(args, out) -> int:
     try:
         spec = field_make(args.p, args.m)
     except U4CodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
+        raise _Failure(EXIT_FILE, str(exc))
     if args.trials < 1:
-        print("error: trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, "trials must be >= 1")
     try:
         code_length(spec.p, args.k)
     except DegreeOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, str(exc))
 
     rng = random.Random(args.seed)
     t3_pass = 0
@@ -206,29 +198,22 @@ def _cmd_verify(args, out) -> int:
         res = torsion.t3(code)
         basis = span_basis(code)
         oracle = torsion_oracle(code, 3, basis)
-        ok = res.t3 == oracle
-        if ok:
+        if res.t3 == oracle:
             t3_pass += 1
         else:
             mismatches.append(_mismatch(trial, code, t3_formula=res.t3, t3_oracle=oracle))
         try:
             minima = min_weights(code, cap=VERIFY_ENUM_CAP, basis=basis)
-            sp, rt = minima["symbol_pair"], minima["rt"]
-            weight_checked += 1
-            expect_sp = wt_sp_from_t3(oracle, spec.p, args.k)
-            expect_rt = wt_rt_from_t3(oracle, spec.p, args.k)
-            if sp == expect_sp and rt == expect_rt:
-                weight_pass += 1
-            else:
-                mismatches.append(
-                    _mismatch(
-                        trial, code, weights_enum=[sp, rt], weights_table=[expect_sp, expect_rt]
-                    )
-                )
         except TooLarge:
-            pass
+            continue
+        weight_checked += 1
+        found = [minima["symbol_pair"], minima["rt"]]
+        table = [wt_sp_from_t3(oracle, spec.p, args.k), wt_rt_from_t3(oracle, spec.p, args.k)]
+        if found == table:
+            weight_pass += 1
+        else:
+            mismatches.append(_mismatch(trial, code, weights_enum=found, weights_table=table))
 
-    ok_all = not mismatches
     if args.json:
         doc = {
             "schema": VERIFY_SCHEMA,
@@ -246,10 +231,10 @@ def _cmd_verify(args, out) -> int:
     else:
         print(f"{t3_pass}/{args.trials} formula==oracle", file=out)
         print(f"{weight_pass}/{weight_checked} weight-table==enumeration "
-              f"(cap 2^12 per code)", file=out)
+              f"(cap 2^{VERIFY_ENUM_CAP.bit_length() - 1} per code)", file=out)
         for item in mismatches:
             print(f"MISMATCH {json.dumps(item)}", file=out)
-    return EXIT_OK if ok_all else EXIT_MISMATCH
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 def _int_list(config: dict, key: str) -> list[int]:
@@ -264,74 +249,55 @@ def _cmd_sweep(args, out) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
         ps, ms, ks = (_int_list(config, key) for key in ("p", "m", "k"))
-        trials = int(config.get("trials", 10))
-        seed = int(config.get("seed", 0))
+        trials, seed = config.get("trials", 10), config.get("seed", 0)
+        if type(trials) is not int or type(seed) is not int:
+            raise TypeError("'trials' and 'seed' must be integers")
         # Every field and length is checked before the first row is computed.
         specs = {(p, m): field_make(p, m) for p in ps for m in ms}
         for p in ps:
             for k in ks:
                 code_length(p, k)
     except OSError as exc:
-        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_FILE
+        raise _Failure(EXIT_FILE, f"cannot read {args.config}: {exc}")
     except (KeyError, TypeError, ValueError, U4CodesError) as exc:
-        print(f"error: bad sweep config: {exc}", file=sys.stderr)
-        return EXIT_FILE
+        raise _Failure(EXIT_FILE, f"bad sweep config: {exc}")
     if trials < 1:
-        print("error: bad sweep config: trials must be >= 1", file=sys.stderr)
-        return EXIT_FILE
+        raise _Failure(EXIT_FILE, "bad sweep config: trials must be >= 1")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     rows = 0
-    for p in ps:
-        for m in ms:
-            for k in ks:
-                spec = specs[(p, m)]
-                rng = random.Random(seed)
-                for _ in range(trials):
-                    code = random_code(rng, spec, k)
-                    res = torsion.t3(code)
-                    oracle = torsion_oracle(code, 3)
-                    writer.writerow(
-                        (
-                            p, m, k,
-                            code.type_name(),
-                            _degrees_summary(code),
-                            res.t3,
-                            wt_sp_from_t3(res.t3, p, k),
-                            wt_rt_from_t3(res.t3, p, k),
-                            "true" if res.t3 == oracle else "false",
-                        )
-                    )
-                    rows += 1
+    for p, m, k in itertools.product(ps, ms, ks):
+        rng = random.Random(seed)
+        for _ in range(trials):
+            code = random_code(rng, specs[(p, m)], k)
+            t3 = torsion.t3(code).t3
+            verified = "true" if t3 == torsion_oracle(code, 3) else "false"
+            writer.writerow((p, m, k, code.type_name(), _degrees_summary(code), t3,
+                             wt_sp_from_t3(t3, p, k), wt_rt_from_t3(t3, p, k), verified))
+            rows += 1
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_FILE
+        raise _Failure(EXIT_FILE, f"cannot write {args.out}: {exc}")
     print(f"wrote {rows} rows to {args.out}", file=out)
     return EXIT_OK
 
 
 def run_command(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "sweep":
-            return _cmd_sweep(args, out)
-        return EXIT_USAGE
+        return args.run(args, out)
+    except _Failure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
     except U4CodesError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

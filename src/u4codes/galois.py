@@ -135,8 +135,8 @@ class FieldSpec:
         self.add_table = enc(digs[:, None, :] + digs[None, :, :]).astype(np.int16)
         self.neg_table = enc(-digs).astype(np.int16)
         self.sub_table = self.add_table[:, self.neg_table]
-        # scalar (prime subfield) multiples, used by basis transforms
-        self.smul_table = enc(np.arange(p)[:, None, None] * digs[None, :, :]).astype(np.int16)
+        # scalar (prime subfield) multiples, for the products below
+        smul = enc(np.arange(p)[:, None, None] * digs[None, :, :]).astype(np.int16)
 
         # multiplication by x modulo the modulus, then full q x q products
         shifted = np.concatenate([np.zeros((q, 1), dtype=np.int64), digs[:, :-1]], axis=1)
@@ -145,7 +145,7 @@ class FieldSpec:
         mul = np.zeros((q, q), dtype=np.int16)
         xpow = np.arange(q, dtype=np.int16)  # x^0 * e
         for i in range(m):
-            term = self.smul_table[digs[:, i]][:, xpow]
+            term = smul[digs[:, i]][:, xpow]
             mul = self.add_table[mul, term]
             xpow = xmul[xpow].astype(np.int16)
         self.mul_table = mul

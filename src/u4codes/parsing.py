@@ -43,8 +43,12 @@ from .codes import (
 from .galois import FieldSpec, field_make
 from .sring import MAX_N, SPoly, decompose
 
-_XM1 = re.compile(r"\(\s*x\s*-\s*1\s*\)")
-_INT = re.compile(r"\d+")
+# One named group per token kind; "(x-1)" is tried before "(".
+_TOKEN = re.compile(
+    r"(?P<XM1>\(\s*x\s*-\s*1\s*\))|(?P<INT>\d+)|(?P<U>u)|(?P<S>s)|(?P<A>a)|(?P<PLUS>\+)"
+    r"|(?P<STAR>\*)|(?P<CARET>\^)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<SPACE>\s+)|(?P<BAD>.)",
+    re.DOTALL,
+)
 
 # (owner generator level, u-level of the term) -> correction slot.
 _SLOT_BY = {levels: i for i, levels in _CORRECTIONS.items()}
@@ -56,38 +60,14 @@ class _Tokens:
     def __init__(self, text: str, line: int, col_offset: int = 0):
         self.line = line
         self.toks: list[tuple[str, object, int]] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            col = col_offset + i + 1
-            m = _XM1.match(text, i)
-            if m:
-                self.toks.append(("XM1", None, col))
-                i = m.end()
-                continue
-            m = _INT.match(text, i)
-            if m:
-                self.toks.append(("INT", _int(m.group(), line, "a shorter integer", col), col))
-                i = m.end()
-                continue
-            if ch in "usa":
-                self.toks.append(({"u": "U", "s": "S", "a": "A"}[ch], None, col))
-            elif ch == "+":
-                self.toks.append(("PLUS", None, col))
-            elif ch == "*":
-                self.toks.append(("STAR", None, col))
-            elif ch == "^":
-                self.toks.append(("CARET", None, col))
-            elif ch == "(":
-                self.toks.append(("LPAREN", None, col))
-            elif ch == ")":
-                self.toks.append(("RPAREN", None, col))
-            else:
+        for match in _TOKEN.finditer(text):
+            kind, col = match.lastgroup, col_offset + match.start() + 1
+            if kind == "BAD":
                 raise ParseError(line, col, "one of u, s, a, (x-1), integer, + * ^ ( )")
-            i += 1
+            if kind == "INT":
+                self.toks.append((kind, _int(match.group(), line, "a shorter integer", col), col))
+            elif kind != "SPACE":
+                self.toks.append((kind, None, col))
         self.toks.append(("EOF", None, col_offset + len(text) + 1))
         self.pos = 0
 

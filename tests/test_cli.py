@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import u4codes as u
 from u4codes import torsion
 from u4codes.cli import run_command
 from u4codes.errors import DuplicateGenerator, NotCanonical, ParseError, UnknownDirective
-from u4codes.parsing import format_code_file, parse_code_file, parse_field_element
+from u4codes.parsing import format_code_file, parse_code_file, parse_expression, parse_field_element
 from u4codes.randgen import random_unit
 
 GOLDEN_G1_FILE = """\
@@ -104,6 +108,25 @@ def test_parse_syntax_error_position():
     with pytest.raises(ParseError) as err:
         parse_code_file(bad)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, col_offset, position",
+    [
+        ("u^3*(x-1) + $ + s", 0, (13, "one of u, s, a, (x-1), integer, + * ^ ( )")),
+        ("u^3*" + "1" * 5000, 0, (5, "a shorter integer")),
+        ("u^3*(1+(x-1)", 0, (13, "closing parenthesis")),
+        ("u^(2)", 0, (3, "integer exponent")),
+        ("\t\tu^3 *\u00a0\u2003\u3000(x-1)\t?", 0, (17, "one of u, s, a, (x-1), integer, + * ^ ( )")),
+        ("u + s* a!", 4, (13, "one of u, s, a, (x-1), integer, + * ^ ( )")),
+    ],
+    ids=["bad_char", "long_literal", "missing_paren_at_eof", "paren_exponent", "unicode_spaces",
+         "col_offset"],
+)
+def test_parse_error_line_column_expected(F2, text, col_offset, position):
+    with pytest.raises(ParseError) as err:
+        parse_expression(F2, 4, text, line=3, col_offset=col_offset)
+    assert (err.value.line, err.value.column, err.value.expected) == (3, *position)
 
 
 def test_parse_field_element(F4):
@@ -392,8 +415,10 @@ def test_verify_bad_length_is_usage_error(capsys, k):
 
 @pytest.mark.parametrize(
     "override",
-    [{"p": 2}, {"p": ["2"]}, {"p": [4]}, {"k": [40]}, {"k": [0]}, {"m": [True]}],
-    ids=["p_int", "p_str", "p_not_prime", "k_40", "k_0", "m_bool"],
+    [{"p": 2}, {"p": ["2"]}, {"p": [4]}, {"k": [40]}, {"k": [0]}, {"m": [True]},
+     {"trials": 1e999}, {"seed": -1e999}, {"trials": 2.5}, {"trials": "3"}],
+    ids=["p_int", "p_str", "p_not_prime", "k_40", "k_0", "m_bool",
+         "trials_inf", "seed_inf", "trials_float", "trials_str"],
 )
 def test_bad_sweep_config_exits_66(tmp_path, capsys, override):
     config = tmp_path / "sweep.json"
@@ -412,3 +437,23 @@ def test_sweep_field_outside_the_old_table(tmp_path):
     assert status == 0
     lines = out_path.read_text().splitlines()
     assert len(lines) == 4 and all(line.endswith("true") for line in lines[1:])
+
+
+def test_exit_codes_of_a_real_process(tmp_path):
+    # main() and its sys.exit, which the in-process tests never reach
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = tmp_path / "c.code"
+    code.write_text(GOLDEN_G1_FILE)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"p": [2], "m": [1], "k": [2], "trials": 1e999}))
+    cases = [
+        (["analyze", str(code)], 0),
+        (["analyze"], 64),
+        (["sweep", str(config), "--out", str(tmp_path / "rows.csv")], 66),
+    ]
+    for argv, status in cases:
+        proc = subprocess.run([sys.executable, "-m", "u4codes.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == status, proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -1,8 +1,10 @@
-"""Property tests: code files round-trip, no code file ends in a traceback,
-and the closed form and the oracle agree on random codes."""
+"""Property tests: code files round-trip, no code file or sweep config ends
+in a traceback, and the closed form and the oracle agree on random codes."""
 
 import contextlib
 import io
+import json
+import math
 import os
 import random
 import subprocess
@@ -118,6 +120,48 @@ def test_fuzzed_code_file_exits_cleanly(text):
         with contextlib.redirect_stderr(io.StringIO()):
             status = run_command(["analyze", path, "--json"], out=io.StringIO())
     assert status in (0, 2, 64, 66, 70)
+
+
+SMALL_INTS = st.integers(-3, 3)
+SWEEP_SCALARS = st.one_of(
+    SMALL_INTS, st.sampled_from([math.inf, -math.inf, math.nan]), st.floats(),
+    st.text(alphabet=ALPHABET, max_size=3), st.booleans(), st.none(),
+)
+
+
+@st.composite
+def sweep_configs(draw):
+    """A sweep config whose keys are sometimes left out. p, m and k are
+    mostly lists of small integers; any key may instead hold a small
+    integer, a float (+-inf and NaN included), a string, a bool, None or a
+    list of these."""
+    config = {}
+    for key in ("p", "m", "k", "trials", "seed"):
+        choice = draw(st.integers(0, 7))
+        if choice == 0:
+            continue
+        if choice == 1:
+            config[key] = draw(st.lists(SWEEP_SCALARS, max_size=2))
+        elif key in ("p", "m", "k") and choice > 2:
+            config[key] = draw(st.lists(SMALL_INTS, min_size=1, max_size=2))
+        else:
+            config[key] = draw(SWEEP_SCALARS)
+    return config
+
+
+@settings(max_examples=100)
+@given(sweep_configs())
+def test_fuzzed_sweep_config_exits_cleanly(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stderr(io.StringIO()):
+            status = run_command(["sweep", path, "--out", os.path.join(tmp, "rows.csv")],
+                                 out=io.StringIO())
+    # trials and seed that are not JSON integers are refused, never truncated
+    integral = all(type(config.get(key, 0)) is int for key in ("trials", "seed"))
+    assert status in ((0, 66) if integral else (66,))
 
 
 FAILING_PROPERTY = """
