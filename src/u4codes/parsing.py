@@ -180,7 +180,7 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
     """Parse a code file into its field and validated cyclic code."""
     spec = None
     k = None
-    gen_lines: list[tuple[int, int, str]] = []  # (line_no, level, expr text)
+    gen_lines: list[tuple[int, int, str, int]] = []  # (line_no, level, expr text, its column offset)
     seen_levels = set()
 
     for line_no, rawline in enumerate(text.splitlines(), start=1):
@@ -189,8 +189,8 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
             continue
         if ":" not in line:
             raise UnknownDirective(f"line {line_no}: expected 'name: ...'")
-        head, body = line.split(":", 1)
-        head = head.strip()
+        head_raw, body = line.split(":", 1)
+        head = head_raw.strip()
         if head == "field":
             if spec is not None:
                 raise ParseError(line_no, 1, "a single field line")
@@ -222,7 +222,9 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
             if level in seen_levels:
                 raise DuplicateGenerator(level)
             seen_levels.add(level)
-            gen_lines.append((line_no, level, body))
+            # the body's columns count from the start of the raw line
+            offset = len(rawline) - len(rawline.lstrip()) + len(head_raw) + 1
+            gen_lines.append((line_no, level, body, offset))
         else:
             raise UnknownDirective(f"line {line_no}: unknown directive {head!r}")
 
@@ -240,8 +242,8 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
         raise ParseError(length_line, 1, f"k >= 1 with {spec.p}^k <= {MAX_N}") from None
     fields: dict = {}
 
-    for line_no, level, body in gen_lines:
-        parts = parse_expression(spec, n, body, line=line_no).parts
+    for line_no, level, body, offset in gen_lines:
+        parts = parse_expression(spec, n, body, line=line_no, col_offset=offset).parts
         for j in range(level):
             if not parts[j].is_zero():
                 raise NotCanonical(

@@ -95,6 +95,17 @@ def _all_combinations(field, rows: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def _one_per_line(field, rows: np.ndarray) -> np.ndarray:
+    """The zero word and one word per line of the rows' span: the
+    combinations whose first nonzero coefficient is 1.  Row 0's coefficient
+    is the most significant base-q digit of a combination's index, and the
+    encoding 1 is the field's one, so these are index 0 and the ranges
+    [q^j, 2 q^j): 1 + (q^r - 1) / (q - 1) words."""
+    combos = _all_combinations(field, rows)
+    q = field.q
+    return np.concatenate([combos[:1]] + [combos[q**j : 2 * q**j] for j in range(rows.shape[0])])
+
+
 def _position_words(vecs: np.ndarray, n: int) -> np.ndarray:
     """(N, 4n) encodings as (N, n) uint32: the four u-parts at a position,
     one byte each (every encoding is below q <= 256)."""
@@ -114,18 +125,28 @@ def _min_weights_enum(
     """Minimum weights over all nonzero codewords, one enumeration pass.
 
     Rows are converted to the requested coordinate basis up front (basis
-    change commutes with linear combinations), split in half, and the full
-    codeword set is the pairwise sum of the two half-enumerations; that keeps
-    the per-codeword cost independent of the rank.
+    change commutes with linear combinations) and split in half.  Every
+    codeword is a difference left - right of a combination of the first half
+    and one of the second, which keeps the per-codeword cost independent of
+    the rank.
 
-    No codeword is formed.  The right half is a subspace, so the differences
-    left_i - right_j run over the code as the sums do, and left_i - right_j
-    vanishes at a coordinate exactly when left_i == right_j there.  So the
-    four u-parts of each position are packed into one uint32, and a position
-    is in the support exactly when the two words differ: one compare per
-    position.  The supports of a block of about 2**12 codewords are packed
-    into uint64 words and weighed by popcount; a larger block saves no time
-    worth having and raises peak RSS.
+    Only one codeword per line is weighed.  Supports, and so all three
+    weights, are invariant under nonzero scalars.  Write a nonzero left
+    combination as lambda l with l's first nonzero coefficient 1; then
+    lambda l - r = lambda (l - r / lambda), and r / lambda is again in the
+    right half.  So the left half is the zero word plus one such l per line
+    (_one_per_line: the index ranges [q^j, 2 q^j) of _all_combinations are
+    the lines), and the differences left_i - right_j cover each line of C
+    outside the right half once, and the right half itself: 1 + (q^half - 1)
+    / (q - 1) left words in place of q^half.
+
+    No codeword is formed.  left_i - right_j vanishes at a coordinate
+    exactly when left_i == right_j there.  So the four u-parts of each
+    position are packed into one uint32, and a position is in the support
+    exactly when the two words differ: one compare per position.  The
+    supports of a block of about 2**12 codewords are packed into uint64
+    words and weighed by popcount; a larger block saves no time worth having
+    and raises peak RSS.
     """
     metrics = tuple(metrics)
     _check_metrics(metrics)
@@ -143,7 +164,7 @@ def _min_weights_enum(
     rows = rows.reshape(basis.rank, 4 * n)
 
     half = basis.rank // 2
-    left = _position_words(_all_combinations(code.field, rows[:half]), n)
+    left = _position_words(_one_per_line(code.field, rows[:half]), n)
     right = _position_words(_all_combinations(code.field, rows[half:]), n)
 
     per_block = max(1, _BLOCK // right.shape[0])

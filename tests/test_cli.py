@@ -399,6 +399,24 @@ def test_bad_code_file_exits_66(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+BAD_TOKEN = "one of u, s, a, (x-1), integer, + * ^ ( )"
+
+
+@pytest.mark.parametrize(
+    "line, column, expected",
+    [("g3: u^3*(x-2)", 10, BAD_TOKEN), ("   g3:    u^3 $", 15, BAD_TOKEN),
+     ("g3 :\tu^3*(1+(x-1)  # a comment", 18, "closing parenthesis")],
+    ids=["after_colon", "leading_spaces", "eof_before_comment"],
+)
+def test_generator_parse_error_columns_count_from_line_start(tmp_path, capsys, line, column, expected):
+    # columns on a gN: line are those of the raw line, leading spaces included
+    path = tmp_path / "bad.code"
+    path.write_text(f"field: p=2 m=1\nlength: k=2\n{line}\n")
+    status, out = run(["analyze", str(path)])
+    assert status == 66 and out == ""
+    assert capsys.readouterr().err == f"error: line 3, column {column}: expected {expected}\n"
+
+
 def test_verify_field_outside_the_old_table():
     # F_7 has a default modulus by rule (the first irreducible, a = 0)
     status, out = run(["verify", "--p", "7", "--m", "1", "--k", "1", "--trials", "5", "--seed", "1"])

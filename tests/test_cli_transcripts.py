@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from u4codes import torsion
+from u4codes import cli, torsion
 import test_cli
 from test_cli import run
 
@@ -248,3 +248,145 @@ def test_verify_mismatch_transcript(monkeypatch):
     monkeypatch.setattr(torsion, "t3", lambda code: replace(real_t3(code), t3=abs(real_t3(code).t3 - 1)))
     args = ["verify", "--p", "2", "--m", "1", "--k", "2", "--trials", "3", "--seed", "1", "--json"]
     assert run(args) == (2, VERIFY_MISMATCH_JSON)
+
+
+# argparse help and usage errors, captured with COLUMNS=80: (status, stdout,
+# stderr); --help ends in SystemExit, recorded as ("exit", code)
+USAGE = {
+    '--help': (
+        ('exit', 0),
+        (
+            'usage: u4codes [-h] {analyze,verify,sweep} ...\n'
+            '\n'
+            'Command-line front end: analyze one code, verify random codes, sweep grids.\n'
+            'Exit codes: 0 success, 2 verification mismatch, 64 usage, 66 bad input file,\n'
+            '70 internal error.\n'
+            '\n'
+            'positional arguments:\n'
+            '  {analyze,verify,sweep}\n'
+            '    analyze             analyze one code-specification file\n'
+            '    verify              random formula-vs-oracle cross-check\n'
+            '    sweep               CSV sweep over a (p, m, k) grid\n'
+            '\n'
+            'options:\n'
+            '  -h, --help            show this help message and exit\n'
+        ),
+        '',
+    ),
+    'analyze --help': (
+        ('exit', 0),
+        (
+            'usage: u4codes analyze [-h] [--verify] [--enum-cap ENUM_CAP] [--json] file\n'
+            '\n'
+            'positional arguments:\n'
+            '  file\n'
+            '\n'
+            'options:\n'
+            '  -h, --help           show this help message and exit\n'
+            '  --verify\n'
+            '  --enum-cap ENUM_CAP\n'
+            '  --json\n'
+        ),
+        '',
+    ),
+    'verify --help': (
+        ('exit', 0),
+        (
+            'usage: u4codes verify [-h] --p P --m M --k K --trials TRIALS --seed SEED\n'
+            '                      [--json]\n'
+            '\n'
+            'options:\n'
+            '  -h, --help       show this help message and exit\n'
+            '  --p P\n'
+            '  --m M\n'
+            '  --k K\n'
+            '  --trials TRIALS\n'
+            '  --seed SEED\n'
+            '  --json\n'
+        ),
+        '',
+    ),
+    'sweep --help': (
+        ('exit', 0),
+        (
+            'usage: u4codes sweep [-h] --out OUT config\n'
+            '\n'
+            'positional arguments:\n'
+            '  config\n'
+            '\n'
+            'options:\n'
+            '  -h, --help  show this help message and exit\n'
+            '  --out OUT\n'
+        ),
+        '',
+    ),
+    '': (
+        64,
+        '',
+        'usage error: the following arguments are required: command\n',
+    ),
+    'bogus': (
+        64,
+        '',
+        "usage error: argument command: invalid choice: 'bogus' (choose from 'analyze', 'verify', 'sweep')\n",
+    ),
+    'analyze': (
+        64,
+        '',
+        'usage error: the following arguments are required: file\n',
+    ),
+    'verify --p x': (
+        64,
+        '',
+        "usage error: argument --p: invalid int value: 'x'\n",
+    ),
+    'analyze f.code --enum-cap z': (
+        64,
+        '',
+        "usage error: argument --enum-cap: invalid int value: 'z'\n",
+    ),
+    'sweep c.json': (
+        64,
+        '',
+        'usage error: the following arguments are required: --out\n',
+    ),
+}
+
+
+def transcript(argv, capsys):
+    try:
+        status, out = run(argv)
+    except SystemExit as exc:
+        status, out = ("exit", exc.code), ""
+    captured = capsys.readouterr()
+    return status, out + captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE))
+def test_usage_transcript(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert transcript(argv.split(), capsys) == USAGE[argv]
+
+
+def test_parser_reuse_matches_fresh_parsers(tmp_path, monkeypatch, capsys):
+    # the parser is built once and kept; runs that share it, with usage errors
+    # and help in between, print what runs on freshly built parsers print
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "c.code"
+    path.write_text(test_cli.GOLDEN_G1_FILE)
+    calls = [["analyze", str(path), "--verify"], ["verify", "--p", "x"],
+             ["verify", "--p", "2", "--m", "1", "--k", "2", "--trials", "4", "--seed", "1", "--json"],
+             ["analyze", "--help"], ["bogus"], ["analyze", str(path), "--json"],
+             ["sweep", str(tmp_path / "none.json"), "--out", str(tmp_path / "rows.csv")]]
+
+    def transcripts(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            results.append(transcript(argv, capsys))
+        return results
+
+    shared = transcripts(fresh=False)
+    assert shared == transcripts(fresh=True)
+    assert [status for status, _, _ in shared] == [0, 64, 0, ("exit", 0), 64, 0, 66]

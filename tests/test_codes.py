@@ -17,7 +17,7 @@ from u4codes.errors import (
 from u4codes.galois import FieldSpec
 from u4codes.randgen import random_unit
 from u4codes.sring import SPoly
-from u4codes.weights import _all_combinations, _position_words
+from u4codes.weights import _all_combinations, _one_per_line, _position_words
 from conftest import dense_unit, golden_g0_g1_f2, golden_g1_f4
 
 
@@ -568,3 +568,37 @@ def test_batches_match_stream(F2, F5):
         for words, block in zip(_position_words(left, n), differences):
             support = (block.reshape(-1, 4, n) != 0).any(axis=1)
             assert np.array_equal(words[None, :] != right_words, support)
+
+
+def test_left_half_is_one_word_per_line(F4, F5):
+    # the left half that min_weights enumerates: the zero word and one word
+    # per line, pairwise non-proportional; the differences left - right are
+    # then, up to a nonzero scalar, every nonzero codeword
+    forms = (
+        (F4, 2, u.GeneratorForm(r2=2, k6=0, p6=SPoly.from_ints(F4, 4, [F4.gen(), 1]), r3=1)),
+        (F5, 1, u.GeneratorForm(r2=3, k6=1, p6=SPoly.from_ints(F5, 5, [2, 1]), r3=2)),
+    )
+    for field, k, form in forms:
+        code = u.validate_canonical(field, k, form)
+        basis = u.span_basis(code)
+        q, half = field.q, basis.rank // 2
+        assert half >= 2
+        left = _one_per_line(field, basis.rows[:half])
+        right = _all_combinations(field, basis.rows[half:])
+        assert left.shape[0] == 1 + (q**half - 1) // (q - 1)
+
+        nonzero = field.mul_table[np.arange(1, q)]               # (q - 1, q): lambda * e
+        assert not left[0].any() and left[1:].any(axis=1).all()
+        # pairwise non-proportional: the lines of the nonzero words are disjoint
+        multiples = {m.tobytes() for w in left[1:] for m in nonzero[:, w]}
+        assert len(multiples) == (left.shape[0] - 1) * (q - 1)
+
+        code_words = {w.tobytes() for w in _all_combinations(field, basis.rows) if w.any()}
+        covered = {
+            m.tobytes()
+            for row in left
+            for d in field.sub_table[row[None, :], right]
+            if d.any()
+            for m in nonzero[:, d]
+        }
+        assert covered == code_words

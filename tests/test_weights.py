@@ -6,6 +6,7 @@ import pytest
 import u4codes as u
 from u4codes.errors import NoBranch, OutOfRange, TooLarge
 from u4codes.sring import basis_transform_rows
+from u4codes.codes import SpanBasis
 from u4codes.weights import METRICS, _all_combinations, _min_weights_enum, _min_word_weight, _pack
 from conftest import golden_g0_g1_f2, golden_g1_f4, golden_g2_f25
 
@@ -195,6 +196,35 @@ def test_min_weights_match_reference_across_words(p, k, rank):
         mins = u.min_weights(code, METRICS, basis=basis)
         assert mins == reference_min_weights(code, METRICS, basis)
         assert mins["rt"] == reference_min_rt(code, basis)
+
+
+# (p, m): F_3, F_4, F_5, F_7, F_8 and F_9, where a line holds q - 1 > 1 words
+LINE_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("p,m", LINE_FIELDS)
+def test_one_word_per_line_matches_reference(p, m):
+    # ranks 0, 1, 2 and, where n >= 3, 3 (half = 0, 0, 1, 1), then seeded
+    # random codes
+    spec = u.field_make(p, m)
+    n = p
+    codes = [u.validate_canonical(spec, 1, u.GeneratorForm(r3=n - 1)),
+             u.validate_canonical(spec, 1, u.GeneratorForm(r2=n - 1)),
+             u.validate_canonical(spec, 1, u.GeneratorForm(r3=max(0, n - 3)))]
+    empty = SpanBasis(spec, n, {})
+    assert _min_weights_enum(codes[0], METRICS, 2**14, empty, "x_basis") == dict.fromkeys(METRICS, 0)
+    rng = random.Random(31 * p + m)
+    while len(codes) < 15:
+        code = u.random_code(rng, spec, 1 + (spec.q <= 4))
+        if spec.q ** u.span_basis(code).rank <= 2**14:
+            codes.append(code)
+    ranks = set()
+    for code in codes:
+        basis = u.span_basis(code)
+        ranks.add(basis.rank)
+        mins = _min_weights_enum(code, METRICS, 2**14, basis, "x_basis")
+        assert mins == reference_min_weights(code, METRICS, basis)
+    assert {1, 2} <= ranks
 
 
 def test_reference_min_rt_reaches_golden_f25(F25):
