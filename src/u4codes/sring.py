@@ -10,7 +10,11 @@ Cost model: every product goes through one kernel, ``_mul_trunc``, which
 cuts both operands to their nonzero spans and convolves their base-p digits
 at C level (numpy), so a product costs m^2 convolutions of the two span
 lengths.  ``SPoly.inverse`` is a Newton iteration on the same kernel: two
-products per doubling of the precision, O(log n) kernel calls in all.  The
+products per doubling of the precision, O(log n) kernel calls in all for a
+length-n inverse and none for a constant.  Callers that read an inverse only
+below some s^prec invert in F[s]/<s^prec> and pay O(log prec) calls: the
+closed form cancels with multiples s^d x, d >= 0, which need prec = n - val x
+(val x the least valuation of x's u-parts), and row reduction needs n - v.  The
 x/s basis change costs K passes of a p x p matrix product over the m digit
 planes for n = p^K, and builds no n x n matrix.
 """
@@ -147,15 +151,17 @@ class SPoly:
 
         Newton iteration g <- g + g (1 - f g): if f g = 1 mod s^k, the update
         gives f g = 1 mod s^2k, so ceil(log2 n) steps of two products reach n.
-        The iteration stops early once f g = 1 holds as a polynomial, which
-        a constant f reaches after one step.
+        A constant f is inverted by the field alone, and the iteration stops
+        early once f g = 1 holds as a polynomial.
         """
         if not self.is_unit():
             raise DivisionByZero("inverse of a non-unit polynomial")
         spec, n, f = self.spec, self.n, self.coeffs
-        deg_f = int(f.nonzero()[0][-1])
         g = np.zeros(n, dtype=np.int16)
         g[0] = spec.inv(int(f[0]))
+        if not f[1:].any():
+            return SPoly(spec, n, g)
+        deg_f = int(f.nonzero()[0][-1])
         prec = 1
         while prec < n:
             prec = min(2 * prec, n)

@@ -79,10 +79,23 @@ def _witnessed(n: int, min_set: list[tuple[str, int]], method: str, **details) -
     )
 
 
-def _unit_inverse(field: FieldSpec, f: np.ndarray) -> np.ndarray:
-    """Inverse, at full precision n, of the unit part of f = s^v * unit
-    (f's first v entries are zero, so rolling them to the end leaves it)."""
-    return SPoly(field, f.size, np.roll(f, -_valuation(f))).inverse().coeffs
+def _unit_inverse(field: FieldSpec, x: np.ndarray, level: int) -> np.ndarray:
+    """Inverse of the unit part of x[level] = s^v * unit, modulo s^(n - val x)
+    and padded with zeros to length n, for a nonzero (4, n) array x.
+
+    val x is the least valuation over x's nonzero rows.  Every row of
+    s^d * x with d >= 0 starts at s^(>= val x), so a multiple q * s^d * x
+    reads q only below s^(n - val x), and those coefficients of
+    q = inverse * y need the inverse only below s^(n - val x) too.
+    """
+    n = x.shape[1]
+    prec = n - _valuation(x.any(axis=0))
+    v = _valuation(x[level])
+    unit = np.zeros(prec, dtype=np.int16)
+    unit[: n - v] = x[level, v:]  # n - v <= prec since v >= val x
+    out = np.zeros(n, dtype=np.int16)
+    out[:prec] = SPoly(field, prec, unit).inverse().coeffs
+    return out
 
 
 def _cancel(
@@ -91,14 +104,15 @@ def _cancel(
     """y minus the multiple s^d * ratio * x that cancels its u^level-part.
 
     Needs val(x[level]) <= val(y[level]); d is their difference and ratio
-    the quotient of the unit parts.  x_inv, the inverse of x's unit part at
-    full precision n, may be passed in when x is cancelled against several
-    y.  The u^level-part of the result vanishes identically.
+    the quotient of the unit parts.  x_inv, ``_unit_inverse(field, x,
+    level)`` (the inverse of x's unit part to the precision s^d * x reads),
+    may be passed in when x is cancelled against several y.  The
+    u^level-part of the result vanishes identically.
     """
     n = x.shape[1]
     vx, vy = _valuation(x[level]), _valuation(y[level])
     if x_inv is None:
-        x_inv = _unit_inverse(field, x[level])
+        x_inv = _unit_inverse(field, x, level)
     out = y.copy()
     _sub_multiple(field, out, _mul_trunc(field, x_inv, y[level, vy:], n), _shift(x, vy - vx), 0)
     if out[level].any():
@@ -291,7 +305,7 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
     taus = []
     for a, fi in enumerate(with_u2[:-1]):
         # one inverse per member, not per pair
-        fi_inv = _unit_inverse(code.field, fi.element[2])
+        fi_inv = _unit_inverse(code.field, fi.element, 2)
         for fj in with_u2[a + 1 :]:
             elim = _cancel(code.field, fi.element, fj.element, 2, fi_inv)
             if elim.any():

@@ -7,7 +7,7 @@ import pytest
 import u4codes as u
 from u4codes.errors import DivisionByZero, MixedField, MixedLength, OutOfRange
 from u4codes.galois import FieldSpec
-from u4codes.sring import SPoly, basis_transform_rows, decompose
+from u4codes.sring import SPoly, _mul_trunc, basis_transform_rows, decompose
 
 
 def rand_poly(rng, spec, n):
@@ -170,6 +170,24 @@ def test_mul_and_inverse_at_max_length(F5):
         assert g.inverse() == f
     with pytest.raises(DivisionByZero):
         rand_operand(rng, F5, n, "shifted").inverse()
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2)])
+def test_inverse_at_lower_precision_is_a_prefix(p, m):
+    # a unit's inverse in F[s]/<s^prec> is its full inverse cut at s^prec
+    spec = u.field_make(p, m)
+    n = {2: 16, 3: 27, 5: 25, 7: 49}[p]
+    rng = np.random.default_rng(100 * p + m)
+    for kind in ("constant", "sparse", "dense"):
+        for _ in range(3):
+            c = rng.integers(0, spec.q, n).astype(np.int16)
+            c[0] = rng.integers(1, spec.q)
+            c[{"constant": 1, "sparse": 6, "dense": n}[kind] :] = 0
+            full = SPoly(spec, n, c).inverse().coeffs
+            for prec in (1, 2, n // 2 + 1, n):
+                g = SPoly(spec, prec, c[:prec]).inverse().coeffs
+                assert np.array_equal(g, full[:prec]), (kind, prec)
+                assert _mul_trunc(spec, c, g, prec).tolist() == [1] + [0] * (prec - 1)
 
 
 # --- basis transform ----------------------------------------------------------------

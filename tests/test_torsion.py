@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import u4codes as u
-from u4codes.chain import RingElement
+from u4codes.chain import RingElement, _valuation
 from u4codes.errors import InconsistentSet, WrongIdealType
 from u4codes.sring import SPoly, decompose
-from u4codes.torsion import _cancel
+from u4codes.torsion import _cancel, _unit_inverse
 from conftest import (
+    dense_unit,
     golden_g0_f3,
     golden_g0_g1_f2,
     golden_g1_f4,
@@ -188,6 +189,53 @@ def test_u2_set_elimination_members_in_code():
                     assert u.contains(basis, elim)
                     fast = _cancel(spec, fi.element, fj.element, 2)
                     assert np.array_equal(fast, elim.coeffs)
+
+
+# --- unit inverses bounded by the precision their multiples reach ---------------
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (5, 2, 1)])
+def test_bounded_inverse_cancels_like_the_full_one(p, m, k):
+    # every pair of each u^2-part set, equal omegas (d = 0) included
+    spec = u.field_make(p, m)
+    rng = random.Random(4100 + 100 * p + 10 * m + k)
+    done = bounded = 0
+    while done < 30:
+        code = u.random_code(rng, spec, k)
+        if 0 not in code.ideal_type or 3 in code.ideal_type:
+            continue
+        done += 1
+        with_u2 = sorted((f for f in u.u2_part_set(code) if f.omega is not None), key=lambda f: f.omega)
+        for a, fi in enumerate(with_u2):
+            x = fi.element
+            prec = code.n - min(_valuation(row) for row in x)
+            full = decompose(SPoly(spec, code.n, x[2])).unit_part.inverse().coeffs
+            inv = _unit_inverse(spec, x, 2)
+            assert np.array_equal(inv[:prec], full[:prec]) and not inv[prec:].any()
+            bounded += prec < code.n
+            for fj in with_u2[a + 1 :]:
+                want = _cancel(spec, x, fj.element, 2, full)
+                assert np.array_equal(_cancel(spec, x, fj.element, 2), want)
+                assert np.array_equal(_cancel(spec, x, fj.element, 2, inv), want)
+    assert bounded >= 10
+
+
+@pytest.mark.parametrize("degrees", [{"r": 620, "r1": 600, "r2": 580}, {"r": 615, "r1": 605}])
+def test_formula_equals_oracle_at_high_degree(F5, degrees):
+    # n = 625 with every generator degree near n: each u^2-part member has
+    # valuation far above 0, so n - val x is a small share of n
+    n, rng = 625, random.Random(sum(degrees.values()))
+    owners = {1: "r", 2: "r", 3: "r", 4: "r1", 5: "r1", 6: "r2"}
+    bounds = {1: "r1", 2: "r2", 3: "r3", 4: "r2", 5: "r3", 6: "r3"}  # n when absent
+    fields = dict(degrees)
+    for i in range(1, 7):
+        if owners[i] in degrees:
+            fields[f"k{i}"] = degrees.get(bounds[i], n) * 19 // 20
+            fields[f"p{i}"] = dense_unit(rng, F5, n)
+    code = u.validate_canonical(F5, 4, u.GeneratorForm(**fields))
+    members = u.u2_part_set(code)
+    assert max(n - min(_valuation(row) for row in f.element) for f in members) < n // 4
+    assert u.t3(code).t3 == u.torsion_profile(code, u.span_basis(code))[3]
 
 
 # --- adjoining g3 ------------------------------------------------------------------
