@@ -4,13 +4,17 @@ An element a0 + u*a1 + u^2*a2 + u^3*a3 is one read-only (4, n) int16 array of
 s-basis encodings, row b the u^b-part; both truncation rules (u^4 = 0 and
 s^n = 0) apply.  The primitives on such arrays live here too, so that this
 module alone fixes the layout that ``codes`` and ``torsion`` compute on.
+Among them is the one elimination step that the echelon form in ``codes``
+and the u^2-part eliminations in ``torsion`` both take: ``_monic`` scales a
+row so that its pivot column is exactly s^v, and ``_clear`` subtracts
+multiples of it to clear that column from another row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, MixedField, MixedLength
+from .errors import InconsistentSet, LengthMismatch, MixedField, MixedLength
 from .galois import FieldSpec
 from .sring import MAX_N, SPoly, _frozen_encodings, _mul_trunc
 
@@ -30,10 +34,44 @@ def _shift(x: np.ndarray, a: int, b: int = 0) -> np.ndarray:
     return out
 
 
-def _sub_multiple(field: FieldSpec, r: np.ndarray, q: np.ndarray, h: np.ndarray, first: int):
-    """r[j] -= q * h[j] in place for the columns j >= first."""
+def _monic(field: FieldSpec, x: np.ndarray, c: int) -> tuple[int, np.ndarray]:
+    """(v, h) for a (4, n) array x with x[c] = s^v * unit nonzero: h is x
+    times the inverse of that unit, so that h[c] = s^v exactly.
+
+    The unit is inverted only modulo s^(n - val x), val x the least valuation
+    over x's columns.  Every column of x starts at s^(>= val x), so x times
+    the inverse reads it only below s^(n - val x), and h equals x times the
+    full-length inverse.  h[c] is computed as a product like every other
+    column and checked to be s^v; a constant unit scales x by its field
+    inverse alone.
+    """
+    n = x.shape[1]
+    v = _valuation(x[c])
+    unit = x[c, v:]
+    if not unit[1:].any():
+        scale = field.inv(int(unit[0]))
+        return v, x if scale == 1 else field.mul_table[scale, x]
+    prec = n - _valuation(x.any(axis=0))
+    padded = np.zeros(prec, dtype=np.int16)
+    padded[: n - v] = unit  # n - v <= prec since v >= val x
+    inverse = SPoly(field, prec, padded).inverse().coeffs
+    h = np.zeros_like(x)
+    for j in range(4):
+        if x[j].any():
+            h[j] = _mul_trunc(field, inverse, x[j], n)
+    if h[c, v] != 1 or h[c, v + 1 :].any():
+        raise InconsistentSet(f"column {c} of a pivot row is not s^{v} after scaling")
+    return v, h
+
+
+def _clear(field: FieldSpec, r: np.ndarray, c: int, v: int, h: np.ndarray):
+    """r -= (r[c] >> v) * h in place, for a head h[c] = s^v (``_monic``)
+    that is zero before column c, and r[c, :v] zero."""
     n = r.shape[1]
-    for j in range(first, 4):
+    q = np.zeros(n, dtype=np.int16)
+    q[: n - v] = r[c, v:]
+    r[c, v:] = 0
+    for j in range(c + 1, 4):
         if h[j].any():
             r[j] = field.sub_table[r[j], _mul_trunc(field, q, h[j], n)]
 
@@ -82,6 +120,8 @@ class RingElement:
     @classmethod
     def from_part(cls, level: int, poly: SPoly) -> "RingElement":
         """u^level * poly, zero for level >= 4."""
+        if level < 0:
+            raise ValueError("negative u-level")
         arr = np.zeros((4, poly.n), dtype=np.int16)
         if level < 4:
             arr[level] = poly.coeffs

@@ -23,7 +23,9 @@ h_c = s^(v_c) e_c + (later columns) per pivot column c.  One reduction on
 these heads gives the least d with s^d w in C: 0 for a member, t_i for u^i.
 The rows s^j h_c, j < n - v_c, have distinct leading 1s and span C over F,
 so they are an F-basis; they are built only to enumerate codewords.  The
-echelon form runs on the generators' arrays with the primitives of ``chain``.
+echelon form runs on the generators' arrays with the primitives of ``chain``:
+``_monic`` scales each pivot row and ``_clear`` clears its column from the
+other rows, the same step that the closed form's eliminations take.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from .errors import (
     MixedField,
     MixedLength,
 )
-from .chain import RingElement, _shift, _sub_multiple, _valuation
+from .chain import RingElement, _clear, _monic, _shift, _valuation
 from .galois import FieldSpec
-from .sring import MAX_N, SPoly, _mul_trunc
+from .sring import MAX_N, SPoly
 
 # All 15 nonempty generator subsets, principal ideals first.
 IDEAL_TYPES: tuple[tuple[int, ...], ...] = (
@@ -267,31 +269,6 @@ def _module_rows(code: CyclicCode) -> list[np.ndarray]:
     return rows
 
 
-def _make_monic(field: FieldSpec, h: np.ndarray, c: int, v: int) -> np.ndarray:
-    """h times the inverse of the unit part of h[c] = s^v * unit, so that
-    column c becomes exactly s^v.  The unit is only needed mod s^(n-v)."""
-    n = h.shape[1]
-    unit = h[c, v:]
-    if not unit[1:].any():
-        scale = field.inv(int(unit[0]))
-        return h if scale == 1 else field.mul_table[scale, h]
-    w = SPoly(field, n - v, unit).inverse().coeffs
-    out = np.zeros_like(h)
-    out[c, v] = 1
-    for j in range(c + 1, 4):
-        out[j] = _mul_trunc(field, w, h[j], n)
-    return out
-
-
-def _clear(field: FieldSpec, r: np.ndarray, c: int, v: int, h: np.ndarray):
-    """r -= (r[c] >> v) * h in place, for a head h[c] = s^v and r[c, :v] zero."""
-    n = r.shape[1]
-    q = np.zeros(n, dtype=np.int16)
-    q[: n - v] = r[c, v:]
-    r[c, v:] = 0
-    _sub_multiple(field, r, q, h, c + 1)
-
-
 def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, np.ndarray]]:
     """Echelon (Howell) form of a submodule of A^4, A = F[s]/<s^n>.
 
@@ -305,9 +282,8 @@ def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, n
         vals = [_valuation(r[c]) for r in rows]
         if not rows or min(vals) == n:
             continue
-        v = min(vals)
-        i = vals.index(v)
-        h = _make_monic(field, rows[i], c, v)
+        i = vals.index(min(vals))
+        v, h = _monic(field, rows[i], c)
         rest = []
         for idx, r in enumerate(rows):
             if idx == i:
@@ -366,6 +342,8 @@ def contains(basis: SpanBasis, elem: RingElement) -> bool:
 def torsion_oracle(code: CyclicCode, i: int, basis: SpanBasis | None = None) -> int:
     """Least t with u^i * (x-1)^t in the code, n if there is none: the least
     shift of the unit vector u^i, which is v_3 for i = 3."""
+    if not 0 <= i <= 3:
+        raise ValueError("torsion level must lie in 0..3")
     if basis is None:
         basis = span_basis(code)
     unit = np.zeros((4, code.n), dtype=np.int16)

@@ -11,12 +11,12 @@ cuts both operands to their nonzero spans and convolves their base-p digits
 at C level (numpy), so a product costs m^2 convolutions of the two span
 lengths.  ``SPoly.inverse`` is a Newton iteration on the same kernel: two
 products per doubling of the precision, O(log n) kernel calls in all for a
-length-n inverse and none for a constant.  Callers that read an inverse only
-below some s^prec invert in F[s]/<s^prec> and pay O(log prec) calls: the
-closed form cancels with multiples s^d x, d >= 0, which need prec = n - val x
-(val x the least valuation of x's u-parts), and row reduction needs n - v.  The
-x/s basis change costs K passes of a p x p matrix product over the m digit
-planes for n = p^K, and builds no n x n matrix.
+length-n inverse and none for a constant.  A caller that reads an inverse
+only below some s^prec inverts in F[s]/<s^prec> and pays O(log prec) calls:
+``chain._monic``, the one place that scales a row x by a unit inverse, uses
+prec = n - val x (val x the least valuation of x's u-parts).  The x/s basis
+change costs K passes of a p x p matrix product over the m digit planes for
+n = p^K, and builds no n x n matrix.
 """
 
 from __future__ import annotations

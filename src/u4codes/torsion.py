@@ -13,8 +13,9 @@ true offset.  Each candidate fed into a min is the valuation of an explicitly
 constructed member of the code (or a value >= some other candidate), so the
 minimum is always witnessed.  The g0 path builds those members from the
 generators' (4, n) arrays (``chain`` layout) with the primitives the oracle
-shares (``chain._shift``, ``_sub_multiple``, ``sring._mul_trunc``); the case
-formulas stay on ``SPoly`` because their traces print the polynomial.
+shares: ``chain._shift``, and ``chain._monic`` and ``_clear``, the step that
+also builds the oracle's echelon form.  The case formulas stay on ``SPoly``
+because their traces print the polynomial.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconsistentSet, WrongIdealType
-from .chain import _shift, _sub_multiple, _valuation
+from .chain import _clear, _monic, _shift, _valuation
 from .codes import CyclicCode, GeneratorForm
-from .galois import FieldSpec
-from .sring import SPoly, _mul_trunc
+from .sring import SPoly
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,47 +77,6 @@ def _witnessed(n: int, min_set: list[tuple[str, int]], method: str, **details) -
         t3=min((v for _, v in min_set), default=n),
         path={"method": method, **details, "min_set": [[label, v] for label, v in min_set]},
     )
-
-
-def _unit_inverse(field: FieldSpec, x: np.ndarray, level: int) -> np.ndarray:
-    """Inverse of the unit part of x[level] = s^v * unit, modulo s^(n - val x)
-    and padded with zeros to length n, for a nonzero (4, n) array x.
-
-    val x is the least valuation over x's nonzero rows.  Every row of
-    s^d * x with d >= 0 starts at s^(>= val x), so a multiple q * s^d * x
-    reads q only below s^(n - val x), and those coefficients of
-    q = inverse * y need the inverse only below s^(n - val x) too.
-    """
-    n = x.shape[1]
-    prec = n - _valuation(x.any(axis=0))
-    v = _valuation(x[level])
-    unit = np.zeros(prec, dtype=np.int16)
-    unit[: n - v] = x[level, v:]  # n - v <= prec since v >= val x
-    out = np.zeros(n, dtype=np.int16)
-    out[:prec] = SPoly(field, prec, unit).inverse().coeffs
-    return out
-
-
-def _cancel(
-    field: FieldSpec, x: np.ndarray, y: np.ndarray, level: int, x_inv: np.ndarray | None = None
-) -> np.ndarray:
-    """y minus the multiple s^d * ratio * x that cancels its u^level-part.
-
-    Needs val(x[level]) <= val(y[level]); d is their difference and ratio
-    the quotient of the unit parts.  x_inv, ``_unit_inverse(field, x,
-    level)`` (the inverse of x's unit part to the precision s^d * x reads),
-    may be passed in when x is cancelled against several y.  The
-    u^level-part of the result vanishes identically.
-    """
-    n = x.shape[1]
-    vx, vy = _valuation(x[level]), _valuation(y[level])
-    if x_inv is None:
-        x_inv = _unit_inverse(field, x, level)
-    out = y.copy()
-    _sub_multiple(field, out, _mul_trunc(field, x_inv, y[level, vy:], n), _shift(x, vy - vx), 0)
-    if out[level].any():
-        raise InconsistentSet(f"u^{level}-part left after cancellation")
-    return out
 
 
 def _term(spec, n: int, exp: Optional[int], poly: Optional[SPoly]) -> SPoly:
@@ -244,8 +203,11 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
     D = gens.get(1)
 
     def elim(x, y):
-        # the element of smaller u-part valuation is the one shifted
-        return _cancel(field, *sorted((x, y), key=lambda e: _valuation(e[1])), 1)
+        # the element of smaller u-part valuation clears the other's u-part
+        x, y = sorted((x, y), key=lambda e: _valuation(e[1]))
+        out = y.copy()
+        _clear(field, out, 1, *_monic(field, x, 1))
+        return out
 
     raw: list[tuple[str, np.ndarray]] = []
     a_val = _valuation(A[1])
@@ -304,10 +266,11 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
 
     taus = []
     for a, fi in enumerate(with_u2[:-1]):
-        # one inverse per member, not per pair
-        fi_inv = _unit_inverse(code.field, fi.element, 2)
+        # one scaled pivot per member, not per pair
+        v, h = _monic(code.field, fi.element, 2)
         for fj in with_u2[a + 1 :]:
-            elim = _cancel(code.field, fi.element, fj.element, 2, fi_inv)
+            elim = fj.element.copy()
+            _clear(code.field, elim, 2, v, h)
             if elim.any():
                 tau = _valuation(elim[3])
                 taus.append(tau)

@@ -258,7 +258,6 @@ class WeightReport:
     wt_sp: int
     wt_rt: int
     verified: Optional[VerifyRecord]
-    basis_used: str
     trace: dict
 
 
@@ -295,6 +294,5 @@ def analyze(code: CyclicCode, verify: bool = False, cap: int = 2**20) -> WeightR
         wt_sp=wt_sp,
         wt_rt=wt_rt,
         verified=verified,
-        basis_used="x_basis",
         trace=res.path,
     )

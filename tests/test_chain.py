@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import u4codes as u
+from u4codes import chain, codes, torsion
 from u4codes.chain import RingElement
 from u4codes.errors import LengthMismatch, MixedLength, OutOfRange
 from u4codes.parsing import parse_expression
-from u4codes.sring import SPoly
+from u4codes.sring import SPoly, decompose
 
 
 def rand_relem(rng, spec, n):
@@ -22,6 +23,13 @@ def rand_relem(rng, spec, n):
 def test_u4_truncates(F2):
     u2 = RingElement.from_part(2, SPoly.one(F2, 4))
     assert (u2 * u2).is_zero()
+
+
+def test_from_part_checks_level(F2):
+    one = SPoly.one(F2, 4)
+    with pytest.raises(ValueError):
+        RingElement.from_part(-1, one)
+    assert RingElement.from_part(4, one).is_zero()
 
 
 def test_u_shift(F2):
@@ -209,3 +217,39 @@ def test_constructor_rejects_encodings_out_of_range(F2, F4):
             RingElement(F2, 4, arr)
     with pytest.raises(OutOfRange):
         RingElement(F2, 4, [[70000, 0, 0, 0]] + [[0] * 4] * 3)
+
+
+# --- the pivot-and-clear step -----------------------------------------------------
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 3), (3, 1, 2), (2, 2, 3), (5, 1, 2), (3, 2, 2)])
+def test_monic_scales_by_the_full_inverse(p, m, k, monkeypatch):
+    # every pivot that the echelon form and the u^2-part eliminations scale:
+    # h = x times the full-length inverse of the unit part, and h[c] = s^v
+    spec = u.field_make(p, m)
+    pivots = []
+
+    def recording(module):
+        def monic(field, x, c):
+            v, h = chain._monic(field, x, c)
+            pivots.append((module, x.copy(), c, v, h.copy()))
+            return v, h
+
+        monkeypatch.setattr(module, "_monic", monic)
+
+    recording(codes)
+    recording(torsion)
+    rng = random.Random(700 + 100 * p + 10 * m + k)
+    for _ in range(40):
+        code = u.random_code(rng, spec, k)
+        u.span_basis(code)
+        u.t3(code)
+    # non-constant units: echelon pivots, level-1 eliminations, u^2-part members
+    scaled = {(codes, 3): 0, (torsion, 1): 0, (torsion, 2): 0}
+    for module, x, c, v, h in pivots:
+        n = x.shape[1]
+        unit = decompose(SPoly(spec, n, x[c])).unit_part
+        assert np.array_equal(h, RingElement(spec, n, x).poly_mul(unit.inverse()).coeffs)
+        assert np.array_equal(h[c], SPoly.monomial(spec, n, v).coeffs)
+        scaled[module, 3 if module is codes else c] += bool(unit.coeffs[1:].any())
+    assert min(scaled.values()) >= 3

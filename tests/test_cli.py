@@ -224,6 +224,24 @@ def test_wrong_inverse_exits_internal(tmp_path, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_wrong_inverse_exits_internal_under_optimize(tmp_path):
+    # The scenario above in a process run with python -O, which strips every
+    # assert: the guard is a check that raises, so the exit is still 70.
+    src = Path(__file__).resolve().parents[1] / "src"
+    (tmp_path / "sitecustomize.py").write_text(
+        "import u4codes as u\n"
+        "true_inverse = u.SPoly.inverse\n"
+        "u.SPoly.inverse = lambda f: true_inverse(f) + u.SPoly.one(f.spec, f.n)\n"
+    )
+    path = tmp_path / "g0.code"
+    path.write_text(GOLDEN_G0_F3_FILE)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)])}
+    proc = subprocess.run([sys.executable, "-O", "-m", "u4codes.cli", "analyze", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 70, proc.stderr
+    assert "internal error" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_enumeration_without_codewords_exits_internal(tmp_path, monkeypatch, capsys):
     # An enumerator that yields only the zero word leaves every minimum
     # unset; the guard raises (it is no assert, so python -O keeps it).

@@ -12,6 +12,7 @@ from u4codes.errors import (
     CorrectionNotUnit,
     DegreeOrderViolated,
     EmptyGeneratorSet,
+    InconsistentSet,
     TooLarge,
 )
 from u4codes.galois import FieldSpec
@@ -323,6 +324,23 @@ def test_torsion_oracle_examples(F3, F4):
 
     g3code = u.validate_canonical(F3, 2, u.GeneratorForm(r3=2))
     assert u.torsion_oracle(g3code, 3) == 2
+
+
+def test_torsion_oracle_checks_level(F3):
+    code = u.validate_canonical(F3, 2, u.GeneratorForm(r3=2))
+    for i in (-1, 4):
+        with pytest.raises(ValueError):
+            u.torsion_oracle(code, i)
+
+
+def test_wrong_inverse_fails_the_echelon_guard(F4, monkeypatch):
+    # <g1> pivots column 2 on s^(n-r1) g1, whose u^2-part s^3 (1 + s) has a
+    # non-constant unit; an inverse off by one leaves column 2 != s^3
+    code = golden_g1_f4(F4)
+    true_inverse = SPoly.inverse
+    monkeypatch.setattr(SPoly, "inverse", lambda f: true_inverse(f) + SPoly.one(f.spec, f.n))
+    with pytest.raises(InconsistentSet):
+        u.span_basis(code)
 
 
 def reference_contains(basis, elem):

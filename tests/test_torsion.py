@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import u4codes as u
-from u4codes.chain import RingElement, _valuation
+from u4codes.chain import RingElement, _clear, _monic, _valuation
 from u4codes.errors import InconsistentSet, WrongIdealType
 from u4codes.sring import SPoly, decompose
-from u4codes.torsion import _cancel, _unit_inverse
 from conftest import (
     dense_unit,
     golden_g0_f3,
@@ -187,7 +186,8 @@ def test_u2_set_elimination_members_in_code():
                     ratio = decompose(ei.parts[2]).unit_part.inverse() * decompose(ej.parts[2]).unit_part
                     elim = ej - ei.shift_mul(fj.omega - fi.omega).poly_mul(ratio)
                     assert u.contains(basis, elim)
-                    fast = _cancel(spec, fi.element, fj.element, 2)
+                    fast = fj.element.copy()
+                    _clear(spec, fast, 2, *_monic(spec, fi.element, 2))
                     assert np.array_equal(fast, elim.coeffs)
 
 
@@ -196,7 +196,8 @@ def test_u2_set_elimination_members_in_code():
 
 @pytest.mark.parametrize("p,m,k", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (5, 2, 1)])
 def test_bounded_inverse_cancels_like_the_full_one(p, m, k):
-    # every pair of each u^2-part set, equal omegas (d = 0) included
+    # every pair of each u^2-part set, equal omegas (d = 0) included: the
+    # pivot scaled by the inverse mod s^(n - val x) clears like the full one
     spec = u.field_make(p, m)
     rng = random.Random(4100 + 100 * p + 10 * m + k)
     done = bounded = 0
@@ -209,14 +210,19 @@ def test_bounded_inverse_cancels_like_the_full_one(p, m, k):
         for a, fi in enumerate(with_u2):
             x = fi.element
             prec = code.n - min(_valuation(row) for row in x)
-            full = decompose(SPoly(spec, code.n, x[2])).unit_part.inverse().coeffs
-            inv = _unit_inverse(spec, x, 2)
-            assert np.array_equal(inv[:prec], full[:prec]) and not inv[prec:].any()
+            full = decompose(SPoly(spec, code.n, x[2])).unit_part.inverse()
+            v, h = _monic(spec, x, 2)
+            assert v == fi.omega
+            assert np.array_equal(h, as_ring_element(code, x).poly_mul(full).coeffs)
             bounded += prec < code.n
             for fj in with_u2[a + 1 :]:
-                want = _cancel(spec, x, fj.element, 2, full)
-                assert np.array_equal(_cancel(spec, x, fj.element, 2), want)
-                assert np.array_equal(_cancel(spec, x, fj.element, 2, inv), want)
+                ratio = full * decompose(SPoly(spec, code.n, fj.element[2])).unit_part
+                want = as_ring_element(code, fj.element) - as_ring_element(code, x).shift_mul(
+                    fj.omega - v
+                ).poly_mul(ratio)
+                got = fj.element.copy()
+                _clear(spec, got, 2, v, h)
+                assert np.array_equal(got, want.coeffs)
     assert bounded >= 10
 
 

@@ -351,7 +351,6 @@ def test_analyze_golden_g1(F4):
     rep = u.analyze(golden_g1_f4(F4), verify=True)
     assert (rep.t3, rep.wt_sp, rep.wt_rt) == (1, 3, 2)
     assert rep.verified.torsion[3] == rep.t3
-    assert rep.basis_used == "x_basis"
 
 
 def test_analyze_golden_g0_g1(F2):
