@@ -3,11 +3,13 @@
 An element a0 + u*a1 + u^2*a2 + u^3*a3 is one read-only (4, n) int16 array of
 s-basis encodings, row b the u^b-part; both truncation rules (u^4 = 0 and
 s^n = 0) apply.  The primitives on such arrays live here too, so that this
-module alone fixes the layout that ``codes`` and ``torsion`` compute on.
-Among them is the one elimination step that the echelon form in ``codes``
-and the u^2-part eliminations in ``torsion`` both take: ``_monic`` scales a
-row so that its pivot column is exactly s^v, and ``_clear`` subtracts
-multiples of it to clear that column from another row.
+module alone fixes the layout that ``codes``, ``torsion`` and the expression
+evaluator in ``parsing`` compute on: ``_mul``, the ring product, serves the
+evaluator and ``RingElement.__mul__`` alike.  Among them is the one
+elimination step that the echelon form in ``codes`` and the u^2-part
+eliminations in ``torsion`` both take: ``_monic`` scales a row so that its
+pivot column is exactly s^v, and ``_clear`` subtracts multiples of it to
+clear that column from another row.
 """
 
 from __future__ import annotations
@@ -31,6 +33,18 @@ def _shift(x: np.ndarray, a: int, b: int = 0) -> np.ndarray:
     out = np.zeros_like(x)
     if a < n:
         out[b:, a:] = x[: 4 - b, : n - a]
+    return out
+
+
+def _mul(field: FieldSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ring product of two (4, n) encoding arrays, truncated at u^4 and
+    at s^n: part i + j collects the products of part i of x and part j of y."""
+    n = x.shape[1]
+    out = np.zeros((4, n), dtype=np.int16)
+    y_parts = y.any(axis=1)
+    for i in np.flatnonzero(x.any(axis=1)):
+        for j in np.flatnonzero(y_parts[: 4 - i]):
+            out[i + j] = field.add_table[out[i + j], _mul_trunc(field, x[i], y[j], n)]
     return out
 
 
@@ -100,20 +114,6 @@ class RingElement:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_parts(cls, parts) -> "RingElement":
-        """The element with u-adic parts (a0, a1, a2, a3), each an SPoly."""
-        parts = tuple(parts)
-        if len(parts) != 4:
-            raise MixedLength("a ring element has exactly four u-adic parts")
-        first = parts[0]
-        for part in parts[1:]:
-            if part.spec != first.spec:
-                raise MixedField("u-adic parts over different fields")
-            if part.n != first.n:
-                raise MixedLength("u-adic parts of different lengths")
-        return cls(first.spec, first.n, [part.coeffs for part in parts])
-
-    @classmethod
     def zero(cls, spec: FieldSpec, n: int) -> "RingElement":
         return cls(spec, n, np.zeros((4, n), dtype=np.int16))
 
@@ -126,13 +126,6 @@ class RingElement:
         if level < 4:
             arr[level] = poly.coeffs
         return cls(poly.spec, poly.n, arr)
-
-    @classmethod
-    def constant(cls, spec: FieldSpec, n: int, value) -> "RingElement":
-        """An integer (reduced mod p) or FieldElement as a ring element."""
-        arr = np.zeros((4, n), dtype=np.int16)
-        arr[0, 0] = spec.element(value).encoding
-        return cls(spec, n, arr)
 
     # -- basics ------------------------------------------------------------------
 
@@ -173,15 +166,7 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        spec, n = self.spec, self.n
-        out = np.zeros((4, n), dtype=np.int16)
-        for i, a in enumerate(self.coeffs):
-            if not a.any():
-                continue
-            for j, b in enumerate(other.coeffs[: 4 - i]):
-                if b.any():
-                    out[i + j] = spec.add_table[out[i + j], _mul_trunc(spec, a, b, n)]
-        return RingElement(spec, n, out)
+        return RingElement(self.spec, self.n, _mul(self.spec, self.coeffs, other.coeffs))
 
     def poly_mul(self, f: SPoly) -> "RingElement":
         """Multiply every u-adic part by the polynomial f."""

@@ -1,11 +1,13 @@
 """Arithmetic in the coefficient field F_{p^m}.
 
 A field is described by a monic irreducible modulus over F_p, by default the
-first one of degree m in ``_monic_polys`` order.  Elements are polynomials in
-a root ``a`` of the modulus, encoded as integers in [0, q): the base-p digits
-of the encoding are the coefficients, lowest degree first.  All binary
-operations are table driven (q <= 256), so bulk vector arithmetic reduces to
-numpy fancy indexing.
+first one of degree m in ``_monic_polys`` order (irreducible by its search,
+so it is not trial-divided again).  Elements are polynomials in a root ``a``
+of the modulus, encoded as integers in [0, q): the base-p digits of the
+encoding are the coefficients, lowest degree first.  A ``FieldElement``
+holds that encoding alone.  All binary operations are table driven
+(q <= 256): an element operator is one table lookup, and bulk vector
+arithmetic reduces to numpy fancy indexing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, DivisionByZero, NonPrime, NotMonic, Reducible, U4CodesError
+from .errors import (
+    DegreeOutOfRange,
+    DivisionByZero,
+    MixedField,
+    NonPrime,
+    NotMonic,
+    OutOfRange,
+    Reducible,
+    U4CodesError,
+)
 
 MAX_P = 251
 MAX_Q = 256
@@ -84,17 +95,22 @@ def _factor(modulus, p: int):
 class FieldSpec:
     """Validated description of F_{p^m} plus its operation tables.
 
-    Immutable; instances compare and hash by (p, m, modulus).
+    A modulus of None takes the default one (``field_make``).  Immutable;
+    instances compare and hash by (p, m, modulus).
     """
 
     def __init__(self, p: int, m: int, modulus):
         _check_size(p, m)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise NotMonic(f"modulus must be monic of degree {m}")
-        witness = _factor(modulus, p)
-        if witness is not None:
-            raise Reducible(modulus, witness)
+        if modulus is None:
+            # the default is irreducible by construction: no second trial division
+            modulus = tuple(next(f for f in _monic_polys(m, p) if _factor(f, p) is None))
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise NotMonic(f"modulus must be monic of degree {m}")
+            witness = _factor(modulus, p)
+            if witness is not None:
+                raise Reducible(modulus, witness)
         self.p = p
         self.m = m
         self.q = p**m
@@ -171,25 +187,10 @@ class FieldSpec:
 
     # -- scalar operations on encodings ------------------------------------
 
-    def add(self, x: int, y: int) -> int:
-        return int(self.add_table[x, y])
-
-    def sub(self, x: int, y: int) -> int:
-        return int(self.sub_table[x, y])
-
-    def neg(self, x: int) -> int:
-        return int(self.neg_table[x])
-
-    def mul(self, x: int, y: int) -> int:
-        return int(self.mul_table[x, y])
-
     def inv(self, x: int) -> int:
         if x == 0:
             raise DivisionByZero("inverse of 0")
         return int(self.inv_table[x])
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
@@ -197,111 +198,94 @@ class FieldSpec:
         r, b = 1, x
         while e:
             if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
+                r = int(self.mul_table[r, b])
+            b = int(self.mul_table[b, b])
             e >>= 1
         return r
 
     # -- element helpers ----------------------------------------------------
 
-    def encode(self, coeffs) -> int:
-        v = 0
-        for c in reversed(list(coeffs)):
-            v = v * self.p + (int(c) % self.p)
-        return v
-
-    def decode(self, e: int) -> tuple[int, ...]:
-        return tuple(int(d) for d in self._digits[e])
-
     def element(self, value) -> "FieldElement":
-        """Coerce an integer (reduced mod p) or coefficient sequence."""
+        """Coerce an integer (reduced mod p) or a sequence of m coefficients."""
         if isinstance(value, FieldElement):
             if value.spec != self:
-                from .errors import MixedField
-
                 raise MixedField("element from a different field")
             return value
         if isinstance(value, (int, np.integer)):
-            coeffs = [int(value) % self.p] + [0] * (self.m - 1)
-            return FieldElement(self, tuple(coeffs))
-        return FieldElement(self, tuple(int(c) % self.p for c in value))
+            return FieldElement(self, int(value) % self.p)
+        coeffs = list(value)
+        if len(coeffs) != self.m:
+            raise DegreeOutOfRange("element must have exactly m coefficients")
+        e = 0
+        for c in reversed(coeffs):
+            e = e * self.p + int(c) % self.p
+        return FieldElement(self, e)
 
     def from_encoding(self, e: int) -> "FieldElement":
-        return FieldElement(self, self.decode(int(e)))
+        return FieldElement(self, int(e))
 
     def gen(self) -> "FieldElement":
         """The root `a` of the modulus (equals 0 for m = 1 with modulus x)."""
-        if self.m == 1:
-            return self.element(-self.modulus[0] % self.p)
-        return FieldElement(self, tuple(1 if i == 1 else 0 for i in range(self.m)))
+        return self.element(-self.modulus[0]) if self.m == 1 else FieldElement(self, self.p)
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.m)
+        return FieldElement(self, 0)
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, tuple(1 if i == 0 else 0 for i in range(self.m)))
+        return FieldElement(self, 1)
 
     def elements(self):
         for e in range(self.q):
-            yield FieldElement(self, self.decode(e))
+            yield FieldElement(self, e)
 
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of F_{p^m}, stored as m coefficients of powers of `a`."""
+    """An element of F_{p^m}, held as its encoding in [0, q): the base-p
+    digits of the encoding are its coefficients of powers of `a`."""
 
     spec: FieldSpec
-    coeffs: tuple[int, ...]
+    encoding: int
 
     def __post_init__(self):
-        if len(self.coeffs) != self.spec.m:
-            raise DegreeOutOfRange("element must have exactly m coefficients")
+        if not 0 <= self.encoding < self.spec.q:
+            raise OutOfRange(f"a field encoding must lie in [0, {self.spec.q})")
 
     @property
-    def encoding(self) -> int:
-        return self.spec.encode(self.coeffs)
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(int(d) for d in self.spec._digits[self.encoding])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.encoding == 0
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                from .errors import MixedField
-
-                raise MixedField("mixed fields in element arithmetic")
-            return other
-        return self.spec.element(other)
+    def _table(self, table, other) -> "FieldElement":
+        """The element table[self, other], other coerced into this field."""
+        return FieldElement(self.spec, int(table[self.encoding, self.spec.element(other).encoding]))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return _from_enc(self.spec, self.spec.add(self.encoding, o.encoding))
+        return self._table(self.spec.add_table, other)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return _from_enc(self.spec, self.spec.sub(self.encoding, o.encoding))
+        return self._table(self.spec.sub_table, other)
 
     def __neg__(self):
-        return _from_enc(self.spec, self.spec.neg(self.encoding))
+        return FieldElement(self.spec, int(self.spec.neg_table[self.encoding]))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return _from_enc(self.spec, self.spec.mul(self.encoding, o.encoding))
+        return self._table(self.spec.mul_table, other)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return _from_enc(self.spec, self.spec.div(self.encoding, o.encoding))
+        return self * self.spec.element(other).inverse()
 
     def __pow__(self, e: int):
-        return _from_enc(self.spec, self.spec.pow(self.encoding, e))
+        return FieldElement(self.spec, self.spec.pow(self.encoding, e))
 
     def inverse(self):
-        return _from_enc(self.spec, self.spec.inv(self.encoding))
+        return FieldElement(self.spec, self.spec.inv(self.encoding))
 
     def __str__(self):
         terms = []
-        for i in range(self.spec.m - 1, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             if i == 0:
@@ -315,14 +299,7 @@ class FieldElement:
         return f"<{self} in F_{self.spec.q}>"
 
 
-def _from_enc(spec: FieldSpec, e: int) -> FieldElement:
-    return FieldElement(spec, spec.decode(e))
-
-
 def field_make(p: int, m: int, modulus=None) -> FieldSpec:
     """Build a validated FieldSpec.  The default modulus is the first monic
     irreducible polynomial of degree m in ``_monic_polys`` order."""
-    if modulus is None:
-        _check_size(p, m)
-        modulus = next(f for f in _monic_polys(m, p) if _factor(f, p) is None)
     return FieldSpec(p, m, modulus)

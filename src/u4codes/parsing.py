@@ -14,15 +14,21 @@ Expression grammar:
             | felem | '(' expr ')'
     felem  := int | 'a' ['^' int]
 
-Expressions are evaluated to full ring elements ((4, n) arrays, see ``chain``;
-a power u^e, s^e, (x-1)^e or a^e is one monomial or constant, whatever e) and
-then decomposed into the canonical degrees/corrections, so algebraically equal
-inputs parse to equal codes regardless of how they are spelled.
+The field line takes the keys p, m and modulus, the length line the key k,
+each at most once.  Expressions are evaluated on (4, n) int16 encoding
+arrays, the ``chain`` layout, without building a ``RingElement`` (a power
+u^e, s^e, (x-1)^e or a^e is one monomial or constant, whatever e).  The
+degree of g_level is the valuation of its u^level row, which must be exactly
+a power of s, and each later row u^j is s^k_i times the correction p_i, so
+algebraically equal inputs parse to equal codes regardless of how they are
+spelled.  Only ``parse_expression`` wraps its value as a ``RingElement``.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 from .errors import (
     DegreeOutOfRange,
@@ -31,7 +37,7 @@ from .errors import (
     ParseError,
     UnknownDirective,
 )
-from .chain import RingElement
+from .chain import RingElement, _mul, _valuation
 from .codes import (
     _CORRECTIONS,
     _DEGREE_NAMES,
@@ -41,7 +47,7 @@ from .codes import (
     validate_canonical,
 )
 from .galois import FieldSpec, field_make
-from .sring import MAX_N, SPoly, decompose
+from .sring import MAX_N, SPoly
 
 # One named group per token kind; "(x-1)" is tried before "(".
 _TOKEN = re.compile(
@@ -54,11 +60,17 @@ _TOKEN = re.compile(
 _SLOT_BY = {levels: i for i, levels in _CORRECTIONS.items()}
 
 
-class _Tokens:
-    """Token stream over one expression; positions are 1-based columns."""
+class _ExprParser:
+    """Recursive descent over the tokens of one expression, evaluated on
+    (4, n) int16 encoding arrays in the ``chain`` layout: a factor is one
+    encoding in a zero array, '+' indexes the field's add table and '*' is
+    the ring product ``chain._mul``.  Token positions are 1-based columns."""
 
-    def __init__(self, text: str, line: int, col_offset: int = 0):
+    def __init__(self, spec: FieldSpec, n: int, text: str, line: int, col_offset: int = 0):
+        self.spec = spec
+        self.n = n
         self.line = line
+        self.start = col_offset + 1
         self.toks: list[tuple[str, object, int]] = []
         for match in _TOKEN.finditer(text):
             kind, col = match.lastgroup, col_offset + match.start() + 1
@@ -85,69 +97,71 @@ class _Tokens:
             raise ParseError(self.line, tok[2], what)
         return tok
 
-
-class _ExprParser:
-    def __init__(self, spec: FieldSpec, n: int, tokens: _Tokens):
-        self.spec = spec
-        self.n = n
-        self.t = tokens
-
-    def parse(self) -> RingElement:
-        value = self.expr()
-        self.t.expect("EOF", "end of expression")
+    def parse(self) -> np.ndarray:
+        try:
+            value = self.expr()
+            self.expect("EOF", "end of expression")
+        except RecursionError:
+            raise ParseError(self.line, self.start, "an expression nested less deeply") from None
         return value
 
-    def expr(self) -> RingElement:
+    def expr(self) -> np.ndarray:
         value = self.term()
-        while self.t.peek() == "PLUS":
-            self.t.next()
-            value = value + self.term()
+        while self.peek() == "PLUS":
+            self.next()
+            value = self.spec.add_table[value, self.term()]
         return value
 
-    def term(self) -> RingElement:
+    def term(self) -> np.ndarray:
         value = self.factor()
-        while self.t.peek() == "STAR":
-            self.t.next()
-            value = value * self.factor()
+        while self.peek() == "STAR":
+            self.next()
+            value = _mul(self.spec, value, self.factor())
         return value
 
     def _opt_exponent(self) -> int:
-        if self.t.peek() == "CARET":
-            self.t.next()
-            return int(self.t.expect("INT", "integer exponent")[1])
+        if self.peek() == "CARET":
+            self.next()
+            return int(self.expect("INT", "integer exponent")[1])
         return 1
 
-    def factor(self) -> RingElement:
-        kind, value, col = self.t.next()
-        spec, n = self.spec, self.n
-        if kind == "U":
-            return RingElement.from_part(self._opt_exponent(), SPoly.one(spec, n))
-        if kind in ("S", "XM1"):
-            return RingElement.from_part(0, SPoly.monomial(spec, n, self._opt_exponent()))
-        if kind == "A":
-            return RingElement.constant(spec, n, spec.gen() ** self._opt_exponent())
-        if kind == "INT":
-            return RingElement.constant(spec, n, value)
+    def factor(self) -> np.ndarray:
+        """u^e, s^e, (x-1)^e and a^e are each one monomial or constant, whatever e."""
+        kind, value, col = self.next()
+        spec = self.spec
         if kind == "LPAREN":
             inner = self.expr()
-            self.t.expect("RPAREN", "closing parenthesis")
+            self.expect("RPAREN", "closing parenthesis")
             return inner
-        raise ParseError(self.t.line, col, "a factor (u, s, (x-1), a, integer, or '(')")
+        if kind == "U":
+            level, exp, enc = self._opt_exponent(), 0, 1
+        elif kind in ("S", "XM1"):
+            level, exp, enc = 0, self._opt_exponent(), 1
+        elif kind == "A":
+            level, exp, enc = 0, 0, (spec.gen() ** self._opt_exponent()).encoding
+        elif kind == "INT":
+            level, exp, enc = 0, 0, value % spec.p
+        else:
+            raise ParseError(self.line, col, "a factor (u, s, (x-1), a, integer, or '(')")
+        out = np.zeros((4, self.n), dtype=np.int16)
+        if level < 4 and exp < self.n:
+            out[level, exp] = enc
+        return out
 
 
 def parse_expression(spec: FieldSpec, n: int, text: str, line: int = 1, col_offset: int = 0) -> RingElement:
-    try:
-        return _ExprParser(spec, n, _Tokens(text, line, col_offset)).parse()
-    except RecursionError:
-        raise ParseError(line, col_offset + 1, "an expression nested less deeply") from None
+    """The value of one expression in R[x]/<x^n - 1>; a ParseError carries
+    its line and the column counted from ``col_offset``."""
+    return RingElement(spec, n, _ExprParser(spec, n, text, line, col_offset).parse())
 
 
 def parse_field_element(spec: FieldSpec, text: str):
     """Parse the field-element sub-grammar: integers, a, + * ^ and parentheses."""
-    for kind, _, col in _Tokens(text, 1).toks:
+    parser = _ExprParser(spec, 1, text, 1)
+    for kind, _, col in parser.toks:
         if kind in ("U", "S", "XM1"):
             raise ParseError(1, col, "a field element (no u, s or (x-1) factors)")
-    return spec.from_encoding(int(parse_expression(spec, 1, text).coeffs[0, 0]))
+    return spec.from_encoding(parser.parse()[0, 0])
 
 
 # --- code files -------------------------------------------------------------------
@@ -166,13 +180,20 @@ def _int(text: str, line_no: int, expected: str, col: int = 1) -> int:
         raise ParseError(line_no, col, expected) from None
 
 
-def _parse_kv(body: str, line_no: int) -> dict[str, str]:
+def _parse_kv(body: str, line_no: int, keys: tuple[str, ...], expected: str) -> dict[str, str]:
+    """The key=value pairs of a field or length line: each key one of keys
+    and given once, every key but modulus present; else a ParseError that
+    expects ``expected``."""
     out = {}
     for chunk in body.split():
         if "=" not in chunk:
             raise ParseError(line_no, 1, "key=value pairs")
         key, val = chunk.split("=", 1)
+        if key not in keys or key in out:
+            raise ParseError(line_no, 1, expected)
         out[key] = val
+    if any(key not in out for key in keys if key != "modulus"):
+        raise ParseError(line_no, 1, expected)
     return out
 
 
@@ -194,27 +215,21 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
         if head == "field":
             if spec is not None:
                 raise ParseError(line_no, 1, "a single field line")
-            kv = _parse_kv(body, line_no)
-            if "p" not in kv or "m" not in kv:
-                raise ParseError(line_no, 1, "field: p=.. m=.. [modulus=[..]]")
+            kv = _parse_kv(body, line_no, ("p", "m", "modulus"), "field: p=.. m=.. [modulus=[..]]")
             modulus = None
             if "modulus" in kv:
-                inner = kv["modulus"].strip()
+                inner = kv["modulus"]
                 if not (inner.startswith("[") and inner.endswith("]")):
                     raise ParseError(line_no, 1, "modulus=[c0,c1,...]")
                 modulus = [
-                    _int(c, line_no, "modulus=[c0,c1,...] of integers")
-                    for c in inner[1:-1].split(",")
-                    if c.strip() != ""
+                    _int(c, line_no, "modulus=[c0,c1,...] of integers") for c in inner[1:-1].split(",")
                 ]
             p, m = (_int(kv[key], line_no, f"an integer {key}") for key in ("p", "m"))
             spec = field_make(p, m, modulus)
         elif head == "length":
             if k is not None:
                 raise ParseError(line_no, 1, "a single length line")
-            kv = _parse_kv(body, line_no)
-            if "k" not in kv:
-                raise ParseError(line_no, 1, "length: k=..")
+            kv = _parse_kv(body, line_no, ("k",), "length: k=..")
             k = _int(kv["k"], line_no, "an integer k")
             length_line = line_no
         elif len(head) == 2 and head[0] == "g" and head[1] in "0123":
@@ -243,29 +258,28 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
     fields: dict = {}
 
     for line_no, level, body, offset in gen_lines:
-        parts = parse_expression(spec, n, body, line=line_no, col_offset=offset).parts
+        g = _ExprParser(spec, n, body, line_no, offset).parse()
         for j in range(level):
-            if not parts[j].is_zero():
-                raise NotCanonical(
-                    f"line {line_no}: g{level} has a nonzero u^{j} component"
-                )
-        lead = decompose(parts[level])
-        if lead.unit_part.is_zero():
+            if g[j].any():
+                raise NotCanonical(f"line {line_no}: g{level} has a nonzero u^{j} component")
+        degree = _valuation(g[level])
+        if degree == n:
             raise NotCanonical(f"line {line_no}: g{level} has a zero u^{level} component")
-        if not lead.unit_part == SPoly.one(spec, n):
+        if g[level, degree] != 1 or g[level, degree + 1 :].any():
             raise NotCanonical(
                 f"line {line_no}: the u^{level} component of g{level} must be a plain "
                 f"power of (x-1)"
             )
-        fields[_DEGREE_NAMES[level]] = lead.valuation
+        fields[_DEGREE_NAMES[level]] = degree
+        # each later part is s^k_i times a unit: its correction p_i
         for j in range(level + 1, 4):
-            part = parts[j]
-            if part.is_zero():
-                continue
-            slot = _SLOT_BY[(level, j)]
-            d = decompose(part)
-            fields[f"k{slot}"] = d.valuation
-            fields[f"p{slot}"] = d.unit_part
+            ki = _valuation(g[j])
+            if ki < n:
+                slot = _SLOT_BY[(level, j)]
+                unit = np.zeros(n, dtype=np.int16)
+                unit[: n - ki] = g[j, ki:]
+                fields[f"k{slot}"] = ki
+                fields[f"p{slot}"] = SPoly(spec, n, unit)
 
     code = validate_canonical(spec, k, GeneratorForm(**fields))
     return spec, code

@@ -76,8 +76,11 @@ class SPoly:
 
     @classmethod
     def monomial(cls, spec: FieldSpec, n: int, exp: int, coeff=1) -> "SPoly":
+        """coeff * s^exp, zero for exp >= n."""
+        if exp < 0:
+            raise ValueError("negative exponent")
         c = np.zeros(n, dtype=np.int16)
-        if 0 <= exp < n:
+        if exp < n:
             c[exp] = spec.element(coeff).encoding
         return cls(spec, n, c)
 

@@ -405,6 +405,11 @@ BAD_CODE_FILES = {
     "deep_nesting": "field: p=2 m=1\nlength: k=2\ng3: " + "(" * 3000 + "u^3" + ")" * 3000 + "\n",
     # longer than Python's int-from-string limit of 4300 digits
     "long_literal": "field: p=2 m=1\nlength: k=2\ng3: u^3*" + "1" * 5000 + "\n",
+    # keys outside the line's grammar, a key given twice, an empty modulus entry
+    "field_unknown_key": "field: p=2 m=1 foo=3\nlength: k=2\ng3: u^3\n",
+    "length_unknown_key": "field: p=2 m=1\nlength: k=2 bar=1\ng3: u^3\n",
+    "length_repeated_key": "field: p=2 m=1\nlength: k=2 k=3\ng3: u^3\n",
+    "modulus_empty_entry": "field: p=2 m=2 modulus=[1,1,,1]\nlength: k=2\ng3: u^3\n",
 }
 
 
@@ -415,6 +420,23 @@ def test_bad_code_file_exits_66(tmp_path, capsys, name):
     status, out = run(["analyze", str(path)])
     assert status == 66 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# The key=value lines above reuse the expected text of their own line.
+KEY_VALUE_ERRORS = {
+    "field_unknown_key": "line 1, column 1: expected field: p=.. m=.. [modulus=[..]]",
+    "length_unknown_key": "line 2, column 1: expected length: k=..",
+    "length_repeated_key": "line 2, column 1: expected length: k=..",
+    "modulus_empty_entry": "line 1, column 1: expected modulus=[c0,c1,...] of integers",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_VALUE_ERRORS))
+def test_bad_key_value_line_names_its_grammar(tmp_path, capsys, name):
+    path = tmp_path / "bad.code"
+    path.write_text(BAD_CODE_FILES[name])
+    assert run(["analyze", str(path)]) == (66, "")
+    assert capsys.readouterr().err == f"error: {KEY_VALUE_ERRORS[name]}\n"
 
 
 BAD_TOKEN = "one of u, s, a, (x-1), integer, + * ^ ( )"

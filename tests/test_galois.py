@@ -4,7 +4,9 @@ import random
 import pytest
 
 import u4codes as u
-from u4codes.errors import DegreeOutOfRange, DivisionByZero, NonPrime, NotMonic, Reducible
+from u4codes.errors import DegreeOutOfRange, DivisionByZero, NonPrime, NotMonic, OutOfRange, Reducible
+from u4codes import galois
+from u4codes.galois import FieldElement
 
 
 def test_field_make_f4():
@@ -71,6 +73,19 @@ def test_default_moduli_by_rule():
         u.field_make(2, 9)
     with pytest.raises(NonPrime):
         u.field_make(6, 1)
+
+
+def test_field_make_validates_once(monkeypatch):
+    # the size is checked once, and the default modulus is trial-divided only
+    # in its own search, not again once chosen
+    calls = {"_check_size": [], "_factor": []}
+    for name, seen in calls.items():
+        real = getattr(galois, name)
+        monkeypatch.setattr(galois, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    spec = u.field_make(2, 4)
+    tried = [tuple(f) for f, _ in calls["_factor"]]
+    assert len(calls["_check_size"]) == 1
+    assert tried[-1] == spec.modulus and len(set(tried)) == len(tried)
 
 
 def test_f4_multiplication_against_bruteforce():
@@ -152,6 +167,19 @@ def test_element_operators():
     assert a / a == spec.one()
     with pytest.raises(DivisionByZero):
         a / spec.zero()
+
+
+def test_element_holds_an_encoding_in_range():
+    spec = u.field_make(3, 2)
+    for e in range(spec.q):
+        x = spec.from_encoding(e)
+        assert x.encoding == e and x == spec.element(x.coeffs)
+        assert x.coeffs == tuple((e // 3**i) % 3 for i in range(2))
+    for bad in (spec.q, -1, 10**9):
+        with pytest.raises(OutOfRange):
+            FieldElement(spec, bad)
+    with pytest.raises(DegreeOutOfRange):
+        spec.element([1, 2, 0])
 
 
 def test_element_display():

@@ -64,6 +64,15 @@ def test_mul_commutative_associative_random(F4):
         assert (f * g) * h == f * (g * h)
 
 
+def test_negative_exponents_rejected(F2):
+    # like RingElement.from_part(-1, ...): no silent zero for a negative power
+    with pytest.raises(ValueError):
+        SPoly.monomial(F2, 4, -1)
+    with pytest.raises(ValueError):
+        SPoly.one(F2, 4).shift(-1)
+    assert SPoly.monomial(F2, 4, 4).is_zero()
+
+
 def test_shift_composes(F3):
     rng = random.Random(8)
     for _ in range(100):
