@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 verification mismatch, 64 usage, 66 bad input file,
 70 internal error.
+
+Exit 66 also covers output that cannot be written: a sweep's --out, or a
+standard output whose reader has gone (``u4codes analyze FILE | head -0``).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import random
 import sys
 
@@ -59,7 +63,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     """The argument parser, built on first use and kept: ``parse_args`` leaves
     it unchanged, and building it took 0.7 ms (2-core Xeon, Python 3.11)."""
-    parser = _Parser(prog="u4codes", description=__doc__)
+    # --help prints the first two paragraphs of the module docstring
+    description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+    parser = _Parser(prog="u4codes", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="analyze one code-specification file")
@@ -104,16 +110,21 @@ def _cmd_analyze(args, out) -> int:
     except U4CodesError as exc:
         raise _Failure(EXIT_FILE, str(exc))
 
-    report = analyze_code(code, verify=args.verify, cap=args.enum_cap)
-    verified = report.verified
-    profile = verified.torsion if verified is not None else torsion_profile(code, span_basis(code))
+    report = analyze_code(code)
+    basis = span_basis(code)
+    profile = torsion_profile(code, basis)
     verdicts = {"t3_formula_eq_oracle": profile[3] == report.t3}
     enum = None
-    if verified is not None:
-        for name, match in (("wt_sp_eq_enum", verified.sp_match), ("wt_rt_eq_enum", verified.rt_match)):
-            if match is not None:
-                verdicts[name] = match
-        enum = {"wt_sp": verified.sp_enum, "wt_rt": verified.rt_enum, "skipped": verified.enum_skipped}
+    if args.verify:
+        enum = {"wt_sp": None, "wt_rt": None, "skipped": None}
+        try:
+            minima = min_weights(code, cap=args.enum_cap, basis=basis)
+        except TooLarge as exc:
+            enum["skipped"] = str(exc)
+        else:
+            enum["wt_sp"], enum["wt_rt"] = minima["symbol_pair"], minima["rt"]
+            verdicts["wt_sp_eq_enum"] = enum["wt_sp"] == report.wt_sp
+            verdicts["wt_rt_eq_enum"] = enum["wt_rt"] == report.wt_rt
     generators = {f"g{lvl}": format_generator(code, lvl) for lvl in code.ideal_type}
 
     if args.json:
@@ -308,7 +319,15 @@ def run_command(argv, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        status = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed (``u4codes ... | head``); point it at devnull, as
+        # the Python docs advise, so the flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_FILE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -294,7 +294,7 @@ def _format_term(ulevel: int, exp: int, poly: SPoly | None) -> str:
         factors.append("u" if ulevel == 1 else f"u^{ulevel}")
     if exp:
         factors.append("(x-1)" if exp == 1 else f"(x-1)^{exp}")
-    if poly is not None and not poly == SPoly.one(poly.spec, poly.n):
+    if poly is not None and not (poly.coeffs[0] == 1 and not poly.coeffs[1:].any()):
         factors.append(f"({poly.to_string('(x-1)')})")
     return "*".join(factors) if factors else "1"
 

@@ -4,6 +4,10 @@ Codewords are weighed on their x-basis coordinate vectors: a coordinate of a
 chain-ring codeword is nonzero when any of its four u-components is nonzero
 at that position.  The enumeration oracle can optionally weigh in the s-basis
 for diagnostics, but every closed-form statement refers to the x-basis.
+
+``analyze`` is the closed form alone: t3 and the two minimum weights it
+determines.  ``min_weights`` is the enumeration oracle.  Comparing the two,
+and t3 with ``codes.torsion_profile``, is left to the caller (the CLI).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconsistentSet, NoBranch, OutOfRange, TooLarge
-from .codes import CyclicCode, SpanBasis, span_basis, torsion_profile
+from .codes import CyclicCode, SpanBasis, span_basis
 from .galois import FieldElement
 from .sring import basis_transform_rows
 from . import torsion
@@ -239,17 +243,7 @@ def wt_rt_from_t3(t3: int, p: int, k: int) -> int:
     return t3 + 1 if t3 < n else 0
 
 
-# --- the full report ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerifyRecord:
-    torsion: tuple[int, int, int, int]
-    sp_enum: Optional[int]
-    rt_enum: Optional[int]
-    sp_match: Optional[bool]
-    rt_match: Optional[bool]
-    enum_skipped: Optional[str]
+# --- the closed-form report ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -257,42 +251,16 @@ class WeightReport:
     t3: int
     wt_sp: int
     wt_rt: int
-    verified: Optional[VerifyRecord]
     trace: dict
 
 
-def analyze(code: CyclicCode, verify: bool = False, cap: int = 2**20) -> WeightReport:
-    """Closed-form t3 and weights, optionally cross-checked by the oracles."""
+def analyze(code: CyclicCode) -> WeightReport:
+    """Closed-form t3 and the minimum weights it determines.  The oracles
+    that check them are ``torsion_profile`` and ``min_weights``."""
     res = torsion.t3(code)
-    wt_sp = wt_sp_from_t3(res.t3, code.p, code.k)
-    wt_rt = wt_rt_from_t3(res.t3, code.p, code.k)
-
-    verified = None
-    if verify:
-        basis = span_basis(code)
-        profile = torsion_profile(code, basis)
-        sp_enum = rt_enum = sp_match = rt_match = None
-        skipped = None
-        try:
-            minima = _min_weights_enum(code, ("symbol_pair", "rt"), cap, basis, "x_basis")
-            sp_enum, rt_enum = minima["symbol_pair"], minima["rt"]
-            sp_match = sp_enum == wt_sp
-            rt_match = rt_enum == wt_rt
-        except TooLarge as exc:
-            skipped = str(exc)
-        verified = VerifyRecord(
-            torsion=profile,
-            sp_enum=sp_enum,
-            rt_enum=rt_enum,
-            sp_match=sp_match,
-            rt_match=rt_match,
-            enum_skipped=skipped,
-        )
-
     return WeightReport(
         t3=res.t3,
-        wt_sp=wt_sp,
-        wt_rt=wt_rt,
-        verified=verified,
+        wt_sp=wt_sp_from_t3(res.t3, code.p, code.k),
+        wt_rt=wt_rt_from_t3(res.t3, code.p, code.k),
         trace=res.path,
     )

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -29,8 +30,34 @@ def test_benchmark_tracer_still_binds():
     code = u.validate_canonical(u.field_make(2, 1), 2, u.GeneratorForm(r1=2))
     tracer.install()
     try:
-        u.analyze(code, verify=True)
+        u.analyze(code)
+        u.min_weights(code)
     finally:
         tracer.uninstall()
     assert tracer.counts["weights.codewords"] > 0
     assert u.weights._min_weights_enum is enumerate_minima
+
+
+def _readme_tour() -> str:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour_values():
+    # A comment on a bare expression is its value, up to the first double
+    # space; comments on other statements are prose.
+    tour = _readme_tour()
+    lines = tour.splitlines()
+    namespace = {}
+    checked = 0
+    for stmt in ast.parse(tour).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        expected = ast.literal_eval(comment.split("  ")[0])
+        assert value == expected, ast.get_source_segment(tour, stmt)
+        checked += 1
+    assert checked == 7

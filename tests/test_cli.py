@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -256,25 +257,34 @@ def test_enumeration_without_codewords_exits_internal(tmp_path, monkeypatch, cap
     assert "internal error" in capsys.readouterr().err
 
 
-def test_one_span_basis_per_code(tmp_path, monkeypatch):
-    calls = []
-    real = u.codes.span_basis
+def test_oracle_calls_per_command(tmp_path, monkeypatch):
+    # The CLI asks each oracle once: one span basis per analyze and per
+    # verify trial, one torsion profile per analyze, and an enumeration
+    # only under --verify.
+    calls = Counter()
 
-    def counted(code):
-        calls.append(code)
-        return real(code)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    for module in (u.codes, u.weights, u.cli):
-        monkeypatch.setattr(module, "span_basis", counted)
+    for name, modules in (("span_basis", (u.codes, u.weights, u.cli)),
+                          ("torsion_profile", (u.codes, u.cli)),
+                          ("_min_weights_enum", (u.weights,))):
+        wrapper = counted(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
     path = tmp_path / "c.code"
     path.write_text(GOLDEN_G0_G1_FILE)
-    for flags in (["--verify"], ["--verify", "--json"], []):
+    for flags, enumerations in (([], 0), (["--json"], 0), (["--verify"], 1), (["--verify", "--json"], 1)):
         calls.clear()
         status, _ = run(["analyze", str(path)] + flags)
-        assert status == 0 and len(calls) == 1
+        assert status == 0
+        assert (calls["span_basis"], calls["torsion_profile"], calls["_min_weights_enum"]) == (1, 1, enumerations)
     calls.clear()
     status, _ = run(["verify", "--p", "2", "--m", "1", "--k", "3", "--trials", "9", "--seed", "4"])
-    assert status == 0 and len(calls) == 9
+    assert status == 0 and calls["span_basis"] == 9
 
 
 def test_analyze_verify_at_max_length(tmp_path, F5):
@@ -515,3 +525,26 @@ def test_exit_codes_of_a_real_process(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == status, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_66_without_traceback(tmp_path, unbuffered):
+    # `u4codes analyze FILE | head -0`: the reader is gone before the first
+    # write.  Unbuffered, the first print raises BrokenPipeError; buffered,
+    # the flush does, and a second flush at exit must not report it again.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = tmp_path / "c.code"
+    code.write_text(GOLDEN_G1_FILE)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "u4codes.cli", "analyze", str(code)], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 66, proc.stderr
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr

@@ -1,4 +1,4 @@
-"""SHA-256 pins of ``u4codes analyze`` output on seeded random code files.
+"""SHA-256 pins of ``u4codes`` output on seeded inputs.
 
 For each (p, m, k) config, ``random_code`` draws CODES_PER_CONFIG codes from
 ``random.Random(seed)``; each is written with ``format_code_file`` and run
@@ -6,10 +6,14 @@ through ``analyze`` three times: as text, with ``--json`` and with
 ``--verify --json``.  One digest per config covers every exit status and
 every output, in that order, so any change in what a code file parses to or
 in how its analysis prints fails here.
+
+``verify`` is pinned the same way, as text and with ``--json``, on its own
+configs, and ``sweep`` by the CSV it writes for one multi-config grid.
 """
 
 import hashlib
 import io
+import json
 import random
 
 import pytest
@@ -53,3 +57,47 @@ def output_digest(tmp_path, p, m, k):
 @pytest.mark.parametrize("config", sorted(PINNED), ids=lambda c: "F%d^%d-k%d" % c)
 def test_analyze_output_is_pinned(tmp_path, config):
     assert output_digest(tmp_path, *config) == PINNED[config]
+
+
+VERIFY_TRIALS = 12
+
+# (p, m, k) -> SHA-256 of the text and --json outputs of verify with
+# VERIFY_TRIALS trials and seed seed_of(p, m, k).
+VERIFY_PINNED = {
+    (2, 1, 2): "e1291cbeca7680fda499375e647747d7025e7e7a78206ef22a6958f58cdb51e9",
+    (2, 1, 3): "020ddaa56f73734f3192df841e8bfa96fe1534343d0418e85af7c96cca1f3a7f",
+    (2, 1, 4): "9b3656cf32cd6829cacd89b9ec652011abc4f0b3a4dc0f70170a91eb49c01889",
+    (3, 1, 2): "b4d673db80f1303dbb30aafa4746972576eacb364810ec47922e370f5e764959",
+    (2, 2, 2): "d0388390f878bc5ad23db7739f21d01ee8ea0ee72541fc9b65c4f986d64e78d5",
+    (5, 1, 2): "b92d566c265764ffcf567ae1c34464e47f3869232f0b14cd3184ec7e64c879f4",
+}
+
+SWEEP_CONFIG = {"p": [2, 3], "m": [1, 2], "k": [1, 2], "trials": 4, "seed": 11}
+SWEEP_PINNED = "280b35d51dc1b603935dd305a7b7a5a7d608e1fa240ee3cc7df2b4ef657460d7"
+
+
+def verify_digest(p, m, k):
+    argv = ["verify", "--p", str(p), "--m", str(m), "--k", str(k),
+            "--trials", str(VERIFY_TRIALS), "--seed", str(seed_of(p, m, k))]
+    digest = hashlib.sha256()
+    for flags in ([], ["--json"]):
+        out = io.StringIO()
+        status = run_command(argv + flags, out=out)
+        digest.update(f"{status}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+def sweep_digest(tmp_path):
+    config, rows = tmp_path / "sweep.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
+    status = run_command(["sweep", str(config), "--out", str(rows)], out=io.StringIO())
+    return hashlib.sha256(f"{status}\n{rows.read_text(encoding='utf-8')}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("config", sorted(VERIFY_PINNED), ids=lambda c: "F%d^%d-k%d" % c)
+def test_verify_output_is_pinned(config):
+    assert verify_digest(*config) == VERIFY_PINNED[config]
+
+
+def test_sweep_csv_is_pinned(tmp_path):
+    assert sweep_digest(tmp_path) == SWEEP_PINNED

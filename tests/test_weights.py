@@ -347,21 +347,35 @@ def test_random_chain_codes_equivalence():
 # --- analyze ----------------------------------------------------------------------
 
 
-def test_analyze_golden_g1(F4):
-    rep = u.analyze(golden_g1_f4(F4), verify=True)
+def test_analyze_asks_no_oracle(F4, monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    for module in (u.codes, u.weights):
+        for name in ("span_basis", "torsion_profile", "_min_weights_enum"):
+            monkeypatch.setattr(module, name, oracle, raising=False)
+    rep = u.analyze(golden_g1_f4(F4))
     assert (rep.t3, rep.wt_sp, rep.wt_rt) == (1, 3, 2)
-    assert rep.verified.torsion[3] == rep.t3
+
+
+def test_analyze_golden_g1(F4):
+    code = golden_g1_f4(F4)
+    rep = u.analyze(code)
+    assert (rep.t3, rep.wt_sp, rep.wt_rt) == (1, 3, 2)
+    assert u.torsion_profile(code)[3] == rep.t3
 
 
 def test_analyze_golden_g0_g1(F2):
-    rep = u.analyze(golden_g0_g1_f2(F2), verify=True)
+    code = golden_g0_g1_f2(F2)
+    rep = u.analyze(code)
     assert (rep.t3, rep.wt_sp, rep.wt_rt) == (0, 2, 1)
-    assert rep.verified.sp_match and rep.verified.rt_match
+    assert u.min_weights(code) == {"symbol_pair": rep.wt_sp, "rt": rep.wt_rt}
 
 
 def test_analyze_g2_f25_skips_enum(F25):
-    rep = u.analyze(golden_g2_f25(F25), verify=True)
+    code = golden_g2_f25(F25)
+    rep = u.analyze(code)
     assert (rep.t3, rep.wt_sp, rep.wt_rt) == (51, 8, 52)
-    assert rep.verified.torsion[3] == rep.t3
-    assert rep.verified.enum_skipped is not None
-    assert rep.verified.sp_match is None
+    assert u.torsion_profile(code)[3] == rep.t3
+    with pytest.raises(TooLarge):
+        u.min_weights(code)
