@@ -6,10 +6,13 @@ s^n = 0) apply.  The primitives on such arrays live here too, so that this
 module alone fixes the layout that ``codes``, ``torsion`` and the expression
 evaluator in ``parsing`` compute on: ``_mul``, the ring product, serves the
 evaluator and ``RingElement.__mul__`` alike.  Among them is the one
-elimination step that the echelon form in ``codes`` and the u^2-part
-eliminations in ``torsion`` both take: ``_monic`` scales a row so that its
-pivot column is exactly s^v, and ``_clear`` subtracts multiples of it to
-clear that column from another row.
+elimination step that the echelon form and membership test in ``codes`` and
+the u^2-part eliminations in ``torsion`` all take: ``_clear`` clears column c
+of a row against a head h with h[c] = s^v w, w a unit, fraction-free, by
+r <- w r - (r[c] >> v) h, so it inverts no series.  ``_monic`` scales a row
+by the inverse of its pivot unit, so that its pivot column is exactly s^v;
+only the level-1 eliminations in ``torsion`` take it, since their results
+become u^2-part members whose later valuations depend on the scaling.
 """
 
 from __future__ import annotations
@@ -48,6 +51,12 @@ def _mul(field: FieldSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lead_one(field: FieldSpec, x: np.ndarray, c: int, v: int) -> np.ndarray:
+    """x scaled by the field constant that makes x[c, v] = 1 (x itself if it is)."""
+    scale = field.inv(int(x[c, v]))
+    return x if scale == 1 else field.mul_table[scale, x]
+
+
 def _monic(field: FieldSpec, x: np.ndarray, c: int) -> tuple[int, np.ndarray]:
     """(v, h) for a (4, n) array x with x[c] = s^v * unit nonzero: h is x
     times the inverse of that unit, so that h[c] = s^v exactly.
@@ -63,8 +72,7 @@ def _monic(field: FieldSpec, x: np.ndarray, c: int) -> tuple[int, np.ndarray]:
     v = _valuation(x[c])
     unit = x[c, v:]
     if not unit[1:].any():
-        scale = field.inv(int(unit[0]))
-        return v, x if scale == 1 else field.mul_table[scale, x]
+        return v, _lead_one(field, x, c, v)
     prec = n - _valuation(x.any(axis=0))
     padded = np.zeros(prec, dtype=np.int16)
     padded[: n - v] = unit  # n - v <= prec since v >= val x
@@ -79,13 +87,36 @@ def _monic(field: FieldSpec, x: np.ndarray, c: int) -> tuple[int, np.ndarray]:
 
 
 def _clear(field: FieldSpec, r: np.ndarray, c: int, v: int, h: np.ndarray):
-    """r -= (r[c] >> v) * h in place, for a head h[c] = s^v (``_monic``)
-    that is zero before column c, and r[c, :v] zero."""
+    """r <- w r - (r[c] >> v) h in place, for a row r and a head h that are
+    zero before column c, h[c] = s^v w with w a unit, and r[c] a multiple
+    of s^v.
+
+    This is the fraction-free step of Bareiss (1968) over F[s]/<s^n>: it
+    scales r by the unit w instead of h by its inverse, so it inverts
+    nothing, and column c of the result is w r[c] - (r[c] >> v) s^v w = 0.
+    The result is a unit multiple of r minus a multiple of h, so together
+    with h it spans the module that r and h span, and for a module that
+    holds h, s^d r is a member exactly when s^d times the result is.  For a
+    head that ``_monic`` scaled, w = 1 and the step is r -= (r[c] >> v) h;
+    a constant w costs one field-table lookup per coefficient, not a
+    product.  The preconditions on columns c of r and h are checked, and a
+    failure raises ``InconsistentSet``.
+    """
     n = r.shape[1]
+    if r[c, :v].any() or h[c, :v].any() or not h[c, v]:
+        raise InconsistentSet(f"column {c} is not cleared by a head at s^{v}")
+    w = np.zeros(n, dtype=np.int16)
+    w[: n - v] = h[c, v:]
     q = np.zeros(n, dtype=np.int16)
     q[: n - v] = r[c, v:]
-    r[c, v:] = 0
+    r[c] = 0
+    unit, lead = w[1:].any(), int(w[0])
     for j in range(c + 1, 4):
+        if r[j].any():
+            if unit:
+                r[j] = _mul_trunc(field, w, r[j], n)
+            elif lead != 1:
+                r[j] = field.mul_table[lead, r[j]]
         if h[j].any():
             r[j] = field.sub_table[r[j], _mul_trunc(field, q, h[j], n)]
 

@@ -274,7 +274,8 @@ def _cmd_sweep(args, out) -> int:
                 code_length(p, k)
     except OSError as exc:
         raise _Failure(EXIT_FILE, f"cannot read {args.config}: {exc}")
-    except (KeyError, TypeError, ValueError, U4CodesError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, U4CodesError) as exc:
+        # json.load raises RecursionError on a config nested too deeply
         raise _Failure(EXIT_FILE, f"bad sweep config: {exc}")
     if trials < 1:
         raise _Failure(EXIT_FILE, "bad sweep config: trials must be >= 1")

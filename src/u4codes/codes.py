@@ -19,13 +19,15 @@ The oracle comes from generic module algebra, not from the torsion formulas:
 the code is the submodule of A^4, A = F[s]/<s^n>, spanned by the at most 10
 rows u^b g_i, and their echelon (Howell) form over the chain ring A
 (Howell 1986; Storjohann and Mulders 1998) has one leading row
-h_c = s^(v_c) e_c + (later columns) per pivot column c.  One reduction on
-these heads gives the least d with s^d w in C: 0 for a member, t_i for u^i.
-The rows s^j h_c, j < n - v_c, have distinct leading 1s and span C over F,
-so they are an F-basis; they are built only to enumerate codewords.  The
-echelon form runs on the generators' arrays with the primitives of ``chain``:
-``_monic`` scales each pivot row and ``_clear`` clears its column from the
-other rows, the same step that the closed form's eliminations take.
+h_c = s^(v_c) w_c e_c + (later columns) per pivot column c, w_c a unit with
+constant term 1.  One reduction on these heads gives the least d with
+s^d w in C: 0 for a member, t_i for u^i.  The rows s^j h_c, j < n - v_c,
+have distinct leading 1s and span C over F, so they are an F-basis; they
+are built only to enumerate codewords.  The echelon form runs on the
+generators' arrays with the primitives of ``chain``: each pivot row is
+scaled by a field constant only, and ``_clear`` clears its column from the
+other rows fraction-free (Bareiss 1968), the same step that the closed
+form's eliminations take, so the oracle inverts no series.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .errors import (
     MixedField,
     MixedLength,
 )
-from .chain import RingElement, _clear, _monic, _shift, _valuation
+from .chain import RingElement, _clear, _lead_one, _shift, _valuation
 from .galois import FieldSpec
 from .sring import MAX_N, SPoly
 
@@ -233,7 +235,8 @@ def validate_canonical(field: FieldSpec, k: int, form: GeneratorForm) -> CyclicC
 @dataclass(frozen=True, eq=False)
 class SpanBasis:
     """The code's echelon (Howell) form over A = F[s]/<s^n>: pivot column
-    c -> (v_c, h_c), read-only, as ``_echelon`` returns it.
+    c -> (v_c, h_c), read-only, as ``_echelon`` returns it, with
+    h_c[c] = s^(v_c) times a unit whose constant term is 1.
 
     ``rows``, built on first use, is the code's F-basis in F^(4n): the rows
     s^j h_c as flattened (a0 || a1 || a2 || a3) s-basis vectors.
@@ -273,8 +276,13 @@ def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, n
     """Echelon (Howell) form of a submodule of A^4, A = F[s]/<s^n>.
 
     Returns column c -> (v_c, h_c), h_c read-only, for the pivot columns: h_c is
-    zero before column c and h_c[c] = s^(v_c).  The module is the F-span of
-    the rows s^j h_c for j < n - v_c.
+    zero before column c and h_c[c] = s^(v_c) w_c, w_c a unit with constant
+    term 1.  The module is the F-span of the rows s^j h_c for j < n - v_c.
+
+    Each pivot row is scaled by a field constant only, so that h_c[c, v_c]
+    is 1, and ``_clear`` replaces each other row r by w_c r - q h_c, a unit
+    multiple of r less a multiple of h_c: the module and its invariants
+    (rank, the v_c, membership) stay those of the monic heads.
     """
     n = rows[0].shape[1]
     heads: dict[int, tuple[int, np.ndarray]] = {}
@@ -283,7 +291,8 @@ def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, n
         if not rows or min(vals) == n:
             continue
         i = vals.index(min(vals))
-        v, h = _monic(field, rows[i], c)
+        v = vals[i]
+        h = _lead_one(field, rows[i], c, v)
         rest = []
         for idx, r in enumerate(rows):
             if idx == i:
@@ -315,6 +324,8 @@ def _least_shift(basis: SpanBasis, w: np.ndarray) -> int:
     A member whose earlier columns are zero has column c a multiple of s^(v_c)
     (zero without a head), so w is shifted until it is, and h_c clears column
     c; by the Howell property the later heads span the rest, so d is exact.
+    The clearing step scales w by the unit w_c of h_c[c] = s^(v_c) w_c, which
+    keeps every s^d w in or out of the code, so no unit is inverted.
     """
     n = basis.n
     w = np.array(w, dtype=np.int16)

@@ -14,7 +14,11 @@ products per doubling of the precision, O(log n) kernel calls in all for a
 length-n inverse and none for a constant.  A caller that reads an inverse
 only below some s^prec inverts in F[s]/<s^prec> and pays O(log prec) calls:
 ``chain._monic``, the one place that scales a row x by a unit inverse, uses
-prec = n - val x (val x the least valuation of x's u-parts).  The x/s basis
+prec = n - val x (val x the least valuation of x's u-parts).  Only the
+level-1 eliminations of the closed form call it; the pivot-and-clear step
+``chain._clear`` is fraction-free, one product per nonzero u-part for the
+unit scale and one per u-part of the head, so the span oracle inverts no
+series at all, and a constant scale is a table lookup.  The x/s basis
 change costs K passes of a p x p matrix product over the m digit planes for
 n = p^K, and builds no n x n matrix.
 """

@@ -13,9 +13,12 @@ true offset.  Each candidate fed into a min is the valuation of an explicitly
 constructed member of the code (or a value >= some other candidate), so the
 minimum is always witnessed.  The g0 path builds those members from the
 generators' (4, n) arrays (``chain`` layout) with the primitives the oracle
-shares: ``chain._shift``, and ``chain._monic`` and ``_clear``, the step that
-also builds the oracle's echelon form.  The case formulas stay on ``SPoly``
-because their traces print the polynomial.
+shares: ``chain._shift`` and ``chain._clear``, the fraction-free step that
+also builds the oracle's echelon form.  The pairwise stage clears against
+each member unscaled and inverts nothing; the level-1 eliminations first
+scale their pivot with ``chain._monic``, because their results become
+members, and a unit multiple of a member would move later valuations.  The
+case formulas stay on ``SPoly`` because their traces print the polynomial.
 """
 
 from __future__ import annotations
@@ -266,8 +269,9 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
 
     taus = []
     for a, fi in enumerate(with_u2[:-1]):
-        # one scaled pivot per member, not per pair
-        v, h = _monic(code.field, fi.element, 2)
+        # fraction-free: the result is w_i times the one against the monic
+        # pivot, since w_i w_i^-1 - 1 lies in s^(n - val f_i) and kills f_i
+        v, h = fi.omega, fi.element
         for fj in with_u2[a + 1 :]:
             elim = fj.element.copy()
             _clear(code.field, elim, 2, v, h)

@@ -225,7 +225,19 @@ def _sp_table_rows(p: int, k: int) -> list[tuple[int, int, int]]:
 
 def wt_sp_from_t3(t3: int, p: int, k: int) -> int:
     """Minimum symbol-pair weight as a function of t3; the case table is
-    total and disjoint on [0, p^k], which is asserted on every call."""
+    total and disjoint on [0, p^k], which is asserted on every call.
+
+    Why it takes no m (a standard lemma for chain rings): take a nonzero
+    codeword c and the largest j with u^j c != 0.  Then u^j c = u^3 a with
+    a in the torsion code Tor_3(C) = <(x-1)^t3>, and the support of u^j c
+    lies inside that of c.  Every word a of the torsion code is
+    sum beta_i a_i over an F_p-basis beta_i of F_{p^m}, with each a_i in the
+    F_p-code <(x-1)^t3> (its generator has coefficients in F_p), so the
+    support of a is the union of those of the a_i.  Symbol-pair weight only
+    grows with the support, so the minimum over C is that of the F_p-code
+    <(x-1)^t3> of length p^k: a function of (p, k, t3) alone.  The same
+    holds for the Hamming and RT weights.
+    """
     n = p**k
     if not 0 <= t3 <= n:
         raise OutOfRange(f"t3 = {t3} outside [0, {n}]")
@@ -236,7 +248,17 @@ def wt_sp_from_t3(t3: int, p: int, k: int) -> int:
 
 
 def wt_rt_from_t3(t3: int, p: int, k: int) -> int:
-    """Minimum RT weight: t3 + 1, except the zero code (t3 = p^k) has 0."""
+    """Minimum RT weight: t3 + 1, except the zero code (t3 = p^k) has 0.
+
+    Proof.  The RT weight of a nonzero word is one more than the degree of
+    its polynomial in x.  By the lemma in ``wt_sp_from_t3`` the minimum over
+    C is that of the F_p-code <(x-1)^t> of length n = p^k, t = t3.  Since
+    (x-1)^t divides x^n - 1 = (x-1)^n, a word of degree < n lies in that
+    code exactly when (x-1)^t divides it, so a nonzero one has degree at
+    least t, and (x-1)^t itself has degree t: the minimum is t + 1.  For
+    t = n the torsion code is zero, and so is C, since a nonzero c gives
+    the nonzero u^j c = u^3 a of that lemma.
+    """
     n = p**k
     if not 0 <= t3 <= n:
         raise OutOfRange(f"t3 = {t3} outside [0, {n}]")

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import u4codes as u
-from u4codes import chain, codes, torsion
+from u4codes import chain, torsion
 from u4codes.chain import RingElement
 from u4codes.errors import LengthMismatch, MixedLength, OutOfRange
 from u4codes.parsing import parse_expression
@@ -224,32 +225,61 @@ def test_constructor_rejects_encodings_out_of_range(F2, F4):
 
 @pytest.mark.parametrize("p,m,k", [(2, 1, 3), (3, 1, 2), (2, 2, 3), (5, 1, 2), (3, 2, 2)])
 def test_monic_scales_by_the_full_inverse(p, m, k, monkeypatch):
-    # every pivot that the echelon form and the u^2-part eliminations scale:
-    # h = x times the full-length inverse of the unit part, and h[c] = s^v
+    # every pivot that the level-1 eliminations of the u^2-part sets scale,
+    # the one caller of _monic left: h = x times the full-length inverse of
+    # the unit part, and h[c] = s^v
     spec = u.field_make(p, m)
     pivots = []
 
-    def recording(module):
-        def monic(field, x, c):
-            v, h = chain._monic(field, x, c)
-            pivots.append((module, x.copy(), c, v, h.copy()))
-            return v, h
+    def monic(field, x, c):
+        v, h = chain._monic(field, x, c)
+        pivots.append((x.copy(), c, v, h.copy()))
+        return v, h
 
-        monkeypatch.setattr(module, "_monic", monic)
-
-    recording(codes)
-    recording(torsion)
+    monkeypatch.setattr(torsion, "_monic", monic)
     rng = random.Random(700 + 100 * p + 10 * m + k)
     for _ in range(40):
         code = u.random_code(rng, spec, k)
         u.span_basis(code)
         u.t3(code)
-    # non-constant units: echelon pivots, level-1 eliminations, u^2-part members
-    scaled = {(codes, 3): 0, (torsion, 1): 0, (torsion, 2): 0}
-    for module, x, c, v, h in pivots:
+    non_constant = 0
+    for x, c, v, h in pivots:
         n = x.shape[1]
+        assert c == 1
         unit = decompose(SPoly(spec, n, x[c])).unit_part
         assert np.array_equal(h, RingElement(spec, n, x).poly_mul(unit.inverse()).coeffs)
         assert np.array_equal(h[c], SPoly.monomial(spec, n, v).coeffs)
-        scaled[module, 3 if module is codes else c] += bool(unit.coeffs[1:].any())
-    assert min(scaled.values()) >= 3
+        non_constant += bool(unit.coeffs[1:].any())
+    assert non_constant >= 3
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 8), (3, 1, 9), (2, 2, 8), (5, 1, 25), (3, 2, 9)])
+def test_clear_is_the_fraction_free_step(p, m, n):
+    # r <- w r - (r[c] >> v) h for a head h[c] = s^v w, checked against the
+    # ring's own arithmetic; w is non-constant, a constant != 1 (q > 2) or 1
+    spec = u.field_make(p, m)
+    rng = random.Random(900 + 100 * p + 10 * m + n)
+    kinds = Counter()
+    for trial in range(90):
+        c, v = rng.randrange(4), rng.randrange(n - 1)
+        w = np.zeros(n, dtype=np.int16)
+        w[0] = 1 if trial % 3 == 0 else rng.randrange(1, spec.q)
+        if trial % 3 == 1:
+            w[1 : n - v] = [rng.randrange(spec.q) for _ in range(n - v - 1)]
+            w[n - v - 1] = rng.randrange(1, spec.q)
+        kinds["unit" if w[1:].any() else "constant" if w[0] != 1 else "one"] += 1
+        h = rand_relem(rng, spec, n).coeffs.copy()
+        h[:c] = 0
+        h[c] = SPoly(spec, n, w).shift(v).coeffs
+        r = rand_sparse_relem(rng, spec, n).coeffs.copy()
+        r[:c] = r[c, :v] = 0
+        q = np.zeros(n, dtype=np.int16)
+        q[: n - v] = r[c, v:]
+        ring = lambda f: RingElement.from_part(0, SPoly(spec, n, f))
+        want = ring(w) * RingElement(spec, n, r) - ring(q) * RingElement(spec, n, h)
+        got = r.copy()
+        chain._clear(spec, got, c, v, h)
+        assert np.array_equal(got, want.coeffs)
+        assert not got[c].any()
+    assert kinds["unit"] == 30 and kinds["one"] >= 30
+    assert kinds["constant"] >= 10 or spec.q == 2

@@ -210,6 +210,16 @@ def test_analyze_undecodable_file_exits_66(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
+# <g0> whose sA = s^4 g0 has the u-part s^4 (1 + 2s): the level-1
+# elimination of sA against u g0 inverts that non-constant unit, the one
+# series inverse on the path of analyze.
+G0_UNIT_PIVOT_FILE = """\
+field: p=3 m=1 modulus=[0,1]
+length: k=2
+g0: (x-1)^5 + u*(1+2*(x-1)) + u^3*(x-1)^2
+"""
+
+
 def test_wrong_inverse_exits_internal(tmp_path, monkeypatch, capsys):
     # A series off by a unit leaves the u-part elimination of <g0> uncancelled;
     # the guard raises (it is no assert, so python -O keeps it) and the CLI
@@ -219,7 +229,7 @@ def test_wrong_inverse_exits_internal(tmp_path, monkeypatch, capsys):
         u.SPoly, "inverse", lambda f: true_inverse(f) + u.SPoly.one(f.spec, f.n)
     )
     path = tmp_path / "g0.code"
-    path.write_text(GOLDEN_G0_F3_FILE)
+    path.write_text(G0_UNIT_PIVOT_FILE)
     status, _ = run(["analyze", str(path)])
     assert status == 70
     assert "internal error" in capsys.readouterr().err
@@ -235,7 +245,7 @@ def test_wrong_inverse_exits_internal_under_optimize(tmp_path):
         "u.SPoly.inverse = lambda f: true_inverse(f) + u.SPoly.one(f.spec, f.n)\n"
     )
     path = tmp_path / "g0.code"
-    path.write_text(GOLDEN_G0_F3_FILE)
+    path.write_text(G0_UNIT_PIVOT_FILE)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)])}
     proc = subprocess.run([sys.executable, "-O", "-m", "u4codes.cli", "analyze", str(path)],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -495,6 +505,16 @@ def test_bad_sweep_config_exits_66(tmp_path, capsys, override):
     status, _ = run(["sweep", str(config), "--out", str(out_path)])
     assert status == 66 and not out_path.exists()
     assert "bad sweep config" in capsys.readouterr().err
+
+
+def test_deeply_nested_sweep_config_exits_66(tmp_path, capsys):
+    # json.load gives up on deep nesting with RecursionError, not ValueError
+    config = tmp_path / "sweep.json"
+    config.write_text("[" * 100000 + "]" * 100000)
+    out_path = tmp_path / "rows.csv"
+    status, _ = run(["sweep", str(config), "--out", str(out_path)])
+    assert status == 66 and not out_path.exists()
+    assert capsys.readouterr().err.startswith("error: bad sweep config: ")
 
 
 def test_sweep_field_outside_the_old_table(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import u4codes as u
+from u4codes import chain
 from u4codes.chain import RingElement
 from u4codes.codes import _CORRECTIONS
 from u4codes.errors import (
@@ -333,14 +334,50 @@ def test_torsion_oracle_checks_level(F3):
             u.torsion_oracle(code, i)
 
 
-def test_wrong_inverse_fails_the_echelon_guard(F4, monkeypatch):
-    # <g1> pivots column 2 on s^(n-r1) g1, whose u^2-part s^3 (1 + s) has a
-    # non-constant unit; an inverse off by one leaves column 2 != s^3
+def test_a_head_off_its_valuation_fails_the_clear_guard(F4):
+    # _clear needs r[c] and h[c] zero below s^v and h[c, v] != 0; the guard
+    # raises (it is no assert, so python -O keeps it)
+    n = 8
+    head, row = np.zeros((4, n), dtype=np.int16), np.zeros((4, n), dtype=np.int16)
+    head[2, 3:5] = head[3, 0] = row[2, 4] = row[3, 1] = 1
+    chain._clear(F4, row.copy(), 2, 3, head)
+    for arr, j in ((row, 2), (head, 2), (head, 3)):
+        bad_row, bad_head = row.copy(), head.copy()
+        (bad_row if arr is row else bad_head)[2, j] ^= 1
+        with pytest.raises(InconsistentSet):
+            chain._clear(F4, bad_row, 2, 3, bad_head)
+    # a basis whose head for column 2 reads s^(v+1) where its v says s^v:
+    # membership stops at the guard instead of answering
     code = golden_g1_f4(F4)
-    true_inverse = SPoly.inverse
-    monkeypatch.setattr(SPoly, "inverse", lambda f: true_inverse(f) + SPoly.one(f.spec, f.n))
+    basis = u.span_basis(code)
+    v, h = basis.heads[2]
+    bad = replace(basis, heads={**basis.heads, 2: (v, chain._shift(h, 1))})
     with pytest.raises(InconsistentSet):
-        u.span_basis(code)
+        u.contains(bad, RingElement.from_part(2, SPoly.monomial(F4, 8, v)))
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (5, 1, 2), (3, 2, 2), (5, 2, 1)])
+def test_the_oracle_inverts_no_series(p, m, k, monkeypatch):
+    # the echelon form scales each head by a field constant and clears
+    # fraction-free, so span_basis, torsion_profile and contains never
+    # call SPoly.inverse
+    def no_inverse(f):
+        raise AssertionError("the span oracle inverted a series")
+
+    spec, rng = u.field_make(p, m), random.Random(1900 + 100 * p + 10 * m + k)
+    drawn = [u.random_code(rng, spec, k) for _ in range(40)]
+    monkeypatch.setattr(SPoly, "inverse", no_inverse)
+    non_constant = 0
+    for code in drawn:
+        basis = u.span_basis(code)
+        profile = u.torsion_profile(code, basis)
+        for level in code.ideal_type:
+            assert u.contains(basis, code.generator(level))
+        if profile[3]:
+            probe = RingElement.from_part(3, SPoly.monomial(spec, code.n, profile[3] - 1))
+            assert not u.contains(basis, probe)
+        non_constant += sum(bool(h[c, v + 1 :].any()) for c, (v, h) in basis.heads.items())
+    assert non_constant >= 5
 
 
 def reference_contains(basis, elem):
