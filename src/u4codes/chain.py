@@ -8,8 +8,10 @@ evaluator in ``parsing`` compute on: ``_mul``, the ring product, serves the
 evaluator and ``RingElement.__mul__`` alike.  Among them is the one
 elimination step that the echelon form and membership test in ``codes`` and
 the u^2-part eliminations in ``torsion`` all take: ``_clear`` clears column c
-of a row against a head h with h[c] = s^v w, w a unit, fraction-free, by
-r <- w r - (r[c] >> v) h, so it inverts no series.  ``_monic`` scales a row
+of a row, or of a (B, 4, n) stack of rows, against a head h with
+h[c] = s^v w, w a unit, fraction-free, by r <- w r - (r[c] >> v) h, so it
+inverts no series.  Every product in it shares a factor (w, or a u-part of
+h), so a stack costs the kernel calls of one row.  ``_monic`` scales a row
 by the inverse of its pivot unit, so that its pivot column is exactly s^v;
 only the level-1 eliminations in ``torsion`` take it, since their results
 become u^2-part members whose later valuations depend on the scaling.
@@ -41,13 +43,18 @@ def _shift(x: np.ndarray, a: int, b: int = 0) -> np.ndarray:
 
 def _mul(field: FieldSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The ring product of two (4, n) encoding arrays, truncated at u^4 and
-    at s^n: part i + j collects the products of part i of x and part j of y."""
+    at s^n: part i + j collects the products of part i of x and part j of y,
+    and part i of x multiplies all nonzero parts j < 4 - i of y in one
+    kernel call."""
     n = x.shape[1]
     out = np.zeros((4, n), dtype=np.int16)
-    y_parts = y.any(axis=1)
-    for i in np.flatnonzero(x.any(axis=1)):
-        for j in np.flatnonzero(y_parts[: 4 - i]):
-            out[i + j] = field.add_table[out[i + j], _mul_trunc(field, x[i], y[j], n)]
+    y_parts = np.flatnonzero(y.any(axis=1)).tolist()
+    for i in np.flatnonzero(x.any(axis=1)).tolist():
+        js = [j for j in y_parts if i + j < 4]
+        if js:
+            prods = _mul_trunc(field, x[i], y[js[0] : js[-1] + 1], n)
+            for j in js:
+                out[i + j] = field.add_table[out[i + j], prods[j - js[0]]]
     return out
 
 
@@ -77,19 +84,16 @@ def _monic(field: FieldSpec, x: np.ndarray, c: int) -> tuple[int, np.ndarray]:
     padded = np.zeros(prec, dtype=np.int16)
     padded[: n - v] = unit  # n - v <= prec since v >= val x
     inverse = SPoly(field, prec, padded).inverse().coeffs
-    h = np.zeros_like(x)
-    for j in range(4):
-        if x[j].any():
-            h[j] = _mul_trunc(field, inverse, x[j], n)
+    h = _mul_trunc(field, inverse, x, n)
     if h[c, v] != 1 or h[c, v + 1 :].any():
         raise InconsistentSet(f"column {c} of a pivot row is not s^{v} after scaling")
     return v, h
 
 
 def _clear(field: FieldSpec, r: np.ndarray, c: int, v: int, h: np.ndarray):
-    """r <- w r - (r[c] >> v) h in place, for a row r and a head h that are
-    zero before column c, h[c] = s^v w with w a unit, and r[c] a multiple
-    of s^v.
+    """r <- w r - (r[c] >> v) h in place, for r one (4, n) row or a (B, 4, n)
+    stack of rows and a head h, all zero before column c, h[c] = s^v w with w
+    a unit, and every r[c] a multiple of s^v.
 
     This is the fraction-free step of Bareiss (1968) over F[s]/<s^n>: it
     scales r by the unit w instead of h by its inverse, so it inverts
@@ -99,26 +103,26 @@ def _clear(field: FieldSpec, r: np.ndarray, c: int, v: int, h: np.ndarray):
     holds h, s^d r is a member exactly when s^d times the result is.  For a
     head that ``_monic`` scaled, w = 1 and the step is r -= (r[c] >> v) h;
     a constant w costs one field-table lookup per coefficient, not a
-    product.  The preconditions on columns c of r and h are checked, and a
-    failure raises ``InconsistentSet``.
+    product.  Every row of a stack shares the factors w and h[j], so the
+    stack takes one kernel call for w and one per nonzero h[j], j > c,
+    whatever its height.  The preconditions on column c of every row and
+    of h are checked before anything is written, and a failure raises
+    ``InconsistentSet``.
     """
-    n = r.shape[1]
-    if r[c, :v].any() or h[c, :v].any() or not h[c, v]:
+    n, col = r.shape[-1], r[..., c, :]
+    if col[..., :v].any() or h[c, :v].any() or not h[c, v]:
         raise InconsistentSet(f"column {c} is not cleared by a head at s^{v}")
-    w = np.zeros(n, dtype=np.int16)
-    w[: n - v] = h[c, v:]
-    q = np.zeros(n, dtype=np.int16)
-    q[: n - v] = r[c, v:]
-    r[c] = 0
-    unit, lead = w[1:].any(), int(w[0])
+    w, q = h[c, v:], col[..., v:].copy()  # w and r[c] >> v, cut at s^(n - v)
+    col[...] = 0
+    later = r[..., c + 1 :, :]
+    if w[1:].any():
+        if later.any():
+            later[...] = _mul_trunc(field, w, later, n)
+    elif w[0] != 1:
+        later[...] = field.mul_table[w[0], later]
     for j in range(c + 1, 4):
-        if r[j].any():
-            if unit:
-                r[j] = _mul_trunc(field, w, r[j], n)
-            elif lead != 1:
-                r[j] = field.mul_table[lead, r[j]]
         if h[j].any():
-            r[j] = field.sub_table[r[j], _mul_trunc(field, q, h[j], n)]
+            r[..., j, :] = field.sub_table[r[..., j, :], _mul_trunc(field, h[j], q, n)]
 
 
 class RingElement:
@@ -202,11 +206,7 @@ class RingElement:
     def poly_mul(self, f: SPoly) -> "RingElement":
         """Multiply every u-adic part by the polynomial f."""
         self._check(f)
-        out = np.zeros((4, self.n), dtype=np.int16)
-        for b, a in enumerate(self.coeffs):
-            if a.any():
-                out[b] = _mul_trunc(self.spec, a, f.coeffs, self.n)
-        return RingElement(self.spec, self.n, out)
+        return RingElement(self.spec, self.n, _mul_trunc(self.spec, f.coeffs, self.coeffs, self.n))
 
     def shift_mul(self, a: int, b: int = 0) -> "RingElement":
         """Multiply by u^b * s^a with both truncation rules applied."""

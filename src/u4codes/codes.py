@@ -25,9 +25,9 @@ s^d w in C: 0 for a member, t_i for u^i.  The rows s^j h_c, j < n - v_c,
 have distinct leading 1s and span C over F, so they are an F-basis; they
 are built only to enumerate codewords.  The echelon form runs on the
 generators' arrays with the primitives of ``chain``: each pivot row is
-scaled by a field constant only, and ``_clear`` clears its column from the
-other rows fraction-free (Bareiss 1968), the same step that the closed
-form's eliminations take, so the oracle inverts no series.
+scaled by a field constant only, and one ``_clear`` clears its column from
+all the other rows at once, fraction-free (Bareiss 1968), the same step
+that the closed form's eliminations take, so the oracle inverts no series.
 """
 
 from __future__ import annotations
@@ -280,9 +280,10 @@ def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, n
     term 1.  The module is the F-span of the rows s^j h_c for j < n - v_c.
 
     Each pivot row is scaled by a field constant only, so that h_c[c, v_c]
-    is 1, and ``_clear`` replaces each other row r by w_c r - q h_c, a unit
-    multiple of r less a multiple of h_c: the module and its invariants
-    (rank, the v_c, membership) stay those of the monic heads.
+    is 1, and one ``_clear`` on the stack of the rows that are nonzero in
+    column c replaces each by w_c r - q h_c, a unit multiple of r less a
+    multiple of h_c: the module and its invariants (rank, the v_c,
+    membership) stay those of the monic heads.
     """
     n = rows[0].shape[1]
     heads: dict[int, tuple[int, np.ndarray]] = {}
@@ -293,14 +294,13 @@ def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, n
         i = vals.index(min(vals))
         v = vals[i]
         h = _lead_one(field, rows[i], c, v)
-        rest = []
-        for idx, r in enumerate(rows):
-            if idx == i:
-                continue
-            if vals[idx] < n:
-                _clear(field, r, c, v, h)
-            if r.any():
-                rest.append(r)
+        hit = [idx for idx in range(len(rows)) if idx != i and vals[idx] < n]
+        if hit:
+            cleared = np.array([rows[idx] for idx in hit])
+            _clear(field, cleared, c, v, h)
+            for idx, r in zip(hit, cleared):
+                rows[idx] = r
+        rest = [r for idx, r in enumerate(rows) if idx != i and r.any()]
         # s^(n-v) h is zero in column c but may survive in later columns; the
         # F-span of the s^j h with j < n - v misses it, so it stays a generator.
         howell = _shift(h, n - v)

@@ -9,18 +9,25 @@ truncate to zero; they are never reduced cyclically.
 Cost model: every product goes through one kernel, ``_mul_trunc``, which
 cuts both operands to their nonzero spans and convolves their base-p digits
 at C level (numpy), so a product costs m^2 convolutions of the two span
-lengths.  ``SPoly.inverse`` is a Newton iteration on the same kernel: two
-products per doubling of the precision, O(log n) kernel calls in all for a
-length-n inverse and none for a constant.  A caller that reads an inverse
-only below some s^prec inverts in F[s]/<s^prec> and pays O(log prec) calls:
+lengths.  At these lengths a kernel call costs its numpy calls more than its
+arithmetic, so products that share a factor take one call: the kernel
+multiplies a by a whole stack of rows, each cut to its own span.  A stack of
+at least PACK_ROWS nonzero rows against a factor of span at most PACK_SPAN is
+packed into one vector (Kronecker substitution) and takes one convolution per
+digit pair; otherwise the call convolves its nonzero rows one by one.
+``SPoly.inverse`` is a Newton iteration on the same kernel: two products per
+doubling of the precision, O(log n) kernel calls in all for a length-n
+inverse and none for a constant.  A caller that reads an inverse only below
+some s^prec inverts in F[s]/<s^prec> and pays O(log prec) calls:
 ``chain._monic``, the one place that scales a row x by a unit inverse, uses
-prec = n - val x (val x the least valuation of x's u-parts).  Only the
-level-1 eliminations of the closed form call it; the pivot-and-clear step
-``chain._clear`` is fraction-free, one product per nonzero u-part for the
-unit scale and one per u-part of the head, so the span oracle inverts no
-series at all, and a constant scale is a table lookup.  The x/s basis
-change costs K passes of a p x p matrix product over the m digit planes for
-n = p^K, and builds no n x n matrix.
+prec = n - val x (val x the least valuation of x's u-parts) and multiplies
+all of x's u-parts by it in one call.  Only the level-1 eliminations of the
+closed form call it; the pivot-and-clear step ``chain._clear`` is
+fraction-free and clears a whole stack of rows against one head in one call
+for the unit scale and one per u-part of the head, so the span oracle
+inverts no series at all, and a constant scale is a table lookup.  The x/s
+basis change costs K passes of a p x p matrix product over the m digit
+planes for n = p^K, and builds no n x n matrix.
 """
 
 from __future__ import annotations
@@ -210,33 +217,89 @@ class SPoly:
         return f"SPoly({self.to_string()})"
 
 
-def _mul_trunc(spec: FieldSpec, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Product of two coefficient vectors of encodings, truncated at s^n.
+# A stack is packed when it has at least PACK_ROWS nonzero rows and the
+# shared factor's span is at most PACK_SPAN.  Packing costs about as many
+# numpy calls as three products of their own, and the zeros it puts after
+# each row (the factor's span less one) cost less than one such product
+# while the span is short (measured with np.convolve on a 2-core Xeon).
+PACK_ROWS = 4
+PACK_SPAN = 128
 
-    Each operand is cut to its nonzero span, so the cost is that of the
-    spans, not of n.  Field elements are split into their m base-p digits
-    and each pair of digit vectors is convolved; the convolution of digits
-    i and j is a coefficient of a^(i+j), which pow_digits reduces back to m
-    digits before the final mod p.  Every sum stays below
-    (2m - 1) m (p - 1)^3 n, far under 2^53, so float64 arithmetic is exact.
+
+def _mul_trunc(spec: FieldSpec, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """a times b, truncated at s^n, for a coefficient vector a of encodings
+    and b one vector or a stack of them (shape (..., L)); the result has
+    shape b.shape[:-1] + (n,).
+
+    a is cut to its nonzero span and every row of b to its own, so the cost
+    is that of the spans, not of n.  Field elements are split into their m
+    base-p digits and each pair of digit vectors is convolved; the
+    convolution of digits i and j is a coefficient of a^(i+j), which
+    pow_digits reduces back to m digits before the final mod p.  Every sum
+    is that of one row, below (2m - 1) m (p - 1)^3 n, far under 2^53, so
+    float64 arithmetic is exact.  With at least PACK_ROWS nonzero rows and
+    a span of a at most PACK_SPAN, the rows are packed into one vector
+    (``_mul_packed``), so that the stack takes one convolution per digit
+    pair; otherwise each nonzero row is convolved on its own.
     """
-    out = np.zeros(n, dtype=np.int16)
-    nza, nzb = a[:n].nonzero()[0], b[:n].nonzero()[0]
-    if not nza.size or not nzb.size or nza[0] + nzb[0] >= n:
-        return out
-    va, vb = int(nza[0]), int(nzb[0])
-    lo = va + vb
-    da = spec.digit_rows.take(a[va : min(int(nza[-1]) + 1, n - vb)], axis=1)
-    db = spec.digit_rows.take(b[vb : min(int(nzb[-1]) + 1, n - va)], axis=1)
+    rows = b.reshape(-1, b.shape[-1])
+    out = np.zeros((rows.shape[0], n), dtype=np.int16)
+    nza = a[:n].nonzero()[0]
+    if nza.size:
+        va, stop = int(nza[0]), int(nza[-1]) + 1
+        rows = rows[:, : n - va]  # the columns whose products stay below s^n
+        live = range(rows.shape[0])
+        if rows.shape[0] >= PACK_ROWS and stop - va <= PACK_SPAN:
+            alive = rows.any(axis=1)
+            live = np.flatnonzero(alive).tolist()
+            if len(live) >= PACK_ROWS:
+                da = spec.digit_rows.take(a[va:stop], axis=1)
+                return _mul_packed(spec, da, va, rows, alive, n).reshape(b.shape[:-1] + (n,))
+        for r in live:
+            nzb = rows[r].nonzero()[0]
+            if nzb.size:
+                lo = int(nzb[0])
+                # a past s^(n - lo_r) reaches past s^n
+                da = spec.digit_rows.take(a[va : min(stop, n - lo)], axis=1)
+                prod = _convolve_digits(spec, da, rows[r, lo : int(nzb[-1]) + 1], n - va - lo)
+                out[r, va + lo : va + lo + prod.size] = prod
+    return out.reshape(b.shape[:-1] + (n,))
+
+
+def _convolve_digits(spec: FieldSpec, da: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """The product of a digit matrix (m, La) and a vector of encodings, cut
+    after ``width`` coefficients."""
     m = spec.m
+    db = spec.digit_rows.take(b, axis=1)
     conv = np.zeros((2 * m - 1, da.shape[1] + db.shape[1] - 1))
     for i in range(m):
         for j in range(m):
             conv[i + j] += np.convolve(da[i], db[j])
-    width = min(conv.shape[1], n - lo)
-    digits = np.dot(spec.pow_digits, conv[:, :width]) % spec.p
-    out[lo : lo + width] = np.dot(spec.digit_weights, digits)
-    return out
+    return np.dot(spec.digit_weights, np.dot(spec.pow_digits, conv[:, :width]) % spec.p)
+
+
+def _mul_packed(spec: FieldSpec, da: np.ndarray, va: int, rows: np.ndarray, alive: np.ndarray,
+                n: int) -> np.ndarray:
+    """The products of a (digits da, valuation va) with every row of a stack,
+    truncated at s^n, from one convolution per digit pair (Kronecker
+    substitution): each nonzero row, cut to its own span, is followed by
+    the span of a less one zeros, so no row's product runs into the next,
+    and the last row needs none."""
+    la = da.shape[1]
+    live = rows != 0
+    lo = live.argmax(axis=1)
+    seg = rows.shape[1] + (la - 1) - live[:, ::-1].argmax(axis=1) - lo
+    seg *= alive  # row r's product fills seg_r places from start_r
+    start = seg.cumsum() - seg
+    total = int(start[-1] + seg[-1])
+    # from s^lo_r on, seg_r columns of a zero-padded row are its span, then zeros
+    stride = n + la
+    padded = np.zeros((rows.shape[0], stride), dtype=np.int16)
+    padded[:, : rows.shape[1]] = rows
+    at = np.arange(total) + np.repeat(np.arange(0, padded.size, stride) + lo - start, seg)
+    wide = np.zeros((rows.shape[0], stride), dtype=np.int16)
+    wide.reshape(-1)[at + va] = _convolve_digits(spec, da, padded.reshape(-1)[at[: total - la + 1]], total)
+    return wide[:, :n]
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,13 @@ constructed member of the code (or a value >= some other candidate), so the
 minimum is always witnessed.  The g0 path builds those members from the
 generators' (4, n) arrays (``chain`` layout) with the primitives the oracle
 shares: ``chain._shift`` and ``chain._clear``, the fraction-free step that
-also builds the oracle's echelon form.  The pairwise stage clears against
-each member unscaled and inverts nothing; the level-1 eliminations first
-scale their pivot with ``chain._monic``, because their results become
-members, and a unit multiple of a member would move later valuations.  The
-case formulas stay on ``SPoly`` because their traces print the polynomial.
+also builds the oracle's echelon form.  The pairwise stage clears all later
+members against each member in one step, the member unscaled, so it
+inverts nothing and takes at most two kernel calls per pivot; the level-1
+eliminations first scale their pivot with ``chain._monic``, because their
+results become members, and a unit multiple of a member would move later
+valuations.  The case formulas stay on ``SPoly`` because their traces print
+the polynomial.
 """
 
 from __future__ import annotations
@@ -271,10 +273,10 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
     for a, fi in enumerate(with_u2[:-1]):
         # fraction-free: the result is w_i times the one against the monic
         # pivot, since w_i w_i^-1 - 1 lies in s^(n - val f_i) and kills f_i
-        v, h = fi.omega, fi.element
-        for fj in with_u2[a + 1 :]:
-            elim = fj.element.copy()
-            _clear(code.field, elim, 2, v, h)
+        later = with_u2[a + 1 :]
+        elims = np.array([fj.element for fj in later])
+        _clear(code.field, elims, 2, fi.omega, fi.element)
+        for fj, elim in zip(later, elims):
             if elim.any():
                 tau = _valuation(elim[3])
                 taus.append(tau)

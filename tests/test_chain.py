@@ -7,9 +7,9 @@ import pytest
 import u4codes as u
 from u4codes import chain, torsion
 from u4codes.chain import RingElement
-from u4codes.errors import LengthMismatch, MixedLength, OutOfRange
+from u4codes.errors import InconsistentSet, LengthMismatch, MixedLength, OutOfRange
 from u4codes.parsing import parse_expression
-from u4codes.sring import SPoly, decompose
+from u4codes.sring import SPoly, _mul_trunc, decompose
 
 
 def from_parts(parts):
@@ -283,3 +283,78 @@ def test_clear_is_the_fraction_free_step(p, m, n):
         assert not got[c].any()
     assert kinds["unit"] == 30 and kinds["one"] >= 30
     assert kinds["constant"] >= 10 or spec.q == 2
+
+
+def clear_one_row(field, r, c, v, h):
+    """The pivot-and-clear step on one (4, n) row, one product per part:
+    the reference for the stacked step."""
+    n = r.shape[1]
+    if r[c, :v].any() or h[c, :v].any() or not h[c, v]:
+        raise InconsistentSet(f"column {c} is not cleared by a head at s^{v}")
+    w = np.zeros(n, dtype=np.int16)
+    w[: n - v] = h[c, v:]
+    q = np.zeros(n, dtype=np.int16)
+    q[: n - v] = r[c, v:]
+    r[c] = 0
+    unit, lead = w[1:].any(), int(w[0])
+    for j in range(c + 1, 4):
+        if r[j].any():
+            if unit:
+                r[j] = _mul_trunc(field, w, r[j], n)
+            elif lead != 1:
+                r[j] = field.mul_table[lead, r[j]]
+        if h[j].any():
+            r[j] = field.sub_table[r[j], _mul_trunc(field, q, h[j], n)]
+
+
+def rand_head_and_stack(rng, spec, n, height, w_kind):
+    """A head h, zero before column c with h[c] = s^v w, and a stack of rows
+    zero before c with r[c] a multiple of s^v (some rows zero in column c)."""
+    c, v = rng.randrange(4), rng.randrange(n - 1)
+    w = np.zeros(n, dtype=np.int16)
+    w[0] = 1 if w_kind == "one" else rng.randrange(1 if spec.q == 2 else 2, spec.q)
+    if w_kind == "unit":
+        w[1 : n - v] = [rng.randrange(spec.q) for _ in range(n - v - 1)]
+    h = rand_sparse_relem(rng, spec, n).coeffs.copy()
+    h[:c] = 0
+    h[c] = SPoly(spec, n, w).shift(v).coeffs
+    stack = np.array([rand_sparse_relem(rng, spec, n).coeffs for _ in range(height)])
+    stack[:, :c] = 0
+    stack[:, c, :v] = 0
+    return c, v, h, stack
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 16), (3, 1, 27), (2, 2, 8), (5, 1, 25), (3, 2, 9), (2, 8, 4)])
+def test_stacked_clear_equals_the_one_row_clear(p, m, n):
+    spec = u.field_make(p, m)
+    rng = random.Random(1100 + 100 * p + 10 * m + n)
+    for trial in range(60):
+        height = rng.choice([1, 2, 3, 5, 8])
+        w_kind = ("unit", "constant", "one")[trial % 3]
+        c, v, h, stack = rand_head_and_stack(rng, spec, n, height, w_kind)
+        want = stack.copy()
+        for row in want:
+            clear_one_row(spec, row, c, v, h)
+        got = stack.copy()
+        chain._clear(spec, got, c, v, h)
+        assert np.array_equal(got, want), (trial, c, v, w_kind)
+        one = stack[0].copy()
+        chain._clear(spec, one, c, v, h)  # a single (4, n) row
+        assert np.array_equal(one, want[0])
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 16), (3, 1, 9), (2, 2, 8), (5, 1, 25)])
+def test_one_bad_row_leaves_the_whole_stack_unchanged(p, m, n):
+    # the guard reads column c of every row before the step writes any
+    spec = u.field_make(p, m)
+    rng = random.Random(1300 + 100 * p + 10 * m + n)
+    for trial in range(30):
+        c, v, h, stack = rand_head_and_stack(rng, spec, n, rng.choice([2, 4, 7]), "unit")
+        if v == 0:
+            continue
+        bad = rng.randrange(len(stack))
+        stack[bad, c, rng.randrange(v)] = rng.randrange(1, spec.q)
+        before = stack.copy()
+        with pytest.raises(InconsistentSet):
+            chain._clear(spec, stack, c, v, h)
+        assert np.array_equal(stack, before), (trial, bad)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import u4codes as u
+from u4codes import sring
 from u4codes.errors import DivisionByZero, MixedField, MixedLength, OutOfRange
 from u4codes.galois import FieldSpec
-from u4codes.sring import SPoly, _mul_trunc, basis_transform_rows, decompose
+from u4codes.sring import PACK_SPAN, SPoly, _mul_trunc, basis_transform_rows, decompose
 
 
 def rand_poly(rng, spec, n):
@@ -197,6 +198,96 @@ def test_inverse_at_lower_precision_is_a_prefix(p, m):
                 g = SPoly(spec, prec, c[:prec]).inverse().coeffs
                 assert np.array_equal(g, full[:prec]), (kind, prec)
                 assert _mul_trunc(spec, c, g, prec).tolist() == [1] + [0] * (prec - 1)
+
+
+# --- a stack of rows against one factor ---------------------------------------------
+
+STACK_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (2, 8)]
+
+
+def rand_stack(rng, spec, n, height):
+    """Rows of every kind the kernel cuts differently: zero, dense, a short
+    span at a random offset, one reaching s^(n-1), one confined to the top
+    coefficients, whose product with a factor of valuation >= 2 truncates
+    away entirely."""
+    rows = np.zeros((height, n), dtype=np.int16)
+    for row in rows:
+        kind = rng.integers(5)
+        lo = int(rng.integers(0, n))
+        hi = {0: lo, 1: n, 2: min(n, lo + int(rng.integers(1, 6))), 3: n, 4: n}[kind]
+        lo = {1: 0, 4: n - 2}.get(kind, lo)
+        row[lo:hi] = rng.integers(0, spec.q, hi - lo)
+        if kind == 3:
+            row[n - 1] = rng.integers(1, spec.q)
+    return rows
+
+
+def assert_stacked_equals_row_by_row(spec, a, b, n):
+    """One call on the stack b gives, row for row, what one call per row
+    gives, and both equal the schoolbook table product."""
+    got = _mul_trunc(spec, a, b, n)
+    assert got.shape == b.shape
+    for row, want in zip(b.reshape(-1, n), got.reshape(-1, n)):
+        assert np.array_equal(want, _mul_trunc(spec, a, row, n))
+        assert np.array_equal(want, reference_mul(SPoly(spec, n, a), SPoly(spec, n, row)).coeffs)
+    return got
+
+
+@pytest.mark.parametrize("p,m", STACK_FIELDS)
+def test_stacked_kernel_equals_the_row_by_row_kernel(p, m, monkeypatch):
+    spec = u.field_make(p, m)
+    rng = np.random.default_rng(40 * p + m)
+    packed = []
+    pack = sring._mul_packed
+    monkeypatch.setattr(sring, "_mul_packed", lambda *args: packed.append(1) or pack(*args))
+    vanished = 0
+    for n in kernel_lengths(p):
+        for height in (1, 2, 4, 9, 16):
+            for kind in ("dense", "sparse", "short", "top"):
+                a = rand_operand(rng, spec, n, "shifted" if kind == "short" else kind).coeffs.copy()
+                if kind == "short":  # a span of at most 8, as packed stacks meet
+                    a[np.argmax(a != 0) + 8 :] = 0
+                b = rand_stack(rng, spec, n, height)
+                got = assert_stacked_equals_row_by_row(spec, a, b, n)
+                vanished += int((b.any(axis=1) & ~got.any(axis=1)).sum())
+        # a (4, n) ring element's parts, and a stack with no nonzero row
+        a = rand_operand(rng, spec, n, "sparse").coeffs
+        assert_stacked_equals_row_by_row(spec, a, rand_stack(rng, spec, n, 4), n)
+        assert not _mul_trunc(spec, a, np.zeros((3, n), dtype=np.int16), n).any()
+    assert vanished >= 3  # nonzero rows whose whole product lies past s^(n-1)
+    assert len(packed) >= 5  # stacks that went through one packed convolution
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 512), (2, 2, 512), (5, 1, 625), (3, 1, 729)])
+def test_stacked_kernel_with_a_factor_too_long_to_pack(p, m, n):
+    # a factor longer than PACK_SPAN is convolved with each row on its own
+    spec = u.field_make(p, m)
+    rng = np.random.default_rng(n + m)
+    for kind in ("dense", "shifted"):
+        a = rand_operand(rng, spec, n, kind).coeffs.copy()
+        a[n // 3] = 1
+        assert np.flatnonzero(a)[-1] - np.flatnonzero(a)[0] >= PACK_SPAN
+        assert_stacked_equals_row_by_row(spec, a, rand_stack(rng, spec, n, 5), n)
+    a = rand_operand(rng, spec, n, "sparse").coeffs
+    assert_stacked_equals_row_by_row(spec, a, rand_stack(rng, spec, n, 4), n)
+
+
+def test_stacked_kernel_is_exact_at_the_largest_sums():
+    # F_251 at n = 251 with dense operands: every coefficient p - 1, or random
+    # and nonzero, gives the largest sums a row meets, both for a factor too
+    # long to pack and for a packed stack against a factor of span PACK_SPAN
+    spec = u.field_make(251, 1)
+    n = 251
+    rng = np.random.default_rng(251)
+    short = np.zeros(n, dtype=np.int16)
+    short[:PACK_SPAN] = 250
+    for a, b in [
+        (np.full(n, 250, dtype=np.int16), np.full((3, n), 250, dtype=np.int16)),
+        (rng.integers(1, 251, n).astype(np.int16), rng.integers(1, 251, (5, n)).astype(np.int16)),
+        (short, np.full((6, n), 250, dtype=np.int16)),
+        (short, rng.integers(1, 251, (5, n)).astype(np.int16)),
+    ]:
+        assert_stacked_equals_row_by_row(spec, a, b, n)
 
 
 # --- basis transform ----------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import u4codes as u
+from u4codes import chain, torsion
 from u4codes.chain import RingElement, _clear, _monic, _valuation
 from u4codes.errors import InconsistentSet, WrongIdealType
 from u4codes.sring import SPoly, decompose
@@ -242,6 +243,33 @@ def test_formula_equals_oracle_at_high_degree(F5, degrees):
     members = u.u2_part_set(code)
     assert max(n - min(_valuation(row) for row in f.element) for f in members) < n // 4
     assert u.t3(code).t3 == u.torsion_profile(code, u.span_basis(code))[3]
+
+
+def test_pairwise_stage_takes_at_most_two_kernel_calls_per_pivot(F5, monkeypatch):
+    # the <g0,g1,g2> part, which t3 reduces to, of a <g0,g1,g2,g3> code at
+    # n = 625 with the degrees 620/600/580/560 and every correction at 95 %
+    # of its bound (nine u^2-part members): each pivot of the pairwise stage
+    # clears all later members in one stack, one product for the pivot's
+    # unit and one for its u^3-part, so the stage may not fall back to a
+    # kernel call per pair
+    n, rng = 625, random.Random(560)
+    bounds = {1: "r1", 2: "r2", 3: "r3", 4: "r2", 5: "r3", 6: "r3"}
+    fields = {"r": 620, "r1": 600, "r2": 580, "r3": 560}
+    for i in range(1, 7):
+        fields[f"k{i}"] = int(fields[bounds[i]] * 0.95)
+        unit = [rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(4)]
+        fields[f"p{i}"] = SPoly.from_ints(F5, n, unit)
+    code = u.validate_canonical(F5, 4, u.GeneratorForm(**fields)).without_g3()
+    members = u.u2_part_set(code)
+    calls = []
+    kernel = chain._mul_trunc
+    monkeypatch.setattr(chain, "_mul_trunc", lambda *args: calls.append(args) or kernel(*args))
+    result = torsion.t3_from_u2_set(members, code)
+    monkeypatch.undo()
+    pivots = result.path["nu"] - 1
+    assert pivots >= 5
+    assert 0 < len(calls) <= 2 * pivots
+    assert result.t3 == oracle_t3(code)
 
 
 # --- adjoining g3 ------------------------------------------------------------------
