@@ -13,8 +13,9 @@ h[c] = s^v w, w a unit, fraction-free, by r <- w r - (r[c] >> v) h, so it
 inverts no series.  Every product in it shares a factor (w, or a u-part of
 h), so a stack costs the kernel calls of one row.  ``_monic`` scales a row
 by the inverse of its pivot unit, so that its pivot column is exactly s^v;
-only the level-1 eliminations in ``torsion`` take it, since their results
-become u^2-part members whose later valuations depend on the scaling.
+only the level-1 eliminations in ``torsion`` take it, once per pivot, since
+their results become u^2-part members whose later valuations depend on the
+scaling.
 """
 
 from __future__ import annotations

@@ -100,6 +100,8 @@ def _degrees_summary(code) -> str:
 
 
 def _cmd_analyze(args, out) -> int:
+    if args.enum_cap < 0:
+        raise _Failure(EXIT_USAGE, "enum-cap must be >= 0")
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()

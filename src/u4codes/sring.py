@@ -15,17 +15,22 @@ multiplies a by a whole stack of rows, each cut to its own span.  A stack of
 at least PACK_ROWS nonzero rows against a factor of span at most PACK_SPAN is
 packed into one vector (Kronecker substitution) and takes one convolution per
 digit pair; otherwise the call convolves its nonzero rows one by one.
-``SPoly.inverse`` is a Newton iteration on the same kernel: two products per
-doubling of the precision, O(log n) kernel calls in all for a length-n
-inverse and none for a constant.  A caller that reads an inverse only below
-some s^prec inverts in F[s]/<s^prec> and pays O(log prec) calls:
+``SPoly.inverse`` takes its first NEWTON_START = 8 coefficients from a
+table recurrence, which makes no kernel call (at precision 2, 4 and 8 a
+Newton step's products are tiny, and their cost is the calls, not the
+arithmetic), then runs a Newton iteration on the same kernel: two products
+per doubling of the precision, O(log(n / 8)) kernel calls in all for a
+length-n inverse and none for a constant or for n <= 8.  A caller that
+reads an inverse only below some s^prec inverts in F[s]/<s^prec> and pays
+O(log prec) calls:
 ``chain._monic``, the one place that scales a row x by a unit inverse, uses
 prec = n - val x (val x the least valuation of x's u-parts) and multiplies
 all of x's u-parts by it in one call.  Only the level-1 eliminations of the
-closed form call it; the pivot-and-clear step ``chain._clear`` is
-fraction-free and clears a whole stack of rows against one head in one call
-for the unit scale and one per u-part of the head, so the span oracle
-inverts no series at all, and a constant scale is a table lookup.  The x/s
+closed form call it, once per pivot, so a code inverts at most one series;
+the pivot-and-clear step ``chain._clear`` is fraction-free and clears a
+whole stack of rows against one head in one call for the unit scale and one
+per u-part of the head, so the span oracle inverts no series at all, and a
+constant scale is a table lookup.  The x/s
 basis change costs K passes of a p x p matrix product over the m digit
 planes for n = p^K, and builds no n x n matrix.
 """
@@ -40,6 +45,12 @@ from .errors import DivisionByZero, LengthMismatch, MixedField, MixedLength, Out
 from .galois import FieldElement, FieldSpec
 
 MAX_N = 3125
+
+# SPoly.inverse computes this many coefficients by a table recurrence before
+# Newton takes over.  The recurrence to 8 makes at most 63 table lookups
+# (about 17 us over F_5) where the Newton steps to precision 2, 4 and 8 make six kernel
+# calls of about 15 us each (timeit on a 2-core Xeon).
+NEWTON_START = 8
 
 
 def _frozen_encodings(arr: np.ndarray, q: int) -> np.ndarray:
@@ -163,10 +174,14 @@ class SPoly:
     def inverse(self) -> "SPoly":
         """Series inverse, valid exactly for units (nonzero constant term).
 
-        Newton iteration g <- g + g (1 - f g): if f g = 1 mod s^k, the update
-        gives f g = 1 mod s^2k, so ceil(log2 n) steps of two products reach n.
-        A constant f is inverted by the field alone, and the iteration stops
-        early once f g = 1 holds as a polynomial.
+        The first min(NEWTON_START, n) coefficients come from the recurrence
+        g_k = -g_0 sum_{i=1..k} f_i g_(k-i) on the field's tables, which
+        costs no kernel call.  From there, Newton iteration
+        g <- g + g (1 - f g): if f g = 1 mod s^k, the update gives f g = 1
+        mod s^2k, so ceil(log2(n / NEWTON_START)) steps of two products
+        reach n.  A constant f is inverted by the field alone, and the
+        iteration stops early once f g = 1 holds as a polynomial.  The
+        inverse is unique, so the start changes no result.
         """
         if not self.is_unit():
             raise DivisionByZero("inverse of a non-unit polynomial")
@@ -175,8 +190,18 @@ class SPoly:
         g[0] = spec.inv(int(f[0]))
         if not f[1:].any():
             return SPoly(spec, n, g)
+        prec = min(NEWTON_START, n)
+        mul, add = spec.mul_table, spec.add_table
+        head, start = f[:prec].tolist(), [int(g[0])]
+        neg_g0 = int(spec.neg_table[start[0]])
+        for k in range(1, prec):
+            acc = 0
+            for i in range(1, k + 1):
+                if head[i]:
+                    acc = int(add[acc, mul[head[i], start[k - i]]])
+            start.append(int(mul[neg_g0, acc]))
+        g[:prec] = start
         deg_f = int(f.nonzero()[0][-1])
-        prec = 1
         while prec < n:
             prec = min(2 * prec, n)
             err = spec.neg_table[_mul_trunc(spec, f, g, prec)]

@@ -19,8 +19,11 @@ members against each member in one step, the member unscaled, so it
 inverts nothing and takes at most two kernel calls per pivot; the level-1
 eliminations first scale their pivot with ``chain._monic``, because their
 results become members, and a unit multiple of a member would move later
-valuations.  The case formulas stay on ``SPoly`` because their traces print
-the polynomial.
+valuations.  Each pivot is scaled once: when sA = s^(n-r) g0 pivots both
+u g0 and g1, the two are cleared against its head in one stacked step.
+Only sA's u-part can carry a non-constant unit (those of u g0 and g1 are
+monomials), so a code inverts at most one series.  The case formulas stay
+on ``SPoly`` because their traces print the polynomial.
 """
 
 from __future__ import annotations
@@ -207,11 +210,19 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
     B = _shift(gens[0], 0, 1)
     D = gens.get(1)
 
+    heads: dict[int, tuple[int, np.ndarray]] = {}
+
+    def head(x):
+        # each pivot is scaled once, however many rows it clears
+        if id(x) not in heads:
+            heads[id(x)] = _monic(field, x, 1)
+        return heads[id(x)]
+
     def elim(x, y):
         # the element of smaller u-part valuation clears the other's u-part
         x, y = sorted((x, y), key=lambda e: _valuation(e[1]))
         out = y.copy()
-        _clear(field, out, 1, *_monic(field, x, 1))
+        _clear(field, out, 1, *head(x))
         return out
 
     raw: list[tuple[str, np.ndarray]] = []
@@ -219,7 +230,14 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
     a_has_u = a_val < n
 
     if D is not None:
-        if a_has_u:
+        if a_has_u and a_val <= min(_valuation(B[1]), _valuation(D[1])):
+            # sA pivots both (ties go to sA, as in elim): one stacked clear
+            both = np.array([B, D])
+            _clear(field, both, 1, *head(A))
+            both.flags.writeable = False
+            raw.append(("elim(sA,ug0)", both[0]))
+            raw.append(("elim(sA,g1)", both[1]))
+        elif a_has_u:
             raw.append(("elim(sA,ug0)", elim(A, B)))
             raw.append(("elim(sA,g1)", elim(A, D)))
         else:

@@ -226,8 +226,8 @@ def test_constructor_rejects_encodings_out_of_range(F2, F4):
 @pytest.mark.parametrize("p,m,k", [(2, 1, 3), (3, 1, 2), (2, 2, 3), (5, 1, 2), (3, 2, 2)])
 def test_monic_scales_by_the_full_inverse(p, m, k, monkeypatch):
     # every pivot that the level-1 eliminations of the u^2-part sets scale,
-    # the one caller of _monic left: h = x times the full-length inverse of
-    # the unit part, and h[c] = s^v
+    # once per pivot, the one caller of _monic left: h = x times the
+    # full-length inverse of the unit part, and h[c] = s^v
     spec = u.field_make(p, m)
     pivots = []
 

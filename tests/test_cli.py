@@ -210,6 +210,22 @@ def test_analyze_undecodable_file_exits_66(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
+def test_enum_cap_range(tmp_path, capsys):
+    # a cap of 0 is valid and skips every enumeration; a negative cap is a
+    # usage error, with or without --verify, before the file is read
+    path = tmp_path / "c.code"
+    path.write_text(GOLDEN_G3_FILE)
+    status, out = run(["analyze", str(path), "--verify", "--enum-cap", "0"])
+    assert status == 0
+    assert out.endswith("enumeration skipped: enumeration of 2^2 codewords exceeds cap 0\n")
+    capsys.readouterr()
+    for argv in (["analyze", str(path), "--verify", "--enum-cap", "-1"],
+                 ["analyze", str(path), "--enum-cap", "-5", "--json"],
+                 ["analyze", str(tmp_path / "none.code"), "--enum-cap", "-1"]):
+        assert run(argv) == (64, "")
+        assert capsys.readouterr().err == "error: enum-cap must be >= 0\n"
+
+
 # <g0> whose sA = s^4 g0 has the u-part s^4 (1 + 2s): the level-1
 # elimination of sA against u g0 inverts that non-constant unit, the one
 # series inverse on the path of analyze.

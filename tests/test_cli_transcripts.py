@@ -345,6 +345,11 @@ USAGE = {
         '',
         "usage error: argument --enum-cap: invalid int value: 'z'\n",
     ),
+    'analyze f.code --verify --enum-cap -1': (
+        64,
+        '',
+        'error: enum-cap must be >= 0\n',
+    ),
     'sweep c.json': (
         64,
         '',

@@ -8,7 +8,9 @@ import u4codes as u
 from u4codes import sring
 from u4codes.errors import DivisionByZero, MixedField, MixedLength, OutOfRange
 from u4codes.galois import FieldSpec
-from u4codes.sring import PACK_SPAN, SPoly, _mul_trunc, basis_transform_rows, decompose
+from u4codes.sring import (
+    NEWTON_START, PACK_SPAN, SPoly, _mul_trunc, basis_transform_rows, decompose,
+)
 
 
 def rand_poly(rng, spec, n):
@@ -198,6 +200,78 @@ def test_inverse_at_lower_precision_is_a_prefix(p, m):
                 g = SPoly(spec, prec, c[:prec]).inverse().coeffs
                 assert np.array_equal(g, full[:prec]), (kind, prec)
                 assert _mul_trunc(spec, c, g, prec).tolist() == [1] + [0] * (prec - 1)
+
+
+def newton_from_one(f):
+    """The series inverse by Newton iteration from g = 1/f_0 at precision 1,
+    as it ran before the table start."""
+    spec, n, c = f.spec, f.n, f.coeffs
+    g = np.zeros(n, dtype=np.int16)
+    g[0] = spec.inv(int(c[0]))
+    if not c[1:].any():
+        return SPoly(spec, n, g)
+    deg_f = int(c.nonzero()[0][-1])
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        err = spec.neg_table[_mul_trunc(spec, c, g, prec)]
+        err[0] = 0
+        if not err.any() and deg_f + int(g.nonzero()[0][-1]) < prec:
+            break
+        g[:prec] = spec.add_table[g[:prec], _mul_trunc(spec, g, err, prec)]
+    return SPoly(spec, n, g)
+
+
+NEWTON_START_FIELDS = [
+    (2, 1, None), (3, 1, None), (5, 1, None), (3, 2, None),
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),     # F_256, m^2 = 64 convolutions a product
+    (251, 1, None),                          # F_251, the largest digit
+]
+
+
+@pytest.mark.parametrize("p,m,modulus", NEWTON_START_FIELDS)
+def test_table_start_gives_the_newton_inverse(p, m, modulus, monkeypatch):
+    # the first NEWTON_START coefficients from the table recurrence, Newton
+    # from there: the same unique inverse as Newton from precision 1, below
+    # NEWTON_START with no kernel call, above it with two per doubling
+    spec = kernel_field(p, m, modulus)
+    rng = np.random.default_rng(7000 + p + m)
+    calls = []
+    monkeypatch.setattr(sring, "_mul_trunc", lambda *a: calls.append(a) or _mul_trunc(*a))
+    for n in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 64, 251):
+        one = SPoly.one(spec, n)
+        for kind in ("full", "linear", "sparse"):
+            c = np.zeros(n, dtype=np.int16)
+            c[0] = rng.integers(1, spec.q)
+            if n > 1:
+                if kind == "full":
+                    c[1:] = rng.integers(0, spec.q, n - 1)
+                    c[-1] = rng.integers(1, spec.q)
+                elif kind == "linear":
+                    c[1] = rng.integers(1, spec.q)
+                else:
+                    c[rng.integers(1, n)] = rng.integers(1, spec.q)
+            f = SPoly(spec, n, c)
+            calls.clear()
+            g = f.inverse()
+            steps = max(0, int(np.ceil(np.log2(n / NEWTON_START))))
+            assert len(calls) <= 2 * steps, (n, kind)
+            assert g == newton_from_one(f), (n, kind)
+            assert g * f == one and reference_mul(f, g) == one, (n, kind)
+
+
+def test_constant_unit_takes_no_kernel_call(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a constant unit reached the product kernel")
+
+    monkeypatch.setattr(sring, "_mul_trunc", no_kernel)
+    for p, m, modulus in NEWTON_START_FIELDS:
+        spec = kernel_field(p, m, modulus)
+        for n in (1, 2, 5, 8, 9, 64):
+            f = SPoly.monomial(spec, n, 0, spec.from_encoding(spec.q - 1))
+            g = f.inverse()
+            assert g.coeffs[1:].tolist() == [0] * (n - 1)
+            assert int(spec.mul_table[f.coeffs[0], g.coeffs[0]]) == 1
 
 
 # --- a stack of rows against one factor ---------------------------------------------

@@ -245,21 +245,28 @@ def test_formula_equals_oracle_at_high_degree(F5, degrees):
     assert u.t3(code).t3 == u.torsion_profile(code, u.span_basis(code))[3]
 
 
-def test_pairwise_stage_takes_at_most_two_kernel_calls_per_pivot(F5, monkeypatch):
-    # the <g0,g1,g2> part, which t3 reduces to, of a <g0,g1,g2,g3> code at
-    # n = 625 with the degrees 620/600/580/560 and every correction at 95 %
-    # of its bound (nine u^2-part members): each pivot of the pairwise stage
-    # clears all later members in one stack, one product for the pivot's
-    # unit and one for its u^3-part, so the stage may not fall back to a
-    # kernel call per pair
-    n, rng = 625, random.Random(560)
+def closed_form_shape_code(F5, rng):
+    """A <g0,g1,g2,g3> code at n = 625 with the degrees 620/600/580/560 and
+    every correction at 95 % of its bound, each unit a random constant and
+    four random coefficients above it (the first closed-form benchmark
+    shape)."""
+    n = 625
     bounds = {1: "r1", 2: "r2", 3: "r3", 4: "r2", 5: "r3", 6: "r3"}
     fields = {"r": 620, "r1": 600, "r2": 580, "r3": 560}
     for i in range(1, 7):
         fields[f"k{i}"] = int(fields[bounds[i]] * 0.95)
         unit = [rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(4)]
         fields[f"p{i}"] = SPoly.from_ints(F5, n, unit)
-    code = u.validate_canonical(F5, 4, u.GeneratorForm(**fields)).without_g3()
+    return u.validate_canonical(F5, 4, u.GeneratorForm(**fields))
+
+
+def test_pairwise_stage_takes_at_most_two_kernel_calls_per_pivot(F5, monkeypatch):
+    # the <g0,g1,g2> part, which t3 reduces to, of the closed-form shape
+    # code (nine u^2-part members): each pivot of the pairwise stage
+    # clears all later members in one stack, one product for the pivot's
+    # unit and one for its u^3-part, so the stage may not fall back to a
+    # kernel call per pair
+    code = closed_form_shape_code(F5, random.Random(560)).without_g3()
     members = u.u2_part_set(code)
     calls = []
     kernel = chain._mul_trunc
@@ -270,6 +277,113 @@ def test_pairwise_stage_takes_at_most_two_kernel_calls_per_pivot(F5, monkeypatch
     assert pivots >= 5
     assert 0 < len(calls) <= 2 * pivots
     assert result.t3 == oracle_t3(code)
+
+
+def reference_u2_part_set(code):
+    """The u^2-part set as two separate eliminations build it, each scaling
+    its own pivot: the construction before the level-1 heads were shared."""
+    field, n = code.field, code.n
+    gens = {level: g.coeffs for level, g in code.generators().items()}
+    A = chain._shift(gens[0], n - code.form.r)
+    B = chain._shift(gens[0], 0, 1)
+    D = gens.get(1)
+
+    def elim(x, y):
+        x, y = sorted((x, y), key=lambda e: _valuation(e[1]))
+        out = y.copy()
+        _clear(field, out, 1, *_monic(field, x, 1))
+        return out
+
+    raw = []
+    a_val = _valuation(A[1])
+    a_has_u = a_val < n
+    if D is not None:
+        if a_has_u:
+            raw.append(("elim(sA,ug0)", elim(A, B)))
+            raw.append(("elim(sA,g1)", elim(A, D)))
+        else:
+            raw.append(("sA", A))
+        raw.append(("elim(ug0,g1)", elim(B, D)))
+        if a_has_u:
+            raw.append(("s-shift(sA)", chain._shift(A, n - a_val)))
+            raw.append(("u*sA", chain._shift(A, 0, 1)))
+        raw.append(("s-shift(g1)", chain._shift(D, n - _valuation(D[1]))))
+        raw.append(("u*ug0", chain._shift(B, 0, 1)))
+        raw.append(("u*g1", chain._shift(D, 0, 1)))
+    else:
+        if a_has_u:
+            raw.append(("elim(sA,ug0)", elim(A, B)))
+            raw.append(("u*sA", chain._shift(A, 0, 1)))
+        else:
+            raw.append(("sA", A))
+        raw.append(("u*ug0", chain._shift(B, 0, 1)))
+    if 2 in gens:
+        raw.append(("g2", gens[2]))
+    return [(src, elem) for src, elem in raw if elem.any()]
+
+
+def sA_pivots(code):
+    """How many of ug0 and g1 the element s^(n-r) g0 pivots (ties to sA)."""
+    n, form = code.n, code.form
+    a_val = _valuation(chain._shift(code.generators()[0].coeffs, n - form.r)[1])
+    if a_val == n:
+        return 0
+    others = [form.r] + ([form.r1] if form.r1 is not None else [])
+    return sum(a_val <= v for v in others)
+
+
+U2_FIELDS = [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (7, 1, 1), (2, 3, 2), (3, 2, 1)]
+
+
+def test_u2_members_equal_the_two_elimination_construction(F5):
+    # sA pivoting both ug0 and g1 (one stacked clear) and pivoting only one
+    # of them: every member as the two separate eliminations build it, and
+    # read-only down to the array it views
+    codes = [closed_form_shape_code(F5, random.Random(seed)) for seed in (1, 2)]
+    for p, m, k in U2_FIELDS:
+        spec, rng = u.field_make(p, m), random.Random(900 + 10 * p + m)
+        codes += [u.random_code(rng, spec, k) for _ in range(150)]
+    pivots = {0: 0, 1: 0, 2: 0}
+    for code in codes:
+        if 0 not in code.ideal_type:
+            continue
+        code = code.without_g3() if 3 in code.ideal_type else code
+        members = u.u2_part_set(code)
+        assert [(f.source, f.element.tolist()) for f in members] == [
+            (src, elem.tolist()) for src, elem in reference_u2_part_set(code)
+        ]
+        for f in members:
+            arr = f.element
+            while arr is not None:
+                assert not arr.flags.writeable, f.source
+                arr = arr.base
+        if 1 in code.ideal_type:
+            pivots[sA_pivots(code)] += 1
+    assert min(pivots.values()) >= 10, pivots
+
+
+def test_closed_form_inverts_at_most_one_series_per_code(F5, monkeypatch):
+    # the level-1 eliminations share their pivot's head, so a t3 call
+    # inverts at most the one unit of sA's u-part, however many members it
+    # clears; the other pivots' u-parts are monomials
+    codes = [closed_form_shape_code(F5, random.Random(seed)) for seed in range(3)]
+    for p, m, k in U2_FIELDS + [(2, 1, 2), (3, 2, 2), (7, 1, 2)]:
+        spec, rng = u.field_make(p, m), random.Random(1300 + 10 * p + m)
+        codes += [u.random_code(rng, spec, k) for _ in range(100)]
+    counts, inverse = [], SPoly.inverse
+
+    def counted(f):
+        counts[-1] += 1
+        return inverse(f)
+
+    monkeypatch.setattr(SPoly, "inverse", counted)
+    for code in codes:
+        counts.append(0)
+        u.t3(code)
+    monkeypatch.undo()
+    assert max(counts) == 1
+    assert counts[:3] == [1, 1, 1]
+    assert sum(counts) >= 50
 
 
 # --- adjoining g3 ------------------------------------------------------------------
