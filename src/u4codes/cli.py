@@ -197,7 +197,7 @@ def _cmd_verify(args, out) -> int:
     try:
         spec = field_make(args.p, args.m)
     except U4CodesError as exc:
-        raise _Failure(EXIT_FILE, str(exc))
+        raise _Failure(EXIT_USAGE, str(exc))
     if args.trials < 1:
         raise _Failure(EXIT_USAGE, "trials must be >= 1")
     try:
@@ -290,10 +290,10 @@ def _cmd_sweep(args, out) -> int:
         rng = random.Random(seed)
         for _ in range(trials):
             code = random_code(rng, specs[(p, m)], k)
-            t3 = torsion.t3(code).t3
-            verified = "true" if t3 == torsion_oracle(code, 3) else "false"
-            writer.writerow((p, m, k, code.type_name(), _degrees_summary(code), t3,
-                             wt_sp_from_t3(t3, p, k), wt_rt_from_t3(t3, p, k), verified))
+            report = analyze_code(code)
+            verified = "true" if report.t3 == torsion_oracle(code, 3) else "false"
+            writer.writerow((p, m, k, code.type_name(), _degrees_summary(code), report.t3,
+                             report.wt_sp, report.wt_rt, verified))
             rows += 1
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

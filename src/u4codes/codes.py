@@ -341,12 +341,17 @@ def _least_shift(basis: SpanBasis, w: np.ndarray) -> int:
     return d
 
 
+def _check_basis(basis: SpanBasis, field: FieldSpec, n: int, what: str):
+    """Refuse a span basis whose field or length differs from ``what``'s."""
+    if field != basis.field:
+        raise MixedField(f"{what} over a different field")
+    if n != basis.n:
+        raise MixedLength(f"{what} of a different length")
+
+
 def contains(basis: SpanBasis, elem: RingElement) -> bool:
     """Membership: no shift is needed to bring the element into the code."""
-    if elem.spec != basis.field:
-        raise MixedField("element over a different field")
-    if elem.n != basis.n:
-        raise MixedLength("element of a different length")
+    _check_basis(basis, elem.spec, elem.n, "element")
     return _least_shift(basis, elem.coeffs) == 0
 
 
@@ -357,13 +362,15 @@ def torsion_oracle(code: CyclicCode, i: int, basis: SpanBasis | None = None) -> 
         raise ValueError("torsion level must lie in 0..3")
     if basis is None:
         basis = span_basis(code)
+    _check_basis(basis, code.field, code.n, "code")
     unit = np.zeros((4, code.n), dtype=np.int16)
     unit[i, 0] = 1
     return _least_shift(basis, unit)
 
 
 def torsion_profile(code: CyclicCode, basis: SpanBasis | None = None) -> tuple[int, int, int, int]:
-    """(t0, t1, t2, t3), each the least shift of a unit vector (``torsion_oracle``)."""
+    """(t0, t1, t2, t3), each the least shift of a unit vector (``torsion_oracle``,
+    which refuses a basis of another field or length)."""
     if basis is None:
         basis = span_basis(code)
     return tuple(torsion_oracle(code, i, basis) for i in range(4))

@@ -19,17 +19,18 @@ members against each member in one step, the member unscaled, so it
 inverts nothing and takes at most two kernel calls per pivot; the level-1
 eliminations first scale their pivot with ``chain._monic``, because their
 results become members, and a unit multiple of a member would move later
-valuations.  Each pivot is scaled once: when sA = s^(n-r) g0 pivots both
-u g0 and g1, the two are cleared against its head in one stacked step.
-Only sA's u-part can carry a non-constant unit (those of u g0 and g1 are
-monomials), so a code inverts at most one series.  The case formulas stay
-on ``SPoly`` because their traces print the polynomial.
+valuations.  Each pivot is scaled once and clears all of its rows in one
+stacked step.  Only the u-part of sA = s^(n-r) g0 can carry a non-constant
+unit (those of u g0 and g1 are monomials), so a code inverts at most one
+series.  The case formulas stay on ``SPoly`` because their traces print
+the polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -194,13 +195,16 @@ _U2_TYPES = frozenset({(0,), (0, 1), (0, 2), (0, 1, 2)})
 def u2_part_set(code: CyclicCode) -> list[U2Element]:
     """Generating set of the zero-residue, zero-u-part layer of the code.
 
-    Built from the three base elements with (possibly) nonzero u-part
+    Built from the base elements with a nonzero u-part, in this order,
 
-        sA = s^(n-r) g0,   uB = u g0,   g1,
+        sA = s^(n-r) g0 (when its u-part is nonzero),   ug0 = u g0,   g1,
 
-    via exact pairwise u-part cancellations, the u- and s-shifts that kill a
-    u-part outright, and the direct u^2-level generator g2.  Zero results are
-    dropped; every member is an explicitly constructed element of the code.
+    via exact u-part cancellations of each pair (in a pair the element of
+    smaller u-part valuation pivots, ties to the first; each pivot is scaled
+    once and clears all of its rows in one stacked step), the u- and
+    s-shifts that kill a u-part outright, and the direct u^2-level generator
+    g2.  Zero results are dropped; every member is an explicitly constructed
+    element of the code.
     """
     if code.ideal_type not in _U2_TYPES:
         raise WrongIdealType("a g0-containing, g3-free type", str(code.ideal_type))
@@ -209,54 +213,34 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
     A = _shift(gens[0], n - code.form.r)
     B = _shift(gens[0], 0, 1)
     D = gens.get(1)
-
-    heads: dict[int, tuple[int, np.ndarray]] = {}
-
-    def head(x):
-        # each pivot is scaled once, however many rows it clears
-        if id(x) not in heads:
-            heads[id(x)] = _monic(field, x, 1)
-        return heads[id(x)]
-
-    def elim(x, y):
-        # the element of smaller u-part valuation clears the other's u-part
-        x, y = sorted((x, y), key=lambda e: _valuation(e[1]))
-        out = y.copy()
-        _clear(field, out, 1, *head(x))
-        return out
-
-    raw: list[tuple[str, np.ndarray]] = []
     a_val = _valuation(A[1])
-    a_has_u = a_val < n
 
+    base = {"sA": A} if a_val < n else {}
+    base["ug0"] = B
     if D is not None:
-        if a_has_u and a_val <= min(_valuation(B[1]), _valuation(D[1])):
-            # sA pivots both (ties go to sA, as in elim): one stacked clear
-            both = np.array([B, D])
-            _clear(field, both, 1, *head(A))
-            both.flags.writeable = False
-            raw.append(("elim(sA,ug0)", both[0]))
-            raw.append(("elim(sA,g1)", both[1]))
-        elif a_has_u:
-            raw.append(("elim(sA,ug0)", elim(A, B)))
-            raw.append(("elim(sA,g1)", elim(A, D)))
-        else:
-            raw.append(("sA", A))
-        raw.append(("elim(ug0,g1)", elim(B, D)))
-        if a_has_u:
-            raw.append(("s-shift(sA)", _shift(A, n - a_val)))
-            raw.append(("u*sA", _shift(A, 0, 1)))
-        raw.append(("s-shift(g1)", _shift(D, n - _valuation(D[1]))))
-        raw.append(("u*ug0", _shift(B, 0, 1)))
-        raw.append(("u*g1", _shift(D, 0, 1)))
-    else:
-        if a_has_u:
-            raw.append(("elim(sA,ug0)", elim(A, B)))
-            raw.append(("u*sA", _shift(A, 0, 1)))
-        else:
-            raw.append(("sA", A))
-        raw.append(("u*ug0", _shift(B, 0, 1)))
+        base["g1"] = D
+    vals = {name: _valuation(x[1]) for name, x in base.items()}
+    pairs = list(combinations(base, 2))
+    pivot_of = {pair: min(pair, key=vals.get) for pair in pairs}
+    cleared = {}
+    for pivot in dict.fromkeys(pivot_of.values()):
+        mine = [pair for pair in pairs if pivot_of[pair] == pivot]
+        stack = np.array([base[y if x == pivot else x] for x, y in mine])
+        _clear(field, stack, 1, *_monic(field, base[pivot], 1))
+        stack.flags.writeable = False  # frozen before its rows become members
+        cleared.update(zip(mine, stack))
 
+    raw = [] if "sA" in base else [("sA", A)]
+    raw += [(f"elim({x},{y})", cleared[x, y]) for x, y in pairs]
+    if "sA" in base and D is not None:
+        raw.append(("s-shift(sA)", _shift(A, n - a_val)))
+    if "sA" in base:
+        raw.append(("u*sA", _shift(A, 0, 1)))
+    if D is not None:
+        raw.append(("s-shift(g1)", _shift(D, n - vals["g1"])))
+    raw.append(("u*ug0", _shift(B, 0, 1)))
+    if D is not None:
+        raw.append(("u*g1", _shift(D, 0, 1)))
     if 2 in gens:
         raw.append(("g2", gens[2]))
 

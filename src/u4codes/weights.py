@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconsistentSet, NoBranch, OutOfRange, TooLarge
-from .codes import CyclicCode, SpanBasis, span_basis
+from .codes import CyclicCode, SpanBasis, _check_basis, span_basis
 from .galois import FieldElement
 from .sring import basis_transform_rows
 from . import torsion
@@ -201,6 +201,7 @@ def min_weights(
     """Several metric minima from a single enumeration pass."""
     if basis is None:
         basis = span_basis(code)
+    _check_basis(basis, code.field, code.n, "code")
     return _min_weights_enum(code, tuple(metrics), cap, basis, basis_used)
 
 

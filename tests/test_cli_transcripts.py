@@ -340,6 +340,11 @@ USAGE = {
         '',
         "usage error: argument --p: invalid int value: 'x'\n",
     ),
+    'verify --p 4 --m 1 --k 2 --trials 3 --seed 1': (
+        64,
+        '',
+        'error: 4 is not prime\n',
+    ),
     'analyze f.code --enum-cap z': (
         64,
         '',

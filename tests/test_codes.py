@@ -14,6 +14,8 @@ from u4codes.errors import (
     DegreeOrderViolated,
     EmptyGeneratorSet,
     InconsistentSet,
+    MixedField,
+    MixedLength,
     TooLarge,
 )
 from u4codes.galois import FieldSpec
@@ -123,6 +125,23 @@ def test_contains_examples(F2):
     small = u.validate_canonical(F2, 2, u.GeneratorForm(r3=3))
     sbasis = u.span_basis(small)
     assert not u.contains(sbasis, RingElement.from_part(2, SPoly.monomial(F2, 4, 3)))
+
+
+@pytest.mark.parametrize(
+    "other, error", [((2, 1, 3), MixedLength), ((2, 2, 2), MixedField)], ids=["length", "field"]
+)
+def test_oracles_refuse_the_basis_of_another_code(F2, other, error):
+    # a basis of another length or field, read as this code's, would give
+    # t_i above n, or a bare numpy error in min_weights
+    code = u.validate_canonical(F2, 2, u.GeneratorForm(r1=3, k4=0, p4=SPoly.one(F2, 4)))
+    p, m, k = other
+    foreign = u.span_basis(u.random_code(random.Random(3), u.field_make(p, m), k))
+    for oracle in (lambda: u.torsion_oracle(code, 3, foreign),
+                   lambda: u.torsion_profile(code, foreign),
+                   lambda: u.min_weights(code, basis=foreign)):
+        with pytest.raises(error):
+            oracle()
+    assert u.torsion_profile(code, u.span_basis(code)) == u.torsion_profile(code)
 
 
 def test_golden_g0_g1_socle_membership(F2):

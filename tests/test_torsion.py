@@ -322,32 +322,45 @@ def reference_u2_part_set(code):
     return [(src, elem) for src, elem in raw if elem.any()]
 
 
-def sA_pivots(code):
-    """How many of ug0 and g1 the element s^(n-r) g0 pivots (ties to sA)."""
+def level1_pivots(code):
+    """How many level-1 eliminations each base element pivots, read off the
+    generator degrees: the pairs of sA = s^(n-r) g0 (when its u-part is
+    nonzero), ug0 and g1 in that order, the element of smaller u-part
+    valuation pivoting and ties going to the first."""
     n, form = code.n, code.form
     a_val = _valuation(chain._shift(code.generators()[0].coeffs, n - form.r)[1])
-    if a_val == n:
-        return 0
-    others = [form.r] + ([form.r1] if form.r1 is not None else [])
-    return sum(a_val <= v for v in others)
+    vals = ([("sA", a_val)] if a_val < n else []) + [("ug0", form.r)]
+    if form.r1 is not None:
+        vals.append(("g1", form.r1))
+    counts = dict.fromkeys([name for name, _ in vals], 0)
+    for i, (x, vx) in enumerate(vals):
+        for y, vy in vals[i + 1 :]:
+            counts[x if vx <= vy else y] += 1
+    return counts
 
 
 U2_FIELDS = [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (7, 1, 1), (2, 3, 2), (3, 2, 1)]
 
 
-def test_u2_members_equal_the_two_elimination_construction(F5):
-    # sA pivoting both ug0 and g1 (one stacked clear) and pivoting only one
-    # of them: every member as the two separate eliminations build it, and
-    # read-only down to the array it views
+def u2_codes(F5):
+    """Two closed-form shape codes and 1,050 random codes, of which those
+    with g0, their g3 dropped."""
     codes = [closed_form_shape_code(F5, random.Random(seed)) for seed in (1, 2)]
     for p, m, k in U2_FIELDS:
         spec, rng = u.field_make(p, m), random.Random(900 + 10 * p + m)
         codes += [u.random_code(rng, spec, k) for _ in range(150)]
+    return [code.without_g3() if 3 in code.ideal_type else code
+            for code in codes if 0 in code.ideal_type]
+
+
+def test_u2_members_equal_the_two_elimination_construction(F5):
+    # every member as the separate eliminations build it, and read-only down
+    # to the array it views, whichever element pivots how many eliminations:
+    # sA pivoting both, one or neither of ug0 and g1, and ug0 or g1 pivoting
+    # two
     pivots = {0: 0, 1: 0, 2: 0}
-    for code in codes:
-        if 0 not in code.ideal_type:
-            continue
-        code = code.without_g3() if 3 in code.ideal_type else code
+    pivots_two = {"ug0": 0, "g1": 0}
+    for code in u2_codes(F5):
         members = u.u2_part_set(code)
         assert [(f.source, f.element.tolist()) for f in members] == [
             (src, elem.tolist()) for src, elem in reference_u2_part_set(code)
@@ -357,9 +370,38 @@ def test_u2_members_equal_the_two_elimination_construction(F5):
             while arr is not None:
                 assert not arr.flags.writeable, f.source
                 arr = arr.base
+        counts = level1_pivots(code)
         if 1 in code.ideal_type:
-            pivots[sA_pivots(code)] += 1
+            pivots[counts.get("sA", 0)] += 1
+        for name in pivots_two:
+            pivots_two[name] += counts.get(name) == 2
     assert min(pivots.values()) >= 10, pivots
+    assert min(pivots_two.values()) >= 10, pivots_two
+
+
+def test_each_level1_pivot_is_scaled_once_and_clears_once(F5, monkeypatch):
+    # one _monic and one stacked _clear per distinct pivot, whichever
+    # element it is and however many rows it clears
+    calls = {"monic": 0, "clear": 0}
+    monic, clear = torsion._monic, torsion._clear
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(torsion, "_monic", counted("monic", monic))
+    monkeypatch.setattr(torsion, "_clear", counted("clear", clear))
+    g1_pivots_two = 0
+    for code in u2_codes(F5):
+        calls.update(monic=0, clear=0)
+        u.u2_part_set(code)
+        counts = level1_pivots(code)
+        distinct = sum(c > 0 for c in counts.values())
+        assert calls == {"monic": distinct, "clear": distinct}, (code.form, counts)
+        g1_pivots_two += counts.get("g1") == 2
+    assert g1_pivots_two >= 10
 
 
 def test_closed_form_inverts_at_most_one_series_per_code(F5, monkeypatch):
