@@ -7,7 +7,7 @@ module alone fixes the layout that ``codes``, ``torsion`` and the expression
 evaluator in ``parsing`` compute on: ``_mul``, the ring product, serves the
 evaluator and ``RingElement.__mul__`` alike.  Among them is the one
 elimination step that the echelon form and membership test in ``codes`` and
-the u^2-part eliminations in ``torsion`` all take: ``_clear`` clears column c
+the level-1 eliminations in ``torsion`` all take: ``_clear`` clears column c
 of a row, or of a (B, 4, n) stack of rows, against a head h with
 h[c] = s^v w, w a unit, fraction-free, by r <- w r - (r[c] >> v) h, so it
 inverts no series.  Every product in it shares a factor (w, or a u-part of

@@ -30,7 +30,10 @@ closed form call it, once per pivot, so a code inverts at most one series;
 the pivot-and-clear step ``chain._clear`` is fraction-free and clears a
 whole stack of rows against one head in one call for the unit scale and one
 per u-part of the head, so the span oracle inverts no series at all, and a
-constant scale is a table lookup.  The x/s
+constant scale is a table lookup.  The closed form's pairwise stage makes
+one call per u^2-part member whose unit is not a constant, that unit
+against every member's u^3-part, on rows cut to the top s-window the
+generators reach.  The x/s
 basis change costs K passes of a p x p matrix product over the m digit
 planes for n = p^K, and builds no n x n matrix.
 """

@@ -12,18 +12,20 @@ terms can cancel below their nominal degrees, and the valuation measures the
 true offset.  Each candidate fed into a min is the valuation of an explicitly
 constructed member of the code (or a value >= some other candidate), so the
 minimum is always witnessed.  The g0 path builds those members from the
-generators' (4, n) arrays (``chain`` layout) with the primitives the oracle
-shares: ``chain._shift`` and ``chain._clear``, the fraction-free step that
-also builds the oracle's echelon form.  The pairwise stage clears all later
-members against each member in one step, the member unscaled, so it
-inverts nothing and takes at most two kernel calls per pivot; the level-1
-eliminations first scale their pivot with ``chain._monic``, because their
+generators' (4, n) arrays (``chain`` layout), divided by s^v0 for v0 the
+least valuation over their columns: x -> x / s^v0 maps s^v0 F[s]/<s^n> onto
+F[s]/<s^(n-v0)> and commutes with products, shifts and ``chain._clear``, so
+the path computes on (4, n - v0) arrays and adds v0 back to every valuation
+it reports.  The level-1 eliminations take the oracle's own fraction-free
+step ``chain._clear``, each pivot first scaled with ``chain._monic`` (their
 results become members, and a unit multiple of a member would move later
-valuations.  Each pivot is scaled once and clears all of its rows in one
-stacked step.  Only the u-part of sA = s^(n-r) g0 can carry a non-constant
-unit (those of u g0 and g1 are monomials), so a code inverts at most one
-series.  The case formulas stay on ``SPoly`` because their traces print
-the polynomial.
+valuations) and then clearing all of its rows in one stacked step.  Only
+the u-part of sA = s^(n-r) g0 can carry a non-constant unit (those of u g0
+and g1 are monomials), so a code inverts at most one series.  Every pairwise
+u^2-cancellation is read off one product table of each member's u^2 unit
+times every member's u^3-part: one kernel call per member whose unit is not
+a constant, whatever the number of pairs.  The case formulas stay on
+``SPoly`` because their traces print the polynomial.
 """
 
 from __future__ import annotations
@@ -35,37 +37,48 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InconsistentSet, WrongIdealType
+from .errors import InconsistentSet, MixedLength, WrongIdealType
 from .chain import _clear, _monic, _shift, _valuation
 from .codes import CyclicCode, GeneratorForm
-from .sring import SPoly
+from .sring import SPoly, _mul_trunc
 
 
 @dataclass(frozen=True, eq=False)
 class U2Element:
     """A code member of shape u^2 s^omega h1 + u^3 s^omega_tilde h2 (h1, h2
-    units), held as a (4, n) encoding array whose rows 0 and 1 are zero; the
-    array is made read-only on construction.
+    units), held as the (4, n - offset) encoding array of the member divided
+    by s^offset; rows 0 and 1 are zero, and the array is made read-only on
+    construction.  A zero member, or an array that is not four rows, is
+    refused.
 
-    omega / omega_tilde are the valuations of rows 2 and 3, None when the row
-    is zero.
+    omega / omega_tilde are the valuations of the member's rows 2 and 3
+    (offset included), None when the row is zero.
     """
 
     source: str
     element: np.ndarray
+    offset: int = 0
 
     def __post_init__(self):
+        if self.element.ndim != 2 or self.element.shape[0] != 4 or self.offset < 0:
+            raise MixedLength(f"{self.source}: not four u-adic parts at a window offset >= 0")
         if self.element[:2].any():
             raise InconsistentSet(f"{self.source}: nonzero residue or u-part")
+        if not self.element.any():
+            raise InconsistentSet(f"{self.source}: zero member")
         self.element.flags.writeable = False
 
     @cached_property
     def omega(self) -> Optional[int]:
-        return _nonzero_valuation(self.element[2])
+        return self._valuation(2)
 
     @cached_property
     def omega_tilde(self) -> Optional[int]:
-        return _nonzero_valuation(self.element[3])
+        return self._valuation(3)
+
+    def _valuation(self, row: int) -> Optional[int]:
+        v = _nonzero_valuation(self.element[row])
+        return None if v is None else v + self.offset
 
 
 @dataclass(frozen=True)
@@ -204,13 +217,22 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
     once and clears all of its rows in one stacked step), the u- and
     s-shifts that kill a u-part outright, and the direct u^2-level generator
     g2.  Zero results are dropped; every member is an explicitly constructed
-    element of the code.
+    element of the code, held at full length (offset 0).
     """
+    return _u2_members(code, windowed=False)
+
+
+def _u2_members(code: CyclicCode, windowed: bool) -> list[U2Element]:
+    """The members of ``u2_part_set``, each divided by s^v0 and carrying
+    offset v0, where v0 is the least valuation over the generators' columns
+    when ``windowed`` and 0 otherwise."""
     if code.ideal_type not in _U2_TYPES:
         raise WrongIdealType("a g0-containing, g3-free type", str(code.ideal_type))
-    field, n = code.field, code.n
     gens = {level: g.coeffs for level, g in code.generators().items()}
-    A = _shift(gens[0], n - code.form.r)
+    v0 = min(_valuation(x.any(axis=0)) for x in gens.values()) if windowed else 0
+    gens = {level: x[:, v0:] for level, x in gens.items()}
+    field, n = code.field, code.n - v0
+    A = _shift(gens[0], code.n - code.form.r)
     B = _shift(gens[0], 0, 1)
     D = gens.get(1)
     a_val = _valuation(A[1])
@@ -244,7 +266,39 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
     if 2 in gens:
         raw.append(("g2", gens[2]))
 
-    return [U2Element(src, elem) for src, elem in raw if elem.any()]
+    return [U2Element(src, elem, v0) for src, elem in raw if elem.any()]
+
+
+def _pair_eliminations(field, with_u2: list[U2Element]) -> np.ndarray:
+    """Row 3 of the u^2-cancellation of every pair i < j of members sorted
+    by omega, in ``combinations`` order, as a (pairs, width) array; rows 0
+    to 2 of each cancellation are zero.
+
+    With w_x = f_x[2] >> omega_x (a unit) and b_x = f_x[3], the cancellation
+    is the fraction-free step w_i f_j - (f_j[2] >> omega_i) f_i of
+    ``chain._clear``, and since f_j[2] >> omega_i = s^(omega_j - omega_i) w_j
+    its row 3 is w_i b_j - s^(omega_j - omega_i) w_j b_i.  So every pair
+    reads two entries of the table P[x, y] = w_x b_y, x != y: one stacked
+    kernel call per member whose unit is not a constant, against the
+    nonzero b_y of the other members, and a field-table lookup for a
+    constant one.
+    """
+    local = [f.omega - f.offset for f in with_u2]
+    b = np.array([f.element[3] for f in with_u2])
+    width = b.shape[1]
+    table = np.zeros((len(with_u2),) + b.shape, dtype=np.int16)
+    live = np.flatnonzero(b.any(axis=1)).tolist()
+    for x, (f, v) in enumerate(zip(with_u2, local)):
+        w, ys = f.element[2, v:], [y for y in live if y != x]
+        if ys:
+            table[x, ys] = _mul_trunc(field, w, b[ys], width) if w[1:].any() else field.mul_table[w[0], b[ys]]
+    pairs = list(combinations(range(len(with_u2)), 2))
+    i, j = np.array(pairs).T
+    lower = np.zeros((len(pairs), width), dtype=np.int16)  # s^(omega_j - omega_i) w_j b_i
+    for k, (x, y) in enumerate(pairs):
+        d = local[y] - local[x]
+        lower[k, d:] = table[y, x, : width - d]
+    return field.sub_table[table[i, j], lower]
 
 
 def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
@@ -252,9 +306,15 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
 
     Candidates: omega_i (u * f_i), n - omega_i + omega~_i (s^(n-omega_i) f_i),
     omega~ of the pure-u^3 members, and the valuations of all pairwise
-    u^2-cancellations.  All are valuations of explicit code members.
+    u^2-cancellations.  All are valuations of explicit code members.  The
+    members must share one window offset v0 and be of width n - v0; every
+    valuation is reported with v0 added back.
     """
     n = code.n
+    offsets = {f.offset for f in members}
+    if len(offsets) > 1 or any(f.element.shape[1] + f.offset != n for f in members):
+        raise MixedLength(f"u^2-part members of another length or window than n = {n}")
+    v0 = offsets.pop() if offsets else 0
     with_u2 = sorted(
         (f for f in members if f.omega is not None), key=lambda f: (f.omega, f.source)
     )
@@ -267,22 +327,18 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
         if shifted[2].any():
             raise InconsistentSet(f"{f.source}: s-shift left a nonzero u^2-part")
         if shifted.any():
-            min_set.append((f"shift[{f.source}]", _valuation(shifted[3])))
+            min_set.append((f"shift[{f.source}]", v0 + _valuation(shifted[3])))
     for f in u3_only:
         min_set.append((f"u3[{f.source}]", f.omega_tilde))
 
     taus = []
-    for a, fi in enumerate(with_u2[:-1]):
-        # fraction-free: the result is w_i times the one against the monic
-        # pivot, since w_i w_i^-1 - 1 lies in s^(n - val f_i) and kills f_i
-        later = with_u2[a + 1 :]
-        elims = np.array([fj.element for fj in later])
-        _clear(code.field, elims, 2, fi.omega, fi.element)
-        for fj, elim in zip(later, elims):
-            if elim.any():
-                tau = _valuation(elim[3])
-                taus.append(tau)
-                min_set.append((f"elim[{fi.source}|{fj.source}]", tau))
+    if len(with_u2) > 1:
+        nonzero = _pair_eliminations(code.field, with_u2) != 0
+        pairs = combinations(with_u2, 2)
+        for (fi, fj), kept, tau in zip(pairs, nonzero.any(axis=1), nonzero.argmax(axis=1)):
+            if kept:
+                taus.append(v0 + int(tau))
+                min_set.append((f"elim[{fi.source}|{fj.source}]", taus[-1]))
 
     return _witnessed(
         n,
@@ -317,7 +373,7 @@ def t3(code: CyclicCode) -> T3Result:
     if t == (1, 2):
         return t3_g1_g2(code)
     if t in _U2_TYPES:
-        return t3_from_u2_set(u2_part_set(code), code)
+        return t3_from_u2_set(_u2_members(code, windowed=True), code)
     # remaining types contain g3: compute the sub-code result and cap by r3
     sub = code.without_g3()
     sub_res = t3(sub)

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import tempfile
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import u4codes as u
+from u4codes import sring
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +33,26 @@ def F5():
 @pytest.fixture(scope="session")
 def F25():
     return u.field_make(5, 2)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The argument tuples of every product-kernel call the test makes: each
+    attribute of a u4codes submodule that is the kernel ``sring._mul_trunc``
+    is patched to record its call and run it, so a module that imports the
+    kernel under its own name is counted too."""
+    kernel, calls = sring._mul_trunc, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    for info in pkgutil.iter_modules(u.__path__):
+        module = importlib.import_module(f"u4codes.{info.name}")
+        for name, value in list(vars(module).items()):
+            if value is kernel:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def dense_unit(rng, spec, n):

@@ -6,7 +6,7 @@ import pytest
 import u4codes as u
 from u4codes import chain, torsion
 from u4codes.chain import RingElement, _clear, _monic, _valuation
-from u4codes.errors import InconsistentSet, WrongIdealType
+from u4codes.errors import InconsistentSet, MixedLength, WrongIdealType
 from u4codes.sring import SPoly, decompose
 from conftest import (
     dense_unit,
@@ -161,6 +161,38 @@ def test_t3_from_u2_set_singleton_u3(F2):
         u.U2Element("w", RingElement.from_part(1, SPoly.monomial(F2, 8, 5)).coeffs)
 
 
+def test_u2_element_refuses_a_zero_member_and_a_wrong_row_count(F2):
+    # either array would pass construction and break t3_from_u2_set later:
+    # a zero member in the sort by omega, three rows in the u^3-part read
+    code = u.validate_canonical(F2, 3, u.GeneratorForm(r=4))
+    with pytest.raises(InconsistentSet):
+        u.U2Element("zero", np.zeros((4, 8), dtype=np.int16))
+    with pytest.raises(MixedLength):
+        u.U2Element("three rows", RingElement.from_part(2, SPoly.one(F2, 8)).coeffs[1:])
+    with pytest.raises(MixedLength):
+        u.U2Element("one row", SPoly.one(F2, 8).coeffs)
+    member = u.U2Element("u^2", RingElement.from_part(2, SPoly.monomial(F2, 8, 3)).coeffs)
+    assert u.t3_from_u2_set([member], code).t3 == 3
+
+
+def test_t3_from_u2_set_refuses_members_of_another_length_or_window(F2):
+    # members of the n = 8 code read against the n = 16 one would be
+    # shifted by n = 16 amounts and give a t3 for neither code
+    short, long = (u.validate_canonical(F2, k, u.GeneratorForm(r=5, k1=1, p1=SPoly.one(F2, 2**k)))
+                   for k in (3, 4))
+    with pytest.raises(MixedLength):
+        u.t3_from_u2_set(u.u2_part_set(short), long)
+    with pytest.raises(MixedLength):
+        u.t3_from_u2_set(u.u2_part_set(long), short)
+    full, top = u.u2_part_set(short), torsion._u2_members(short, windowed=True)
+    assert top[0].offset > 0
+    with pytest.raises(MixedLength):
+        u.t3_from_u2_set(full[:1] + top[1:], short)
+    with pytest.raises(MixedLength):  # a window's offset must match its width
+        u.t3_from_u2_set([u.U2Element(f.source, f.element, 0) for f in top], short)
+    assert u.t3_from_u2_set(full, short) == u.t3_from_u2_set(top, short) == u.t3(short)
+
+
 def test_u2_set_elimination_members_in_code():
     # every intermediate the engine builds must itself be a code member
     for (p, m, k) in [(2, 1, 2), (3, 1, 2)]:
@@ -260,22 +292,20 @@ def closed_form_shape_code(F5, rng):
     return u.validate_canonical(F5, 4, u.GeneratorForm(**fields))
 
 
-def test_pairwise_stage_takes_at_most_two_kernel_calls_per_pivot(F5, monkeypatch):
+def test_pairwise_stage_takes_one_kernel_call_per_non_constant_unit(F5, kernel_calls):
     # the <g0,g1,g2> part, which t3 reduces to, of the closed-form shape
-    # code (nine u^2-part members): each pivot of the pairwise stage
-    # clears all later members in one stack, one product for the pivot's
-    # unit and one for its u^3-part, so the stage may not fall back to a
-    # kernel call per pair
+    # code (nine u^2-part members, six of whose u^2 units are not
+    # constants): the product table takes one stacked kernel call for each
+    # such unit against every member's u^3-part, and a table lookup for a
+    # constant one, so the stage may not fall back to a call per pivot or
+    # per pair
     code = closed_form_shape_code(F5, random.Random(560)).without_g3()
     members = u.u2_part_set(code)
-    calls = []
-    kernel = chain._mul_trunc
-    monkeypatch.setattr(chain, "_mul_trunc", lambda *args: calls.append(args) or kernel(*args))
+    non_constant = sum(f.omega is not None and f.element[2, f.omega + 1 :].any() for f in members)
+    kernel_calls.clear()
     result = torsion.t3_from_u2_set(members, code)
-    monkeypatch.undo()
-    pivots = result.path["nu"] - 1
-    assert pivots >= 5
-    assert 0 < len(calls) <= 2 * pivots
+    assert result.path["nu"] == 9
+    assert 0 < len(kernel_calls) <= non_constant == 6
     assert result.t3 == oracle_t3(code)
 
 
@@ -426,6 +456,109 @@ def test_closed_form_inverts_at_most_one_series_per_code(F5, monkeypatch):
     assert max(counts) == 1
     assert counts[:3] == [1, 1, 1]
     assert sum(counts) >= 50
+
+
+# --- the top s-window and the product table ------------------------------------
+
+
+def high_degree_code(rng, spec, k):
+    """A random code with g0 whose generator degrees lie among the top few,
+    the top sixteenth, the top quarter or all of the n = p^k columns; each
+    correction is present with probability 2/3, at 90 % or more of its
+    bound (at s^0 one time in ten), with a constant, a
+    five-term or a dense unit.  Its generators lie in s^v0 F[s] for a v0
+    near n, or for v0 = 0 when a correction sits at s^0."""
+    n = spec.p**k
+    itype = rng.choice([t for t in u.IDEAL_TYPES if 0 in t])
+    span = max(len(itype), rng.choice([1, 3, n // 16, n // 4, n]))
+    names = {0: "r", 1: "r1", 2: "r2", 3: "r3"}
+    fields = dict(zip((names[level] for level in itype),
+                      sorted((rng.randrange(n - span, n) for _ in itype), reverse=True)))
+    owners = {1: "r", 2: "r", 3: "r", 4: "r1", 5: "r1", 6: "r2"}
+    bounds = {1: "r1", 2: "r2", 3: "r3", 4: "r2", 5: "r3", 6: "r3"}
+    for i in range(1, 7):
+        bound = fields.get(bounds[i], n)
+        if owners[i] not in fields or bound == 0 or rng.random() < 1 / 3:
+            continue
+        fields[f"k{i}"] = 0 if rng.random() < 0.1 else rng.randrange(bound * 9 // 10, bound)
+        unit = np.zeros(n, dtype=np.int16)
+        unit[0] = rng.randrange(1, spec.q)
+        top = rng.choice([1, min(5, n), n])
+        unit[1:top] = [rng.randrange(spec.q) for _ in range(top - 1)]
+        fields[f"p{i}"] = SPoly(spec, n, unit)
+    return u.validate_canonical(spec, k, u.GeneratorForm(**fields))
+
+
+@pytest.mark.parametrize("p,m,ks", [
+    (2, 1, (3, 7, 11)), (3, 1, (2, 5, 7)), (2, 2, (3, 6, 10)),
+    (5, 1, (2, 4, 5)), (2, 3, (3, 5, 8)), (3, 2, (2, 4, 6)),
+])
+def test_top_window_equals_the_full_length_path(p, m, ks):
+    # t3 runs the g0 path on the generators divided by s^v0; each of its
+    # members times s^v0 is the full-length member, with the same
+    # (absolute) omegas, and the trace is the full-length path's
+    spec = u.field_make(p, m)
+    rng = random.Random(2300 + 10 * p + m)
+    windows = set()
+    for k in ks:
+        n = p**k
+        codes = [u.validate_canonical(spec, k, u.GeneratorForm(r=n - 1))]  # one column
+        codes += [high_degree_code(rng, spec, k) for _ in range(8)]
+        for code in codes:
+            code = code.without_g3()
+            full, top = u.u2_part_set(code), torsion._u2_members(code, windowed=True)
+            v0 = top[0].offset
+            assert [f.source for f in top] == [f.source for f in full]
+            for f, g in zip(top, full):
+                assert f.offset == v0 and g.offset == 0 and f.element.shape == (4, n - v0)
+                assert not g.element[:, :v0].any() and np.array_equal(g.element[:, v0:], f.element)
+                assert (f.omega, f.omega_tilde) == (g.omega, g.omega_tilde)
+            assert u.t3(code).path == u.t3_from_u2_set(full, code).path
+            windows.add("n" if v0 == 0 else "1" if v0 == n - 1 else "between")
+    assert windows == {"n", "1", "between"}
+
+
+def reference_pair_eliminations(field, with_u2):
+    """The pairwise stage as one fraction-free clear per pivot: the later
+    members stacked and cleared against the pivot unscaled, as the stage
+    ran before the product table."""
+    out = []
+    for a, fi in enumerate(with_u2[:-1]):
+        elims = np.array([fj.element for fj in with_u2[a + 1 :]])
+        _clear(field, elims, 2, fi.omega - fi.offset, fi.element)
+        out.extend(elims)
+    return np.array(out)
+
+
+def test_product_table_equals_the_per_pivot_clears(F5):
+    # every pair of 1,000 codes with g0 (full length and top window), among
+    # them members with a constant unit, pairs with equal omegas and
+    # cancellations that vanish
+    seen = {"constant unit": 0, "equal omegas": 0, "vanished": 0, "pairs": 0}
+    codes = u2_codes(F5)
+    rng = random.Random(2400)
+    while len(codes) < 1000:
+        spec = u.field_make(*rng.choice(U2_FIELDS)[:2])
+        code = u.random_code(rng, spec, 2)
+        if 0 in code.ideal_type:
+            codes.append(code.without_g3())
+    for code in codes:
+        for members in (u.u2_part_set(code), torsion._u2_members(code, windowed=True)):
+            with_u2 = sorted((f for f in members if f.omega is not None),
+                             key=lambda f: (f.omega, f.source))
+            if len(with_u2) < 2:
+                continue
+            want = reference_pair_eliminations(code.field, with_u2)
+            got = torsion._pair_eliminations(code.field, with_u2)
+            assert not want[:, :3].any()
+            assert np.array_equal(got, want[:, 3]), code.form
+            seen["pairs"] += len(got)
+            seen["vanished"] += int((~got.any(axis=1)).sum())
+            seen["constant unit"] += sum(not f.element[2, f.omega - f.offset + 1 :].any()
+                                         for f in with_u2)
+            omegas = [f.omega for f in with_u2]
+            seen["equal omegas"] += len(omegas) - len(set(omegas))
+    assert min(seen.values()) >= 100, seen
 
 
 # --- adjoining g3 ------------------------------------------------------------------
