@@ -5,6 +5,12 @@ chain-ring codeword is nonzero when any of its four u-components is nonzero
 at that position.  The enumeration oracle can optionally weigh in the s-basis
 for diagnostics, but every closed-form statement refers to the x-basis.
 
+The enumerator stores codewords as bit planes: one n-bit mask per bit of
+each u-part encoding, packed into uint64 words with the codeword axis
+innermost.  A position of left - right is nonzero exactly when some plane of
+left and right differs there, so a block of supports is the OR over the
+planes of left ^ right, and its weights are popcounts of those words.
+
 ``analyze`` is the closed form alone: t3 and the two minimum weights it
 determines.  ``min_weights`` is the enumeration oracle.  Comparing the two,
 and t3 with ``codes.torsion_profile``, is left to the caller (the CLI).
@@ -49,32 +55,41 @@ def _padded_width(n: int) -> int:
 
 
 def _pack(support: np.ndarray) -> np.ndarray:
-    """(N, 64 w) bool supports as (N, w) uint64 words: position c is bit
-    c % 64 of word c // 64, and the padding bits are zero."""
-    return np.packbits(support, bitorder="little").view("<u8").reshape(support.shape[0], -1)
+    """(N, 64 w) bool supports as (w, N) uint64 words, the codeword axis
+    innermost: position c is bit c % 64 of word c // 64, and the padding
+    bits are zero."""
+    words = np.packbits(support, bitorder="little").view("<u8")
+    return words.reshape(support.shape[0], -1).T
 
 
 def _rot1(words: np.ndarray, n: int) -> np.ndarray:
-    """Packed supports with position c holding position c + 1 mod n."""
+    """(W, N) packed supports with position c holding position c + 1 mod n."""
     rot = words >> 1
-    rot[:, :-1] |= words[:, 1:] << 63
-    rot[:, -1] |= (words[:, 0] & 1) << ((n - 1) % 64)
+    rot[:-1] |= words[1:] << 63
+    first = words[0] & 1
+    first <<= (n - 1) % 64
+    rot[-1] |= first
     return rot
 
 
 def _min_word_weight(words: np.ndarray, n: int, metric: str) -> int:
-    """Least weight of the packed length-n supports, the rows of words."""
+    """Least weight of the packed length-n supports, the columns of the
+    (W, N) words."""
+    # a weight is at most 64 W: sum the popcounts in the least dtype that holds it
+    total = np.min_scalar_type(64 * words.shape[0])
     if metric == "hamming":
-        return int(np.bitwise_count(words).sum(axis=1).min())
+        return int(np.bitwise_count(words).sum(axis=0, dtype=total).min())
     if metric == "symbol_pair":
-        return int(np.bitwise_count(words | _rot1(words, n)).sum(axis=1).min())
+        pairs = _rot1(words, n)
+        pairs |= words
+        return int(np.bitwise_count(pairs).sum(axis=0, dtype=total).min())
     # rt: the bit length of the least support read as an integer, whose top
-    # word is the least top word, and so on down among the rows that tie
-    for w in reversed(range(words.shape[1])):
-        top = words[:, w].min()
+    # word is the least top word, and so on down among the columns that tie
+    for w in reversed(range(words.shape[0])):
+        top = words[w].min()
         if top:
             return 64 * w + int(top).bit_length()
-        words = words[words[:, w] == 0]
+        words = words[:, words[w] == 0]
     return 0
 
 
@@ -110,17 +125,47 @@ def _one_per_line(field, rows: np.ndarray) -> np.ndarray:
     return np.concatenate([combos[:1]] + [combos[q**j : 2 * q**j] for j in range(rows.shape[0])])
 
 
-def _position_words(vecs: np.ndarray, n: int) -> np.ndarray:
-    """(N, 4n) encodings as (N, n) uint32: the four u-parts at a position,
-    one byte each (every encoding is below q <= 256)."""
-    parts = vecs.reshape(-1, 4, n).astype(np.uint32)
-    return parts[:, 0] | parts[:, 1] << 8 | parts[:, 2] << 16 | parts[:, 3] << 24
+def _bit_planes(field, vecs: np.ndarray, n: int) -> np.ndarray:
+    """(N, 4n) encodings as (P, W, N) uint64 bit planes, P = 4 bit_length(q - 1):
+    plane 4 b + j holds bit b of every u^j-part encoding, packed as ``_pack``
+    packs a support.  Built one encoding bit at a time, so that no temporary
+    holds more than one bit of each coordinate."""
+    bits = (field.q - 1).bit_length()
+    parts = vecs.reshape(-1, 4, n).transpose(1, 0, 2)  # (4, N, n)
+    count, width = parts.shape[1], _padded_width(n)
+    support = np.zeros((4, count, width), dtype=bool)
+    planes = np.empty((bits, 4, width // 64, count), dtype=np.uint64)
+    for b in range(bits):
+        np.bitwise_and(parts, 1 << b, out=support[:, :, :n], casting="unsafe")
+        words = _pack(support.reshape(4 * count, width))  # (W, 4 N)
+        planes[b] = words.reshape(-1, 4, count).transpose(1, 0, 2)
+    return planes.reshape(4 * bits, width // 64, count)
 
 
-# Codewords weighed per block.  On the enum_verify benchmark (2-core x86-64,
-# numpy 2.4) blocks of 2**12, 2**14 and 2**16 peaked at 37.3, 38.4 and
-# 43.7 MiB RSS at about the same speed; 2**10 enumerated about 40 % slower.
-_BLOCK = 2**12
+def _support_words(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Packed supports of left_i - right_j for the (P, W, L) and (P, W, R)
+    bit planes, as (W, L R) words with j innermost.  The difference vanishes
+    at a position exactly when the two encodings agree in every bit there,
+    so its support is the OR over the planes of left ^ right: 2 P - 1 uint64
+    operations a word."""
+    planes, width, count = left.shape
+    support = np.empty((width, count, right.shape[2]), dtype=np.uint64)
+    other = np.empty_like(support)
+    np.bitwise_xor(left[0, :, :, None], right[0, :, None, :], out=support)
+    for p in range(1, planes):
+        np.bitwise_xor(left[p, :, :, None], right[p, :, None, :], out=other)
+        support |= other
+    return support.reshape(width, -1)
+
+
+# uint64 support words weighed per block (at least one left against all
+# rights), whatever n is.  On the enum_verify benchmark (2-core x86-64,
+# numpy 2.4, two 20 s runs each) blocks of 2**12, 2**13, 2**14 and 2**15
+# words ran 602-616, 681-713, 725-750 and 628-637 codes_per_kref at
+# 37.85-38.04, 37.56-37.90, 37.98-38.01 and 38.27-38.31 MiB peak RSS; a
+# block of 2**14 words is about 5 % faster but keeps three 128 KiB arrays
+# alive while it is weighed.
+_BLOCK = 2**13
 
 
 def _min_weights_enum(
@@ -145,49 +190,51 @@ def _min_weights_enum(
     / (q - 1) left words in place of q^half.
 
     No codeword is formed.  left_i - right_j vanishes at a coordinate
-    exactly when left_i == right_j there.  So the four u-parts of each
-    position are packed into one uint32, and a position is in the support
-    exactly when the two words differ: one compare per position.  The
-    supports of a block of about 2**12 codewords are packed into uint64
-    words and weighed by popcount; a larger block saves no time worth having
-    and raises peak RSS.
+    exactly when left_i == right_j there, that is when their encodings agree
+    in every bit of every u-part.  So both halves are stored as bit planes
+    (_bit_planes), each an n-bit mask packed into uint64 words with the
+    codeword axis innermost, and the supports of a block of lefts against
+    all rights are the OR over the planes of left ^ right (_support_words):
+    long uint64 operations, weighed by popcount.  The one zero difference of
+    independent rows, left 0 - right 0, is the first word of the first
+    block and is skipped there; a zero anywhere else means the rows are
+    dependent, and the enumeration raises.
     """
     metrics = tuple(metrics)
     _check_metrics(metrics)
+    if basis_used not in ("x_basis", "s_basis"):
+        raise ValueError(f"unknown basis {basis_used!r}")
     q = code.field.q
     if q**basis.rank > cap:
         raise TooLarge(basis.rank, cap, q)
-    if basis.rank == 0:
-        return {metric: 0 for metric in metrics}
+    if not metrics or basis.rank == 0:
+        return dict.fromkeys(metrics, 0)
     n = code.n
     rows = basis.rows.reshape(basis.rank * 4, n)
     if basis_used == "x_basis":
         rows = basis_transform_rows(code.field, rows, "s_to_x")
-    elif basis_used != "s_basis":
-        raise ValueError(f"unknown basis {basis_used!r}")
     rows = rows.reshape(basis.rank, 4 * n)
 
     half = basis.rank // 2
-    left = _position_words(_one_per_line(code.field, rows[:half]), n)
-    right = _position_words(_all_combinations(code.field, rows[half:]), n)
+    left = _bit_planes(code.field, _one_per_line(code.field, rows[:half]), n)
+    right = _bit_planes(code.field, _all_combinations(code.field, rows[half:]), n)
 
-    per_block = max(1, _BLOCK // right.shape[0])
-    support = np.zeros((per_block, right.shape[0], _padded_width(n)), dtype=bool)
-    best: dict[str, Optional[int]] = {metric: None for metric in metrics}
-    for i in range(0, left.shape[0], per_block):
-        lefts = left[i : i + per_block]
-        block = support[: lefts.shape[0]]
-        np.not_equal(lefts[:, None, :], right[None, :, :], out=block[:, :, :n])
-        words = _pack(block.reshape(-1, block.shape[2]))
-        words = words[words.any(axis=1)]
-        if words.shape[0] == 0:
-            continue
+    per_block = max(1, _BLOCK // (right.shape[1] * right.shape[2]))
+    best: dict[str, Optional[int]] = dict.fromkeys(metrics)
+    for i in range(0, left.shape[2], per_block):
+        words = _support_words(left[:, :, i : i + per_block], right)
+        if i == 0:
+            words = words[:, 1:]  # left 0 - right 0: the zero word
+            if words.shape[1] == 0:
+                continue
         for metric in metrics:
             m = _min_word_weight(words, n, metric)
             if best[metric] is None or m < best[metric]:
                 best[metric] = m
     if any(v is None for v in best.values()):
         raise InconsistentSet(f"rank {basis.rank} but no nonzero codeword was enumerated")
+    if 0 in best.values():
+        raise InconsistentSet(f"rank {basis.rank} but a nonzero combination of the rows is zero")
     return best
 
 

@@ -2,12 +2,14 @@ import importlib
 import pkgutil
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import u4codes as u
 from u4codes import sring
+from u4codes.weights import _pack
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +61,15 @@ def dense_unit(rng, spec, n):
     """A unit of F[s]/<s^n> with all n coefficients random."""
     coeffs = [rng.randrange(1, spec.q)] + [rng.randrange(spec.q) for _ in range(n - 1)]
     return u.SPoly(spec, n, coeffs)
+
+
+def packed(support):
+    """(N, n) bool supports as the enumerator packs them: zero padding to
+    whole uint64 words, as (W, N) words with the codeword axis innermost."""
+    n = support.shape[1]
+    padded = np.zeros((support.shape[0], 64 * -(-n // 64)), dtype=bool)
+    padded[:, :n] = support
+    return _pack(padded)
 
 
 # --- the five golden example codes -------------------------------------------

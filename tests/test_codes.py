@@ -21,8 +21,8 @@ from u4codes.errors import (
 from u4codes.galois import FieldSpec
 from u4codes.randgen import random_unit
 from u4codes.sring import SPoly
-from u4codes.weights import _all_combinations, _one_per_line, _position_words
-from conftest import dense_unit, golden_g0_g1_f2, golden_g1_f4
+from u4codes.weights import _all_combinations, _bit_planes, _one_per_line, _support_words
+from conftest import dense_unit, golden_g0_g1_f2, golden_g1_f4, packed
 
 
 def test_validate_golden_g1(F4):
@@ -634,14 +634,13 @@ def test_batches_match_stream(F2, F5):
 
         # and its zero test: the differences left - right cover the code too,
         # and a position is in the support of left - right exactly when the
-        # packed u-parts of left and right differ there
+        # bit planes of left and right differ there
         n = code.n
         differences = [field.sub_table[row[None, :], right] for row in left]
         assert {w.tobytes() for block in differences for w in block} == stream
-        right_words = _position_words(right, n)
-        for words, block in zip(_position_words(left, n), differences):
-            support = (block.reshape(-1, 4, n) != 0).any(axis=1)
-            assert np.array_equal(words[None, :] != right_words, support)
+        support = (np.concatenate(differences).reshape(-1, 4, n) != 0).any(axis=1)
+        words = _support_words(_bit_planes(field, left, n), _bit_planes(field, right, n))
+        assert np.array_equal(words, packed(support))
 
 
 def test_left_half_is_one_word_per_line(F4, F5):

@@ -1,14 +1,17 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import u4codes as u
-from u4codes.errors import NoBranch, OutOfRange, TooLarge
+from u4codes.errors import InconsistentSet, NoBranch, OutOfRange, TooLarge
 from u4codes.sring import basis_transform_rows
 from u4codes.codes import SpanBasis
-from u4codes.weights import METRICS, _all_combinations, _min_weights_enum, _min_word_weight, _pack
-from conftest import golden_g0_g1_f2, golden_g1_f4, golden_g2_f25
+from u4codes.weights import (
+    METRICS, _all_combinations, _bit_planes, _min_weights_enum, _min_word_weight, _support_words,
+)
+from conftest import golden_g0_g1_f2, golden_g1_f4, golden_g2_f25, packed
 
 
 # --- per-vector metrics ---------------------------------------------------------
@@ -41,15 +44,6 @@ def reference_batch_weights(support, metric):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def packed(support):
-    """Bool supports as the enumerator packs them: zero padding to whole
-    uint64 words."""
-    n = support.shape[1]
-    padded = np.zeros((support.shape[0], 64 * -(-n // 64)), dtype=bool)
-    padded[:, :n] = support
-    return _pack(padded)
-
-
 @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 128, 129, 625])
 def test_packed_weights_match_bool_supports(n):
     # random supports of several densities (so some leave the top word
@@ -71,6 +65,33 @@ def test_packed_weights_match_bool_supports(n):
         for _ in range(20):
             pick = rng.choice(nonzero, size=rng.integers(1, 8), replace=False)
             assert _min_word_weight(packed(support[pick]), n, metric) == want[pick].min()
+
+
+# F_2, F_3, F_4, F_5, F_7, F_8, F_9 and F_256: one to eight bits an encoding
+PLANE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 8)]
+
+
+@pytest.mark.parametrize("p,m", PLANE_FIELDS)
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 625])
+def test_bit_planes_give_the_support_of_the_difference(p, m, n):
+    # the enumerator's zero test: the OR over the planes of left ^ right is
+    # the packed support of left - right.  Each right is a left with a
+    # u-part changed at up to three positions, so most positions cancel,
+    # and the first right equals a left: a zero difference
+    field = u.field_make(p, m)
+    q = field.q
+    rng = np.random.default_rng(1000 * n + q)
+    left = rng.integers(0, q, (5, 4 * n)).astype(np.int16)
+    right = left[rng.integers(0, 5, 7)]
+    for row in right[1:]:
+        for c in rng.choice(n, size=min(n, 3), replace=False):
+            c += n * rng.integers(4)
+            row[c] = (row[c] + rng.integers(1, q)) % q
+    differences = field.sub_table[left[:, None, :], right[None, :, :]]
+    support = (differences.reshape(-1, 4, n) != 0).any(axis=1)
+    assert support.any() and not support.any(axis=1).all()
+    words = _support_words(_bit_planes(field, left, n), _bit_planes(field, right, n))
+    assert np.array_equal(words, packed(support))
 
 
 def test_wt_vector_accepts_field_elements(F4):
@@ -243,6 +264,54 @@ def test_metric_names_checked_first(F2, F25):
     assert "rows" not in vars(basis)  # failed before the rows were built
     with pytest.raises(ValueError):
         u.wt_vector([1, 0], "bogus")
+
+
+def test_empty_metric_set_enumerates_nothing(F2, F25):
+    code = golden_g0_g1_f2(F2)
+    basis = u.span_basis(code)
+    assert u.min_weights(code, (), basis=basis) == {}
+    assert "rows" not in vars(basis)
+    # the basis name and the cap are still checked
+    with pytest.raises(ValueError):
+        u.min_weights(code, (), basis=basis, basis_used="bogus")
+    with pytest.raises(TooLarge):
+        u.min_weights(golden_g2_f25(F25), ())
+
+
+def test_repeated_rows_raise(F2, F5):
+    # a basis whose second head repeats the first: its rows repeat, so a
+    # nonzero combination of them is the zero word, which the enumerator
+    # refuses instead of skipping
+    for field, k, r3 in ((F2, 2, 2), (F5, 1, 3)):
+        code = u.validate_canonical(field, k, u.GeneratorForm(r3=r3))
+        basis = u.span_basis(code)
+        head = basis.heads[max(basis.heads)]
+        repeated = SpanBasis(field, code.n, {**basis.heads, max(basis.heads) + 1: head})
+        rank = basis.rank
+        assert repeated.rank == 2 * rank
+        assert np.array_equal(repeated.rows[:rank], repeated.rows[rank:])
+        for metrics in (METRICS, ("rt",)):
+            with pytest.raises(InconsistentSet):
+                u.min_weights(code, metrics, basis=repeated)
+
+
+def test_enumeration_memory_does_not_grow_with_length(F5):
+    # <g3> with r3 = n - 8 over F_5 at n = 3125: 5^8 codewords.  Planes are
+    # built one encoding bit at a time and blocks are sized in words, so no
+    # temporary holds all bits of a half; the enumeration peaks near 28 MiB
+    # (x86-64, numpy 2.4), and the bound leaves room for other numpy builds
+    n = 3125
+    code = u.validate_canonical(F5, 5, u.GeneratorForm(r3=n - 8))
+    basis = u.span_basis(code)
+    assert basis.rank == 8
+    tracemalloc.start()
+    try:
+        mins = u.min_weights(code, basis=basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mins == {"symbol_pair": u.wt_sp_from_t3(n - 8, 5, 5), "rt": n - 7}
+    assert peak < 40 * 2**20
 
 
 def test_min_weight_cap(F25):
