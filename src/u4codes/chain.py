@@ -4,8 +4,10 @@ An element a0 + u*a1 + u^2*a2 + u^3*a3 is one read-only (4, n) int16 array of
 s-basis encodings, row b the u^b-part; both truncation rules (u^4 = 0 and
 s^n = 0) apply.  The primitives on such arrays live here too, so that this
 module alone fixes the layout that ``codes``, ``torsion`` and the expression
-evaluator in ``parsing`` compute on: ``_mul``, the ring product, serves the
-evaluator and ``RingElement.__mul__`` alike.  Among them is the one
+evaluator in ``parsing`` compute on: ``_mul``, the ring product, serves
+``RingElement.__mul__`` and, in the evaluator, only the product of two
+parenthesized sums (a monomial factor is applied by ``_shift`` and a
+field-table scaling).  Among them is the one
 elimination step that the echelon form and membership test in ``codes`` and
 the level-1 eliminations in ``torsion`` all take: ``_clear`` clears column c
 of a row, or of a (B, 4, n) stack of rows, against a head h with

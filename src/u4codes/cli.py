@@ -103,7 +103,7 @@ def _cmd_analyze(args, out) -> int:
     if args.enum_cap < 0:
         raise _Failure(EXIT_USAGE, "enum-cap must be >= 0")
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _Failure(EXIT_FILE, f"cannot read {args.file}: {exc}")
@@ -263,7 +263,7 @@ def _int_list(config: dict, key: str) -> list[int]:
 
 def _cmd_sweep(args, out) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             config = json.load(fh)
         ps, ms, ks = (_int_list(config, key) for key in ("p", "m", "k"))
         trials, seed = config.get("trials", 10), config.get("seed", 0)

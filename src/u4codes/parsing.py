@@ -1,10 +1,14 @@
 """Code-specification files and the generator expression grammar.
 
-File format (whitespace-insensitive, '#' starts a comment):
+File format ('#' starts a comment):
 
     field: p=2 m=2 modulus=[1,1,1]
     length: k=3
     g1: u*(x-1)^6 + u^2*(x-1)*(1+(x-1)) + u^3*a*(x-1)^2
+
+Generator expressions ignore whitespace.  The field and length lines are
+whitespace-separated key=value pairs, and a pair contains no whitespace:
+``modulus=[1, 1, 1]`` and ``p = 2`` are parse errors.
 
 Expression grammar:
 
@@ -16,10 +20,15 @@ Expression grammar:
 
 The field line takes the keys p, m and modulus, the length line the key k,
 each at most once.  Expressions are evaluated on (4, n) int16 encoding
-arrays, the ``chain`` layout, without building a ``RingElement`` (a power
-u^e, s^e, (x-1)^e or a^e is one monomial or constant, whatever e).  The
-degree of g_level is the valuation of its u^level row, which must be exactly
-a power of s, and each later row u^j is s^k_i times the correction p_i, so
+arrays, the ``chain`` layout, without building a ``RingElement``.  Every
+factor but a parenthesized sum is one monomial c u^e s^f, whatever its
+exponent, and a term folds its monomials into one with integer sums and a
+field-table lookup each: the one path is that monomial times the product
+of the term's parenthesized factors.  Only a product of two parenthesized
+sums takes a ring product (``chain._mul``), so a file written by
+``format_code_file`` parses without a product-kernel call.  The degree of
+g_level is the valuation of its u^level row, which must be exactly a power
+of s, and each later row u^j is s^k_i times the correction p_i, so
 algebraically equal inputs parse to equal codes regardless of how they are
 spelled.  Only ``parse_expression`` wraps its value as a ``RingElement``.
 """
@@ -37,7 +46,7 @@ from .errors import (
     ParseError,
     UnknownDirective,
 )
-from .chain import RingElement, _mul, _valuation
+from .chain import RingElement, _mul, _shift, _valuation
 from .codes import (
     _CORRECTIONS,
     _DEGREE_NAMES,
@@ -61,10 +70,18 @@ _SLOT_BY = {levels: i for i, levels in _CORRECTIONS.items()}
 
 
 class _ExprParser:
-    """Recursive descent over the tokens of one expression, evaluated on
-    (4, n) int16 encoding arrays in the ``chain`` layout: a factor is one
-    encoding in a zero array, '+' indexes the field's add table and '*' is
-    the ring product ``chain._mul``.  Token positions are 1-based columns."""
+    """Recursive descent over the tokens of one expression.  Token positions
+    are 1-based columns.
+
+    A factor other than '(' expr ')' is a monomial ``(level, exp, enc)``,
+    enc u^level s^exp with enc a field encoding; a parenthesized sum is a
+    (4, n) int16 encoding array in the ``chain`` layout.  A term folds its
+    monomials into one with Python ints and a ``mul_table`` lookup each,
+    multiplies its parenthesized sums with ``chain._mul`` (only a product
+    of two of them calls it), and applies the folded monomial to that
+    product once: a ``chain._shift`` and at most one ``mul_table`` scaling.
+    A sum places a monomial term with one scalar ``add_table`` lookup and
+    adds an array term with one (4, n) lookup."""
 
     def __init__(self, spec: FieldSpec, n: int, text: str, line: int, col_offset: int = 0):
         self.spec = spec
@@ -106,18 +123,43 @@ class _ExprParser:
         return value
 
     def expr(self) -> np.ndarray:
-        value = self.term()
-        while self.peek() == "PLUS":
+        add = self.spec.add_table
+        value = np.zeros((4, self.n), dtype=np.int16)
+        while True:
+            term = self.term()
+            if type(term) is tuple:
+                level, exp, enc = term
+                value[level, exp] = add[value[level, exp], enc]
+            else:
+                value = add[value, term]
+            if self.peek() != "PLUS":
+                return value
             self.next()
-            value = self.spec.add_table[value, self.term()]
-        return value
 
-    def term(self) -> np.ndarray:
-        value = self.factor()
-        while self.peek() == "STAR":
+    def term(self) -> tuple[int, int, int] | np.ndarray:
+        """A monomial, zero as (0, 0, 0) once its u-level reaches 4, its
+        exponent n or its coefficient 0; or the array of a term with a
+        parenthesized factor."""
+        mul = self.spec.mul_table
+        level, exp, enc, product = 0, 0, 1, None
+        while True:
+            factor = self.factor()
+            if type(factor) is tuple:
+                level += factor[0]
+                exp += factor[1]
+                enc = int(mul[enc, factor[2]])
+            else:
+                product = factor if product is None else _mul(self.spec, product, factor)
+            if self.peek() != "STAR":
+                break
             self.next()
-            value = _mul(self.spec, value, self.factor())
-        return value
+        if level >= 4 or exp >= self.n or not enc:
+            return 0, 0, 0
+        if product is None:
+            return level, exp, enc
+        if level or exp:
+            product = _shift(product, exp, level)
+        return product if enc == 1 else mul[enc, product]
 
     def _opt_exponent(self) -> int:
         if self.peek() == "CARET":
@@ -125,8 +167,8 @@ class _ExprParser:
             return int(self.expect("INT", "integer exponent")[1])
         return 1
 
-    def factor(self) -> np.ndarray:
-        """u^e, s^e, (x-1)^e and a^e are each one monomial or constant, whatever e."""
+    def factor(self) -> tuple[int, int, int] | np.ndarray:
+        """u^e, s^e, (x-1)^e, a^e and an integer are each one monomial, whatever e."""
         kind, value, col = self.next()
         spec = self.spec
         if kind == "LPAREN":
@@ -134,19 +176,14 @@ class _ExprParser:
             self.expect("RPAREN", "closing parenthesis")
             return inner
         if kind == "U":
-            level, exp, enc = self._opt_exponent(), 0, 1
-        elif kind in ("S", "XM1"):
-            level, exp, enc = 0, self._opt_exponent(), 1
-        elif kind == "A":
-            level, exp, enc = 0, 0, (spec.gen() ** self._opt_exponent()).encoding
-        elif kind == "INT":
-            level, exp, enc = 0, 0, value % spec.p
-        else:
-            raise ParseError(self.line, col, "a factor (u, s, (x-1), a, integer, or '(')")
-        out = np.zeros((4, self.n), dtype=np.int16)
-        if level < 4 and exp < self.n:
-            out[level, exp] = enc
-        return out
+            return self._opt_exponent(), 0, 1
+        if kind in ("S", "XM1"):
+            return 0, self._opt_exponent(), 1
+        if kind == "A":
+            return 0, 0, spec.pow(spec.gen().encoding, self._opt_exponent())
+        if kind == "INT":
+            return 0, 0, value % spec.p
+        raise ParseError(self.line, col, "a factor (u, s, (x-1), a, integer, or '(')")
 
 
 def parse_expression(spec: FieldSpec, n: int, text: str, line: int = 1, col_offset: int = 0) -> RingElement:

@@ -210,6 +210,18 @@ def test_analyze_undecodable_file_exits_66(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
+@pytest.mark.parametrize("args", [[], ["--json"], ["--verify", "--json"]], ids=["text", "json", "verify"])
+def test_analyze_reads_a_file_with_a_byte_order_mark(tmp_path, args):
+    # a UTF-8 byte-order mark, as some editors save one, is not part of the text
+    plain, marked = tmp_path / "plain.code", tmp_path / "bom.code"
+    plain.write_text(GOLDEN_G0_G1_FILE, encoding="utf-8")
+    marked.write_text(GOLDEN_G0_G1_FILE, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    status, out = run(["analyze", str(plain), *args])
+    assert status == 0
+    assert run(["analyze", str(marked), *args]) == (status, out)
+
+
 def test_enum_cap_range(tmp_path, capsys):
     # a cap of 0 is valid and skips every enumeration; a negative cap is a
     # usage error, with or without --verify, before the file is read
@@ -425,6 +437,17 @@ def test_sweep_csv(tmp_path):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+def test_sweep_reads_a_config_with_a_byte_order_mark(tmp_path):
+    text = json.dumps({"p": [2], "m": [1], "k": [2], "trials": 5, "seed": 3})
+    rows = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        config, out_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        config.write_text(text, encoding=encoding)
+        assert run(["sweep", str(config), "--out", str(out_path)]) == (0, f"wrote 5 rows to {out_path}\n")
+        rows.append(out_path.read_bytes())
+    assert rows[0] == rows[1]
+
+
 # --- rejected inputs ---------------------------------------------------------------
 
 BAD_CODE_FILES = {
@@ -446,6 +469,9 @@ BAD_CODE_FILES = {
     "length_unknown_key": "field: p=2 m=1\nlength: k=2 bar=1\ng3: u^3\n",
     "length_repeated_key": "field: p=2 m=1\nlength: k=2 k=3\ng3: u^3\n",
     "modulus_empty_entry": "field: p=2 m=2 modulus=[1,1,,1]\nlength: k=2\ng3: u^3\n",
+    # a key=value pair contains no whitespace: only generator expressions ignore it
+    "modulus_with_spaces": "field: p=2 m=2 modulus=[1, 1, 1]\nlength: k=2\ng3: u^3\n",
+    "spaces_around_equals": "field: p = 2 m=1\nlength: k=2\ng3: u^3\n",
 }
 
 
@@ -464,6 +490,8 @@ KEY_VALUE_ERRORS = {
     "length_unknown_key": "line 2, column 1: expected length: k=..",
     "length_repeated_key": "line 2, column 1: expected length: k=..",
     "modulus_empty_entry": "line 1, column 1: expected modulus=[c0,c1,...] of integers",
+    "modulus_with_spaces": "line 1, column 1: expected key=value pairs",
+    "spaces_around_equals": "line 1, column 1: expected key=value pairs",
 }
 
 

@@ -1,6 +1,7 @@
-"""The code-file parser, which evaluates on (4, n) encoding arrays, against a
-reference that evaluates with ``RingElement`` operators and takes the value
-apart with ``.parts`` and ``decompose``: the evaluator the parser had before.
+"""The code-file parser, which folds the monomial factors of a term into one
+and multiplies only its parenthesized factors, against a reference that
+evaluates every factor as a ``RingElement`` and multiplies with its
+operators, and takes the value apart with ``.parts`` and ``decompose``.
 
 Both must give equal ring elements, equal generator forms, and the same
 error (type and message) on the same input.
@@ -11,6 +12,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import u4codes as u
 from u4codes.chain import RingElement
@@ -18,6 +20,7 @@ from u4codes.codes import _DEGREE_NAMES, GeneratorForm, validate_canonical
 from u4codes.errors import NotCanonical, ParseError, U4CodesError
 from u4codes.parsing import _SLOT_BY, _ExprParser, format_code_file, parse_code_file, parse_expression
 from u4codes.sring import SPoly, decompose
+from conftest import golden_g0_f3, golden_g0_g1_f2, golden_g1_f4, golden_g1_g2_f4, golden_g2_f25
 from test_cli import GOLDEN_G0_F3_FILE, GOLDEN_G0_G1_FILE, GOLDEN_G1_FILE, GOLDEN_G2_F25_FILE, GOLDEN_G3_FILE
 from test_properties import random_generator_files
 
@@ -179,3 +182,107 @@ def test_parse_code_file_builds_no_ring_element(monkeypatch):
     assert built == []
     parse_expression(u.field_make(2, 1), 4, "u*s")
     assert len(built) == 1
+
+
+# --- the cases the folding of monomials handles -------------------------------------
+
+HUGE = 99999999999
+
+
+def edge_file(p, m, k, *lines):
+    """A code file over field_make(p, m) at length p^k with these generator lines."""
+    modulus = ",".join(str(c) for c in u.field_make(p, m).modulus)
+    return "\n".join([f"field: p={p} m={m} modulus=[{modulus}]", f"length: k={k}", *lines]) + "\n"
+
+
+def edge_bodies(p, n):
+    """Sums of products of factors drawn where a term's folded monomial meets
+    its limits: exponents 0, n - 1, n, n + 1 and 10^11 around parenthesized
+    factors (nested two deep), u-levels summing past 4, constants that
+    vanish mod p, and products of several parenthesized sums."""
+    atom = st.sampled_from(
+        ["u", "s", "(x-1)", "a"]
+        + [f"u^{e}" for e in (0, 1, 2, 3, 4, HUGE)]
+        + [f"{var}^{e}" for var in ("s", "(x-1)") for e in (0, 1, 2, n - 1, n, n + 1, HUGE)]
+        + [f"a^{e}" for e in (0, 2, HUGE)]
+        + [str(c) for c in sorted({0, 1, 2, p - 1, p, p + 1, 2 * p})]
+    )
+
+    def sums(factors):
+        product = st.lists(factors, min_size=1, max_size=4).map("*".join)
+        return st.lists(product, min_size=1, max_size=3).map(" + ".join)
+
+    factor = atom
+    for _ in range(2):
+        factor = st.one_of(atom, atom, sums(factor).map("({})".format))
+    return sums(factor)
+
+
+EDGE_BODIES = {(p, m, k): edge_bodies(p, p**k)
+               for p, m, k in [(2, 1, 2), (2, 1, 3), (3, 1, 1), (3, 1, 2), (2, 2, 2), (5, 1, 1)]}
+
+
+@st.composite
+def edge_generator_files(draw):
+    """Code files of ``edge_bodies`` generator lines: a line either is such a
+    sum or puts one under a canonical head."""
+    p, m, k = draw(st.sampled_from(sorted(EDGE_BODIES)))
+    lines = []
+    for level in draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True)):
+        line = draw(EDGE_BODIES[p, m, k])
+        if draw(st.booleans()):
+            line = f"u^{level}*(x-1)^{draw(st.integers(0, p**k - 1))} + u^{level + 1}*{line}"
+        lines.append(f"g{level}: {line}")
+    return edge_file(p, m, k, *lines)
+
+
+@settings(max_examples=250)
+@given(edge_generator_files())
+def test_edge_generator_files_parse_like_the_reference(text):
+    assert_parses_like_the_reference(text)
+
+
+EDGE_EXPRESSIONS = [
+    (2, 1, 2, "(x-1)^3*(1+(x-1))*(x-1)^3"),  # the exponent sum passes n = 4
+    (2, 1, 2, "(x-1)^2*(1+(x-1))*(x-1)^2"),  # it is n
+    (2, 1, 2, "(x-1)^2*(1+(x-1))*(x-1)"),  # it stops at n - 1
+    (2, 1, 2, "1 + s^2*s^2"),
+    (2, 2, 2, "u^2*(a+u)*u^2"),  # the u-level sum reaches 4
+    (2, 2, 2, "u*(a+u)*u^2"),
+    (3, 1, 2, "0"),
+    (3, 1, 2, "3"),  # vanishes mod 3
+    (3, 1, 2, "3*(1+s) + u*s"),
+    (2, 1, 2, "2*2"),
+    (2, 1, 2, "(1+s)*2*(1+u)"),
+    (2, 1, 3, "u^0"),
+    (2, 1, 3, "(x-1)^0 + u^0*s^0*u"),
+    (5, 1, 1, "s^99999999999"),
+    (5, 1, 1, "u^99999999999 + a^99999999999*s"),
+    (2, 2, 2, "(1+s)*(a+u*s)"),  # two parenthesized sums
+    (2, 2, 2, "u*(1+s)*s*(a+u*s)*(1+u^2+s^3)"),  # three, around monomials
+    (3, 1, 2, "(1+2*s)*(2+s)*(1+s^8)*s^0"),
+]
+
+
+@pytest.mark.parametrize("p, m, k, text", EDGE_EXPRESSIONS)
+def test_edge_expressions_parse_like_the_reference(p, m, k, text):
+    n = p**k
+    assert_parses_like_the_reference(edge_file(p, m, k, f"g0: {text}"))
+    assert_parses_like_the_reference(edge_file(p, m, k, f"g1: u*(x-1)^{n - 1} + u^2*({text})"))
+    assert_parses_like_the_reference(edge_file(p, m, k, f"g2: u^2*(x-1)^{n // 2} + u^3*{text}"))
+
+
+def test_format_code_file_output_parses_without_a_kernel_call(kernel_calls, F2, F3, F4, F5, F25):
+    codes = [golden_g1_f4(F4), golden_g1_g2_f4(F4), golden_g0_g1_f2(F2), golden_g0_f3(F3), golden_g2_f25(F25)]
+    rng = random.Random(11)
+    codes += [u.random_code(rng, spec, k) for spec, k in [(F2, 4), (F3, 2), (F4, 3), (F25, 2)] for _ in range(10)]
+    # two corrections each, at n = 625 and n = 3125
+    codes += [u.random_code(random.Random(2), F5, k) for k in (4, 5)]
+    texts = [format_code_file(code) for code in codes]
+    kernel_calls.clear()
+    for text, code in zip(texts, codes):
+        assert parse_code_file(text)[1] == code
+    assert kernel_calls == []
+    # a product of two parenthesized sums is a ring product: the counter is live
+    parse_code_file(edge_file(2, 1, 2, "g1: u*(x-1)^3 + u^2*(1+(x-1))*(1+u)"))
+    assert kernel_calls
