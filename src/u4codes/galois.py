@@ -95,8 +95,9 @@ def _factor(modulus, p: int):
 class FieldSpec:
     """Validated description of F_{p^m} plus its operation tables.
 
-    A modulus of None takes the default one (``field_make``).  Immutable;
-    instances compare and hash by (p, m, modulus).
+    A modulus of None takes the default one (``field_make``).  Immutable,
+    tables included (they are read-only arrays); instances compare and hash
+    by (p, m, modulus).
     """
 
     def __init__(self, p: int, m: int, modulus):
@@ -184,6 +185,9 @@ class FieldSpec:
         self.digit_rows = digs.T.astype(np.float64, order="C")
         self.pow_digits = digs[apow].T.astype(np.float64, order="C")
         self.digit_weights = powers.astype(np.float64)
+        # field_make shares one instance per field, so no caller may write a table
+        for table in (v for v in vars(self).values() if isinstance(v, np.ndarray)):
+            table.flags.writeable = False
 
     # -- scalar operations on encodings ------------------------------------
 
@@ -299,7 +303,17 @@ class FieldElement:
         return f"<{self} in F_{self.spec.q}>"
 
 
+_FIELDS: dict[tuple, FieldSpec] = {}
+
+
 def field_make(p: int, m: int, modulus=None) -> FieldSpec:
-    """Build a validated FieldSpec.  The default modulus is the first monic
-    irreducible polynomial of degree m in ``_monic_polys`` order."""
-    return FieldSpec(p, m, modulus)
+    """A validated FieldSpec, built once per process for each (p, m, modulus
+    reduced mod p): later calls return that instance, whose tables are
+    read-only.  The default modulus (None) is the first monic irreducible
+    polynomial of degree m in ``_monic_polys`` order, and names the same
+    instance as that modulus written out."""
+    key = (p, m, modulus if modulus is None else tuple(modulus))
+    if key not in _FIELDS:
+        spec = FieldSpec(p, m, modulus)
+        _FIELDS[key] = _FIELDS.setdefault((p, m, spec.modulus), spec)
+    return _FIELDS[key]

@@ -6,10 +6,13 @@ at that position.  The enumeration oracle can optionally weigh in the s-basis
 for diagnostics, but every closed-form statement refers to the x-basis.
 
 The enumerator stores codewords as bit planes: one n-bit mask per bit of
-each u-part encoding, packed into uint64 words with the codeword axis
-innermost.  A position of left - right is nonzero exactly when some plane of
-left and right differs there, so a block of supports is the OR over the
-planes of left ^ right, and its weights are popcounts of those words.
+each u-part encoding, packed into words with the codeword axis innermost.
+The word is the narrowest of uint8, uint16, uint32 and uint64 that holds n
+positions, and past 64 positions a mask takes ceil(n / 64) uint64 words, so
+that no operation runs on more padding than the last word needs.  A
+position of left - right is nonzero exactly when some plane of left and
+right differs there, so a block of supports is the OR over the planes of
+left ^ right, and its weights are popcounts of those words.
 
 ``analyze`` is the closed form alone: t3 and the two minimum weights it
 determines.  ``min_weights`` is the enumeration oracle.  Comparing the two,
@@ -49,25 +52,28 @@ def _check_metrics(metrics) -> None:
 
 
 def _padded_width(n: int) -> int:
-    """Length n rounded up to whole uint64 words, at least one (so that the
-    empty vector weighs 0)."""
-    return 64 * max(1, -(-n // 64))
+    """Length n rounded up to whole words, at least one (so that the empty
+    vector weighs 0).  The word is the narrowest of 8, 16, 32 and 64 bits
+    that holds n positions; past 64 positions there are ceil(n / 64) 64-bit
+    words."""
+    return max(8, 1 << (n - 1).bit_length()) if n <= 64 else 64 * -(-n // 64)
 
 
 def _pack(support: np.ndarray) -> np.ndarray:
-    """(N, 64 w) bool supports as (w, N) uint64 words, the codeword axis
-    innermost: position c is bit c % 64 of word c // 64, and the padding
-    bits are zero."""
-    words = np.packbits(support, bitorder="little").view("<u8")
+    """(N, width) bool supports, width a ``_padded_width``, as (W, N) words
+    of min(width, 64) bits with the codeword axis innermost: position c is
+    bit c % bits of word c // bits, and the padding bits are zero."""
+    words = np.packbits(support, bitorder="little").view(f"<u{min(support.shape[1], 64) // 8}")
     return words.reshape(support.shape[0], -1).T
 
 
 def _rot1(words: np.ndarray, n: int) -> np.ndarray:
     """(W, N) packed supports with position c holding position c + 1 mod n."""
+    bits = 8 * words.itemsize
     rot = words >> 1
-    rot[:-1] |= words[1:] << 63
+    rot[:-1] |= words[1:] << (bits - 1)
     first = words[0] & 1
-    first <<= (n - 1) % 64
+    first <<= (n - 1) % bits
     rot[-1] |= first
     return rot
 
@@ -75,22 +81,27 @@ def _rot1(words: np.ndarray, n: int) -> np.ndarray:
 def _min_word_weight(words: np.ndarray, n: int, metric: str) -> int:
     """Least weight of the packed length-n supports, the columns of the
     (W, N) words."""
-    # a weight is at most 64 W: sum the popcounts in the least dtype that holds it
-    total = np.min_scalar_type(64 * words.shape[0])
-    if metric == "hamming":
-        return int(np.bitwise_count(words).sum(axis=0, dtype=total).min())
+    bits = 8 * words.itemsize
+    if metric == "rt":
+        # the bit length of the least support read as an integer, whose top
+        # word is the least top word, and so on down among the columns that tie
+        for w in reversed(range(words.shape[0])):
+            top = words[w].min()
+            if top:
+                return bits * w + int(top).bit_length()
+            words = words[:, words[w] == 0]
+        return 0
     if metric == "symbol_pair":
-        pairs = _rot1(words, n)
-        pairs |= words
-        return int(np.bitwise_count(pairs).sum(axis=0, dtype=total).min())
-    # rt: the bit length of the least support read as an integer, whose top
-    # word is the least top word, and so on down among the columns that tie
-    for w in reversed(range(words.shape[0])):
-        top = words[w].min()
-        if top:
-            return 64 * w + int(top).bit_length()
-        words = words[:, words[w] == 0]
-    return 0
+        words = _rot1(words, n) | words
+    if words.dtype == np.uint16:
+        # numpy 2.4's bitwise_count has no fast loop for uint16 (about 10x
+        # slower per byte than on uint8): count the bytes, and one multiply
+        # adds each word's two counts into its high byte
+        counts = (np.bitwise_count(words.view(np.uint8)).view(np.uint16) * 257) >> 8
+    else:
+        counts = np.bitwise_count(words)
+    # a weight is at most bits W: sum the popcounts in the least dtype that holds it
+    return int(counts.sum(axis=0, dtype=np.min_scalar_type(bits * words.shape[0])).min())
 
 
 def wt_vector(vec, metric: str) -> int:
@@ -126,30 +137,31 @@ def _one_per_line(field, rows: np.ndarray) -> np.ndarray:
 
 
 def _bit_planes(field, vecs: np.ndarray, n: int) -> np.ndarray:
-    """(N, 4n) encodings as (P, W, N) uint64 bit planes, P = 4 bit_length(q - 1):
+    """(N, 4n) encodings as (P, W, N) bit planes, P = 4 bit_length(q - 1):
     plane 4 b + j holds bit b of every u^j-part encoding, packed as ``_pack``
-    packs a support.  Built one encoding bit at a time, so that no temporary
-    holds more than one bit of each coordinate."""
+    packs a support, in the word that ``_padded_width(n)`` picks.  Built one
+    encoding bit at a time, so that no temporary holds more than one bit of
+    each coordinate."""
     bits = (field.q - 1).bit_length()
     parts = vecs.reshape(-1, 4, n).transpose(1, 0, 2)  # (4, N, n)
     count, width = parts.shape[1], _padded_width(n)
     support = np.zeros((4, count, width), dtype=bool)
-    planes = np.empty((bits, 4, width // 64, count), dtype=np.uint64)
+    planes = []
     for b in range(bits):
         np.bitwise_and(parts, 1 << b, out=support[:, :, :n], casting="unsafe")
         words = _pack(support.reshape(4 * count, width))  # (W, 4 N)
-        planes[b] = words.reshape(-1, 4, count).transpose(1, 0, 2)
-    return planes.reshape(4 * bits, width // 64, count)
+        planes.append(words.reshape(-1, 4, count).transpose(1, 0, 2))
+    return np.stack(planes).reshape(4 * bits, -1, count)
 
 
 def _support_words(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Packed supports of left_i - right_j for the (P, W, L) and (P, W, R)
-    bit planes, as (W, L R) words with j innermost.  The difference vanishes
-    at a position exactly when the two encodings agree in every bit there,
-    so its support is the OR over the planes of left ^ right: 2 P - 1 uint64
-    operations a word."""
+    bit planes, as (W, L R) words of the planes' dtype with j innermost.
+    The difference vanishes at a position exactly when the two encodings
+    agree in every bit there, so its support is the OR over the planes of
+    left ^ right: 2 P - 1 operations a word."""
     planes, width, count = left.shape
-    support = np.empty((width, count, right.shape[2]), dtype=np.uint64)
+    support = np.empty((width, count, right.shape[2]), dtype=left.dtype)
     other = np.empty_like(support)
     np.bitwise_xor(left[0, :, :, None], right[0, :, None, :], out=support)
     for p in range(1, planes):
@@ -158,14 +170,13 @@ def _support_words(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return support.reshape(width, -1)
 
 
-# uint64 support words weighed per block (at least one left against all
-# rights), whatever n is.  On the enum_verify benchmark (2-core x86-64,
-# numpy 2.4, two 20 s runs each) blocks of 2**12, 2**13, 2**14 and 2**15
-# words ran 602-616, 681-713, 725-750 and 628-637 codes_per_kref at
-# 37.85-38.04, 37.56-37.90, 37.98-38.01 and 38.27-38.31 MiB peak RSS; a
-# block of 2**14 words is about 5 % faster but keeps three 128 KiB arrays
-# alive while it is weighed.
-_BLOCK = 2**13
+# Bytes of support words weighed per block (at least one left against all
+# rights), whatever the word and n are.  On the enum_verify benchmark
+# (2-core x86-64, numpy 2.4, two 20 s runs each) blocks of 2**15, 2**16 and
+# 2**17 bytes ran 1,087-1,201, 1,208-1,254 and 1,169-1,202 codes_per_kref
+# at 37.76-38.19, 37.95-38.04 and 38.24-38.32 MiB peak RSS; 2**16 bytes
+# (64 KiB, the size of the earlier 2**13 uint64 words) was fastest.
+_BLOCK = 2**16
 
 
 def _min_weights_enum(
@@ -192,10 +203,11 @@ def _min_weights_enum(
     No codeword is formed.  left_i - right_j vanishes at a coordinate
     exactly when left_i == right_j there, that is when their encodings agree
     in every bit of every u-part.  So both halves are stored as bit planes
-    (_bit_planes), each an n-bit mask packed into uint64 words with the
-    codeword axis innermost, and the supports of a block of lefts against
-    all rights are the OR over the planes of left ^ right (_support_words):
-    long uint64 operations, weighed by popcount.  The one zero difference of
+    (_bit_planes), each an n-bit mask packed into the narrowest word that
+    holds n positions (uint64 words past 64) with the codeword axis
+    innermost, and the supports of a block of lefts against all rights are
+    the OR over the planes of left ^ right (_support_words): long word
+    operations, weighed by popcount.  The one zero difference of
     independent rows, left 0 - right 0, is the first word of the first
     block and is skipped there; a zero anywhere else means the rows are
     dependent, and the enumeration raises.
@@ -219,7 +231,7 @@ def _min_weights_enum(
     left = _bit_planes(code.field, _one_per_line(code.field, rows[:half]), n)
     right = _bit_planes(code.field, _all_combinations(code.field, rows[half:]), n)
 
-    per_block = max(1, _BLOCK // (right.shape[1] * right.shape[2]))
+    per_block = max(1, _BLOCK // right[0].nbytes)
     best: dict[str, Optional[int]] = dict.fromkeys(metrics)
     for i in range(0, left.shape[2], per_block):
         words = _support_words(left[:, :, i : i + per_block], right)

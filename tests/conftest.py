@@ -9,7 +9,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import u4codes as u
 from u4codes import sring
-from u4codes.weights import _pack
+from u4codes.weights import _pack, _padded_width
 
 
 @pytest.fixture(scope="session")
@@ -65,11 +65,22 @@ def dense_unit(rng, spec, n):
 
 def packed(support):
     """(N, n) bool supports as the enumerator packs them: zero padding to
-    whole uint64 words, as (W, N) words with the codeword axis innermost."""
+    whole words of ``_padded_width(n)``, as (W, N) words with the codeword
+    axis innermost."""
     n = support.shape[1]
-    padded = np.zeros((support.shape[0], 64 * -(-n // 64)), dtype=bool)
+    padded = np.zeros((support.shape[0], _padded_width(n)), dtype=bool)
     padded[:, :n] = support
     return _pack(padded)
+
+
+def word_of(n):
+    """The word a length-n support is packed in, and how many of them, written
+    out independently of ``_padded_width``: the narrowest of uint8, uint16
+    and uint32 that holds n positions, else ceil(n / 64) uint64 words."""
+    for word in (np.uint8, np.uint16, np.uint32):
+        if n <= 8 * np.dtype(word).itemsize:
+            return np.dtype(word), 1
+    return np.dtype(np.uint64), -(-n // 64)
 
 
 # --- the five golden example codes -------------------------------------------

@@ -640,6 +640,7 @@ def test_batches_match_stream(F2, F5):
         assert {w.tobytes() for block in differences for w in block} == stream
         support = (np.concatenate(differences).reshape(-1, 4, n) != 0).any(axis=1)
         words = _support_words(_bit_planes(field, left, n), _bit_planes(field, right, n))
+        assert words.dtype == np.uint8 and words.shape == (1, left.shape[0] * right.shape[0])
         assert np.array_equal(words, packed(support))
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import u4codes as u
@@ -77,7 +78,9 @@ def test_default_moduli_by_rule():
 
 def test_field_make_validates_once(monkeypatch):
     # the size is checked once, and the default modulus is trial-divided only
-    # in its own search, not again once chosen
+    # in its own search, not again once chosen; on an empty field cache, so
+    # that the field is built here
+    monkeypatch.setattr(galois, "_FIELDS", {})
     calls = {"_check_size": [], "_factor": []}
     for name, seen in calls.items():
         real = getattr(galois, name)
@@ -86,6 +89,41 @@ def test_field_make_validates_once(monkeypatch):
     tried = [tuple(f) for f, _ in calls["_factor"]]
     assert len(calls["_check_size"]) == 1
     assert tried[-1] == spec.modulus and len(set(tried)) == len(tried)
+
+
+def test_field_make_builds_each_field_once():
+    # one FieldSpec per (p, m, modulus mod p): the default, the same modulus
+    # written out and written with coefficients past p name one instance
+    spec = u.field_make(3, 2)
+    assert u.field_make(3, 2) is spec
+    assert u.field_make(3, 2, list(spec.modulus)) is spec
+    assert u.field_make(3, 2, [c + 3 for c in spec.modulus]) is spec
+    # a different modulus gets its own spec: a^2 + a + 2 against a^2 + 1
+    other = u.field_make(3, 2, [2, 1, 1])
+    assert other is not spec and other.modulus == (2, 1, 1) != spec.modulus
+    # equality and hashing are still by (p, m, modulus): a spec built
+    # directly equals the shared one
+    direct = galois.FieldSpec(3, 2, None)
+    assert direct is not spec and direct == spec and hash(direct) == hash(spec)
+    assert other != spec and other != direct and len({spec, direct, other}) == 2
+    # a rejected modulus is not kept: it raises on every call
+    for _ in range(2):
+        with pytest.raises(Reducible):
+            u.field_make(2, 2, [0, 0, 1])
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (5, 2)])
+def test_field_tables_are_read_only(p, m):
+    # the shared instance is immutable: every table refuses writes, also
+    # those of a spec built directly
+    for spec in (u.field_make(p, m), galois.FieldSpec(p, m, None)):
+        tables = {name: v for name, v in vars(spec).items() if isinstance(v, np.ndarray)}
+        assert {"add_table", "sub_table", "neg_table", "mul_table", "inv_table"} <= set(tables)
+        for table in tables.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                table += 0
 
 
 def test_f4_multiplication_against_bruteforce():

@@ -11,7 +11,7 @@ from u4codes.codes import SpanBasis
 from u4codes.weights import (
     METRICS, _all_combinations, _bit_planes, _min_weights_enum, _min_word_weight, _support_words,
 )
-from conftest import golden_g0_g1_f2, golden_g1_f4, golden_g2_f25, packed
+from conftest import golden_g0_g1_f2, golden_g1_f4, golden_g2_f25, packed, word_of
 
 
 # --- per-vector metrics ---------------------------------------------------------
@@ -44,18 +44,25 @@ def reference_batch_weights(support, metric):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 128, 129, 625])
+# every word width, at a length below, at and above each of its boundaries
+WORD_LENGTHS = [7, 8, 9, 15, 16, 17, 31, 32, 33]
+
+
+@pytest.mark.parametrize("n", [2, 3, *WORD_LENGTHS, 63, 64, 65, 127, 128, 129, 625])
 def test_packed_weights_match_bool_supports(n):
     # random supports of several densities (so some leave the top word
     # empty), the full support, a lone bit at each end and the zero word:
     # the symbol-pair wrap from position n - 1 to 0, the carry between
-    # words and the RT read-off from the top word all show
+    # words and the RT read-off from the top word all show, in the word
+    # that n selects
     rng = np.random.default_rng(n)
     rows = [rng.random(n) < density for density in (0.01, 0.05, 0.3, 0.7) for _ in range(10)]
     lone_first, lone_last = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     lone_first[0] = lone_last[n - 1] = True
     rows += [np.ones(n, dtype=bool), lone_first, lone_last, np.zeros(n, dtype=bool)]
     support = np.array(rows)
+    word, count = word_of(n)
+    assert packed(support).dtype == word and packed(support).shape == (count, len(rows))
     for metric in METRICS:
         want = reference_batch_weights(support, metric)
         assert [u.wt_vector(row.tolist(), metric) for row in support] == want.tolist()
@@ -72,7 +79,7 @@ PLANE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 8)]
 
 
 @pytest.mark.parametrize("p,m", PLANE_FIELDS)
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 625])
+@pytest.mark.parametrize("n", [1, *WORD_LENGTHS, 63, 64, 65, 128, 625])
 def test_bit_planes_give_the_support_of_the_difference(p, m, n):
     # the enumerator's zero test: the OR over the planes of left ^ right is
     # the packed support of left - right.  Each right is a left with a
@@ -91,6 +98,8 @@ def test_bit_planes_give_the_support_of_the_difference(p, m, n):
     support = (differences.reshape(-1, 4, n) != 0).any(axis=1)
     assert support.any() and not support.any(axis=1).all()
     words = _support_words(_bit_planes(field, left, n), _bit_planes(field, right, n))
+    word, count = word_of(n)
+    assert words.dtype == word and words.shape == (count, 5 * 7)
     assert np.array_equal(words, packed(support))
 
 
@@ -177,10 +186,14 @@ def reference_min_rt(code, basis):
     raise AssertionError("the basis rows are dependent")
 
 
-# (p, m, k): F_7, F_8 and F_9 at their shortest length, and n up to 32
+# (p, m, k): F_7, F_8 and F_9 at their shortest length, and n up to 49, so
+# that every word width holds a length that fills it and one that leaves
+# padding: n = 8 and 7 in uint8, 16 and 9 in uint16, 32, 25 and 27 in
+# uint32, and 49 in one uint64 word
 ENUM_CONFIGS = [
     (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (3, 1, 1), (3, 1, 2),
-    (5, 1, 1), (7, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1), (5, 2, 1),
+    (3, 1, 3), (5, 1, 1), (7, 1, 1), (7, 1, 2), (2, 2, 1), (2, 2, 2), (2, 3, 1),
+    (3, 2, 1), (5, 2, 1),
 ]
 
 
@@ -296,9 +309,10 @@ def test_repeated_rows_raise(F2, F5):
 
 
 def test_enumeration_memory_does_not_grow_with_length(F5):
-    # <g3> with r3 = n - 8 over F_5 at n = 3125: 5^8 codewords.  Planes are
-    # built one encoding bit at a time and blocks are sized in words, so no
-    # temporary holds all bits of a half; the enumeration peaks near 28 MiB
+    # <g3> with r3 = n - 8 over F_5 at n = 3125: 5^8 codewords, packed in
+    # 49 uint64 words each (n is past 64, so the word is uint64).  Planes are
+    # built one encoding bit at a time and blocks are sized in bytes, so no
+    # temporary holds all bits of a half; the enumeration peaks near 29 MiB
     # (x86-64, numpy 2.4), and the bound leaves room for other numpy builds
     n = 3125
     code = u.validate_canonical(F5, 5, u.GeneratorForm(r3=n - 8))
