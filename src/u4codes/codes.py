@@ -23,11 +23,12 @@ h_c = s^(v_c) w_c e_c + (later columns) per pivot column c, w_c a unit with
 constant term 1.  One reduction on these heads gives the least d with
 s^d w in C: 0 for a member, t_i for u^i.  The rows s^j h_c, j < n - v_c,
 have distinct leading 1s and span C over F, so they are an F-basis; they
-are built only to enumerate codewords.  The echelon form runs on the
-generators' arrays with the primitives of ``chain``: each pivot row is
-scaled by a field constant only, and one ``_clear`` clears its column from
-all the other rows at once, fraction-free (Bareiss 1968), the same step
-that the closed form's eliminations take, so the oracle inverts no series.
+are built only to enumerate codewords in the s-basis.  The echelon form
+runs on the generators' arrays with the primitives of ``chain``: each
+pivot row is scaled by a field constant only, and one ``_clear`` clears its
+column from all the other rows at once, fraction-free (Bareiss 1968), the
+same step that the closed form's eliminations take, so the oracle inverts
+no series.
 """
 
 from __future__ import annotations
@@ -239,7 +240,9 @@ class SpanBasis:
     h_c[c] = s^(v_c) times a unit whose constant term is 1.
 
     ``rows``, built on first use, is the code's F-basis in F^(4n): the rows
-    s^j h_c as flattened (a0 || a1 || a2 || a3) s-basis vectors.
+    s^j h_c as flattened (a0 || a1 || a2 || a3) s-basis vectors.  Only the
+    enumerator's s-basis mode and the tests read it; the x-basis enumeration
+    rotates the heads instead (``weights._x_rows``).
     """
 
     field: FieldSpec

@@ -5,14 +5,17 @@ chain-ring codeword is nonzero when any of its four u-components is nonzero
 at that position.  The enumeration oracle can optionally weigh in the s-basis
 for diagnostics, but every closed-form statement refers to the x-basis.
 
-The enumerator stores codewords as bit planes: one n-bit mask per bit of
-each u-part encoding, packed into words with the codeword axis innermost.
-The word is the narrowest of uint8, uint16, uint32 and uint64 that holds n
-positions, and past 64 positions a mask takes ceil(n / 64) uint64 words, so
-that no operation runs on more padding than the last word needs.  A
-position of left - right is nonzero exactly when some plane of left and
-right differs there, so a block of supports is the OR over the planes of
-left ^ right, and its weights are popcounts of those words.
+The enumerator takes the x-basis rows as rotations of the at most four
+echelon heads (x^n = 1), forms combinations on the base-p digits of the
+encodings (uint8 for p <= 128, uint16 above), and stores them as bit
+planes: one n-bit mask per bit of each digit of each u-part, packed into
+words with the codeword axis innermost.  The word is the narrowest of
+uint8, uint16, uint32 and uint64 that holds n positions, and past 64
+positions a mask takes ceil(n / 64) uint64 words, so that no operation runs
+on more padding than the last word needs.  A position of left - right is
+nonzero exactly when some plane of left and right differs there, so a
+block of supports is the OR over the planes of left ^ right, and its
+weights are popcounts of those words.
 
 ``analyze`` is the closed form alone: t3 and the two minimum weights it
 determines.  ``min_weights`` is the enumeration oracle.  Comparing the two,
@@ -114,44 +117,78 @@ def wt_vector(vec, metric: str) -> int:
     return _min_word_weight(_pack(padded), n, metric)
 
 
+def _x_rows(field, basis: SpanBasis) -> np.ndarray:
+    """The code's F-basis in the x-basis, as (rank, 4n) encodings: block c
+    is the rotations x^j h_c for j < n - v_c, h_c the head in the x-basis.
+
+    Only the at most four heads go through ``basis_transform_rows``.  Since
+    x^n = 1, x^j h_c is h_c rotated by j positions, one index gather per
+    head.  Since x^j = sum_i C(j, i) s^i is unitriangular in the s^i, the
+    rotations of h_c span the same F-space as the rows s^j h_c of
+    ``SpanBasis.rows``, and are again rank independent rows.
+    """
+    n, heads = basis.n, [basis.heads[c] for c in sorted(basis.heads)]
+    x_heads = basis_transform_rows(field, np.concatenate([h for _, h in heads]), "s_to_x")
+    at = np.arange(n)
+    blocks = [
+        head[:, at - np.arange(n - v)[:, None]].transpose(1, 0, 2)  # position i holds i - j mod n
+        for head, (v, _) in zip(x_heads.reshape(-1, 4, n), heads)
+    ]
+    return np.concatenate(blocks).reshape(basis.rank, 4 * n)
+
+
 def _all_combinations(field, rows: np.ndarray) -> np.ndarray:
-    """(q^r, width) array of all field-linear combinations of the rows."""
-    add, mul = field.add_table, field.mul_table
-    scalars = np.arange(field.q, dtype=np.int16)
-    vecs = np.zeros((1, rows.shape[1]), dtype=np.int16)
-    for row in rows:
-        scaled = mul[scalars[:, None], row[None, :]]          # (q, width)
-        vecs = add[vecs[:, None, :], scaled[None, :, :]].reshape(-1, rows.shape[1])
+    """(q^r, m 4n) base-p digits of all field-linear combinations of the
+    (r, 4n) encoding rows: digit i of coordinate c at i 4n + c.  Row 0's
+    coefficient is the most significant base-q digit of a combination's
+    index, each digit running over the encodings in order.
+
+    Each scaled row is added to every combination so far as digits, with
+    one add and one min(s, s - p) on unsigned words (s - p wraps past every
+    sum below p).  A sum of two digits is at most 2 (p - 1), so the digits
+    are uint8 for p <= 128 and uint16 above."""
+    p, dtype = field.p, np.min_scalar_type(2 * (field.p - 1))
+    width = field.m * rows.shape[1]
+    digits = field.digit_rows.astype(dtype)[:, field.mul_table[:, rows]]  # (m, q, r, 4n)
+    # (r, q, m 4n), C-ordered: numpy's broadcast add is many times slower
+    # on the strided rows that the transpose leaves
+    scaled = np.ascontiguousarray(digits.transpose(2, 1, 0, 3)).reshape(len(rows), field.q, width)
+    vecs = np.zeros((1, width), dtype=dtype)
+    for multiples in scaled:
+        total = (vecs[:, None, :] + multiples[None, :, :]).reshape(-1, width)
+        vecs = np.minimum(total, total - p, out=total)
     return vecs
 
 
 def _one_per_line(field, rows: np.ndarray) -> np.ndarray:
-    """The zero word and one word per line of the rows' span: the
-    combinations whose first nonzero coefficient is 1.  Row 0's coefficient
-    is the most significant base-q digit of a combination's index, and the
-    encoding 1 is the field's one, so these are index 0 and the ranges
-    [q^j, 2 q^j): 1 + (q^r - 1) / (q - 1) words."""
+    """The zero word and one word per line of the rows' span, as
+    ``_all_combinations`` digits: the combinations whose first nonzero
+    coefficient is 1.  Row 0's coefficient is the most significant base-q
+    digit of a combination's index, and the encoding 1 is the field's one,
+    so these are index 0 and the ranges [q^j, 2 q^j): 1 + (q^r - 1) / (q - 1)
+    words."""
     combos = _all_combinations(field, rows)
     q = field.q
     return np.concatenate([combos[:1]] + [combos[q**j : 2 * q**j] for j in range(rows.shape[0])])
 
 
-def _bit_planes(field, vecs: np.ndarray, n: int) -> np.ndarray:
-    """(N, 4n) encodings as (P, W, N) bit planes, P = 4 bit_length(q - 1):
-    plane 4 b + j holds bit b of every u^j-part encoding, packed as ``_pack``
-    packs a support, in the word that ``_padded_width(n)`` picks.  Built one
-    encoding bit at a time, so that no temporary holds more than one bit of
-    each coordinate."""
-    bits = (field.q - 1).bit_length()
-    parts = vecs.reshape(-1, 4, n).transpose(1, 0, 2)  # (4, N, n)
-    count, width = parts.shape[1], _padded_width(n)
-    support = np.zeros((4, count, width), dtype=bool)
+def _bit_planes(field, digits: np.ndarray, n: int) -> np.ndarray:
+    """(N, m 4n) ``_all_combinations`` digits as (P, W, N) bit planes,
+    P = 4 m bit_length(p - 1): one plane per bit of each base-p digit of
+    each u-part, packed as ``_pack`` packs a support, in the word that
+    ``_padded_width(n)`` picks.  Two words agree at a position exactly when
+    all their digits there do.  Built one digit bit at a time, so that no
+    temporary holds more than one bit of each digit."""
+    bits = (field.p - 1).bit_length()
+    parts = digits.reshape(digits.shape[0], -1, n).transpose(1, 0, 2)  # (4m, N, n)
+    lines, count, width = parts.shape[0], parts.shape[1], _padded_width(n)
+    support = np.zeros((lines, count, width), dtype=bool)
     planes = []
     for b in range(bits):
         np.bitwise_and(parts, 1 << b, out=support[:, :, :n], casting="unsafe")
-        words = _pack(support.reshape(4 * count, width))  # (W, 4 N)
-        planes.append(words.reshape(-1, 4, count).transpose(1, 0, 2))
-    return np.stack(planes).reshape(4 * bits, -1, count)
+        words = _pack(support.reshape(lines * count, width))  # (W, 4m N)
+        planes.append(words.reshape(-1, lines, count).transpose(1, 0, 2))
+    return np.stack(planes).reshape(lines * bits, -1, count)
 
 
 def _support_words(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -184,11 +221,11 @@ def _min_weights_enum(
 ) -> dict[str, int]:
     """Minimum weights over all nonzero codewords, one enumeration pass.
 
-    Rows are converted to the requested coordinate basis up front (basis
-    change commutes with linear combinations) and split in half.  Every
-    codeword is a difference left - right of a combination of the first half
-    and one of the second, which keeps the per-codeword cost independent of
-    the rank.
+    The rows are an F-basis of the code in the requested coordinates: in
+    the x-basis the rotations of the heads (``_x_rows``), in the s-basis
+    ``SpanBasis.rows``.  They are split in half.  Every codeword is a
+    difference left - right of a combination of the first half and one of
+    the second, which keeps the per-codeword cost independent of the rank.
 
     Only one codeword per line is weighed.  Supports, and so all three
     weights, are invariant under nonzero scalars.  Write a nonzero left
@@ -200,14 +237,15 @@ def _min_weights_enum(
     outside the right half once, and the right half itself: 1 + (q^half - 1)
     / (q - 1) left words in place of q^half.
 
-    No codeword is formed.  left_i - right_j vanishes at a coordinate
-    exactly when left_i == right_j there, that is when their encodings agree
-    in every bit of every u-part.  So both halves are stored as bit planes
-    (_bit_planes), each an n-bit mask packed into the narrowest word that
-    holds n positions (uint64 words past 64) with the codeword axis
-    innermost, and the supports of a block of lefts against all rights are
-    the OR over the planes of left ^ right (_support_words): long word
-    operations, weighed by popcount.  The one zero difference of
+    No codeword is formed as encodings.  left_i - right_j vanishes at a
+    coordinate exactly when left_i == right_j there, that is when their
+    base-p digits (_all_combinations) agree in every bit of every u-part.
+    So both halves are stored as bit planes (_bit_planes), each an n-bit
+    mask packed into the narrowest word that holds n positions (uint64
+    words past 64) with the codeword axis innermost, and the supports of a
+    block of lefts against all rights are the OR over the planes of
+    left ^ right (_support_words): long word operations, weighed by
+    popcount.  The one zero difference of
     independent rows, left 0 - right 0, is the first word of the first
     block and is skipped there; a zero anywhere else means the rows are
     dependent, and the enumeration raises.
@@ -222,10 +260,7 @@ def _min_weights_enum(
     if not metrics or basis.rank == 0:
         return dict.fromkeys(metrics, 0)
     n = code.n
-    rows = basis.rows.reshape(basis.rank * 4, n)
-    if basis_used == "x_basis":
-        rows = basis_transform_rows(code.field, rows, "s_to_x")
-    rows = rows.reshape(basis.rank, 4 * n)
+    rows = _x_rows(code.field, basis) if basis_used == "x_basis" else basis.rows
 
     half = basis.rank // 2
     left = _bit_planes(code.field, _one_per_line(code.field, rows[:half]), n)

@@ -83,6 +83,35 @@ def word_of(n):
     return np.dtype(np.uint64), -(-n // 64)
 
 
+def add_table_combinations(field, rows):
+    """(q^r, width) encodings of all field-linear combinations of the rows,
+    row 0's coefficient the most significant base-q digit of the index: the
+    add-table builder that the digit enumerator replaced, kept as the
+    tests' reference."""
+    add, mul = field.add_table, field.mul_table
+    scalars = np.arange(field.q, dtype=np.int16)
+    vecs = np.zeros((1, rows.shape[1]), dtype=np.int16)
+    for row in rows:
+        scaled = mul[scalars[:, None], row[None, :]]
+        vecs = add[vecs[:, None, :], scaled[None, :, :]].reshape(-1, rows.shape[1])
+    return vecs
+
+
+def digits_of(field, encodings):
+    """(N, 4n) encodings as (N, m 4n) base-p digits in the enumerator's
+    layout, digit i of coordinate c at i 4n + c, written out with integer
+    division instead of the field's tables."""
+    enc = np.asarray(encodings, dtype=np.int64)
+    digits = [enc // field.p**i % field.p for i in range(field.m)]
+    return np.stack(digits, axis=1).reshape(enc.shape[0], -1)
+
+
+def encodings_of(field, digits):
+    """The inverse of ``digits_of``: (N, m 4n) digits as (N, 4n) int16 encodings."""
+    parts = np.asarray(digits, dtype=np.int64).reshape(digits.shape[0], field.m, -1)
+    return (field.p ** np.arange(field.m) @ parts).astype(np.int16)
+
+
 # --- the five golden example codes -------------------------------------------
 
 

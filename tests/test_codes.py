@@ -22,7 +22,10 @@ from u4codes.galois import FieldSpec
 from u4codes.randgen import random_unit
 from u4codes.sring import SPoly
 from u4codes.weights import _all_combinations, _bit_planes, _one_per_line, _support_words
-from conftest import dense_unit, golden_g0_g1_f2, golden_g1_f4, packed
+from conftest import (
+    add_table_combinations, dense_unit, digits_of, encodings_of, golden_g0_g1_f2, golden_g1_f4,
+    packed,
+)
 
 
 def test_validate_golden_g1(F4):
@@ -587,18 +590,23 @@ def test_pure_power_ideals_have_rectangular_profile(F3):
 # --- enumeration ----------------------------------------------------------------------
 
 
-def test_enumerate_counts(F2):
+def test_enumerate_counts(F2, F4):
+    # q^r combinations of m 4n digits each
     one_dim = u.span_basis(u.validate_canonical(F2, 2, u.GeneratorForm(r3=3)))
-    assert _all_combinations(F2, one_dim.rows).shape == (2, 16)
+    assert _all_combinations(F2, one_dim.rows).shape == (2, F2.m * 16)
 
     four_dim = u.span_basis(u.validate_canonical(F2, 2, u.GeneratorForm(r3=0)))
-    assert _all_combinations(F2, four_dim.rows).shape == (16, 16)
+    assert _all_combinations(F2, four_dim.rows).shape == (16, F2.m * 16)
+
+    two_dim = u.span_basis(u.validate_canonical(F4, 2, u.GeneratorForm(r3=2)))
+    assert _all_combinations(F4, two_dim.rows).shape == (16, F4.m * 16) == (16, 32)
 
 
 def test_enumerate_unique_and_closed(F2):
     code = golden_g0_g1_f2(F2)
     basis = u.span_basis(code)
-    words = [RingElement(F2, code.n, w.reshape(4, -1)) for w in _all_combinations(F2, basis.rows)]
+    combos = encodings_of(F2, _all_combinations(F2, basis.rows))
+    words = [RingElement(F2, code.n, w.reshape(4, -1)) for w in combos]
     assert len(words) == 2**basis.rank
     seen = {w.coeffs.tobytes() for w in words}
     assert len(seen) == len(words)
@@ -624,22 +632,25 @@ def test_batches_match_stream(F2, F5):
     )
     for field, code in ((F2, golden_g0_g1_f2(F2)), (F5, odd)):
         basis = u.span_basis(code)
-        stream = {w.tobytes() for w in _all_combinations(field, basis.rows)}
+        stream = {w.tobytes() for w in add_table_combinations(field, basis.rows)}
         half = basis.rank // 2
-        left = _all_combinations(field, basis.rows[:half])
-        right = _all_combinations(field, basis.rows[half:])
+        left = add_table_combinations(field, basis.rows[:half])
+        right = add_table_combinations(field, basis.rows[half:])
         batched = {w.tobytes() for row in left for w in field.add_table[row[None, :], right]}
         assert stream == batched
         assert len(stream) == field.q**basis.rank
 
         # and its zero test: the differences left - right cover the code too,
         # and a position is in the support of left - right exactly when the
-        # bit planes of left and right differ there
+        # bit planes of the digits of left and right differ there
         n = code.n
         differences = [field.sub_table[row[None, :], right] for row in left]
         assert {w.tobytes() for block in differences for w in block} == stream
         support = (np.concatenate(differences).reshape(-1, 4, n) != 0).any(axis=1)
-        words = _support_words(_bit_planes(field, left, n), _bit_planes(field, right, n))
+        left_planes, right_planes = (
+            _bit_planes(field, digits_of(field, side).astype(np.uint8), n) for side in (left, right)
+        )
+        words = _support_words(left_planes, right_planes)
         assert words.dtype == np.uint8 and words.shape == (1, left.shape[0] * right.shape[0])
         assert np.array_equal(words, packed(support))
 
@@ -657,8 +668,8 @@ def test_left_half_is_one_word_per_line(F4, F5):
         basis = u.span_basis(code)
         q, half = field.q, basis.rank // 2
         assert half >= 2
-        left = _one_per_line(field, basis.rows[:half])
-        right = _all_combinations(field, basis.rows[half:])
+        left = encodings_of(field, _one_per_line(field, basis.rows[:half]))
+        right = add_table_combinations(field, basis.rows[half:])
         assert left.shape[0] == 1 + (q**half - 1) // (q - 1)
 
         nonzero = field.mul_table[np.arange(1, q)]               # (q - 1, q): lambda * e
@@ -667,7 +678,7 @@ def test_left_half_is_one_word_per_line(F4, F5):
         multiples = {m.tobytes() for w in left[1:] for m in nonzero[:, w]}
         assert len(multiples) == (left.shape[0] - 1) * (q - 1)
 
-        code_words = {w.tobytes() for w in _all_combinations(field, basis.rows) if w.any()}
+        code_words = {w.tobytes() for w in add_table_combinations(field, basis.rows) if w.any()}
         covered = {
             m.tobytes()
             for row in left

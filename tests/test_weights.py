@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,15 @@ import u4codes as u
 from u4codes.errors import InconsistentSet, NoBranch, OutOfRange, TooLarge
 from u4codes.sring import basis_transform_rows
 from u4codes.codes import SpanBasis
+from u4codes.randgen import random_unit
 from u4codes.weights import (
     METRICS, _all_combinations, _bit_planes, _min_weights_enum, _min_word_weight, _support_words,
+    _x_rows,
 )
-from conftest import golden_g0_g1_f2, golden_g1_f4, golden_g2_f25, packed, word_of
+from conftest import (
+    add_table_combinations, digits_of, golden_g0_g1_f2, golden_g1_f4, golden_g2_f25, packed,
+    word_of,
+)
 
 
 # --- per-vector metrics ---------------------------------------------------------
@@ -74,17 +80,18 @@ def test_packed_weights_match_bool_supports(n):
             assert _min_word_weight(packed(support[pick]), n, metric) == want[pick].min()
 
 
-# F_2, F_3, F_4, F_5, F_7, F_8, F_9 and F_256: one to eight bits an encoding
-PLANE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 8)]
+# F_2, F_3, F_4, F_5, F_7, F_8, F_9 and F_256: one to eight bits an encoding;
+# F_25 and F_251: three and eight bits a digit, F_251's digits in uint16
+PLANE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 8), (5, 2), (251, 1)]
 
 
 @pytest.mark.parametrize("p,m", PLANE_FIELDS)
 @pytest.mark.parametrize("n", [1, *WORD_LENGTHS, 63, 64, 65, 128, 625])
 def test_bit_planes_give_the_support_of_the_difference(p, m, n):
-    # the enumerator's zero test: the OR over the planes of left ^ right is
-    # the packed support of left - right.  Each right is a left with a
-    # u-part changed at up to three positions, so most positions cancel,
-    # and the first right equals a left: a zero difference
+    # the enumerator's zero test: the OR over the planes of the digits of
+    # left ^ right is the packed support of left - right.  Each right is a
+    # left with a u-part changed at up to three positions, so most positions
+    # cancel, and the first right equals a left: a zero difference
     field = u.field_make(p, m)
     q = field.q
     rng = np.random.default_rng(1000 * n + q)
@@ -97,7 +104,12 @@ def test_bit_planes_give_the_support_of_the_difference(p, m, n):
     differences = field.sub_table[left[:, None, :], right[None, :, :]]
     support = (differences.reshape(-1, 4, n) != 0).any(axis=1)
     assert support.any() and not support.any(axis=1).all()
-    words = _support_words(_bit_planes(field, left, n), _bit_planes(field, right, n))
+    dtype = np.uint8 if p <= 128 else np.uint16
+    left_planes, right_planes = (
+        _bit_planes(field, digits_of(field, side).astype(dtype), n) for side in (left, right)
+    )
+    assert left_planes.shape[0] == 4 * m * (p - 1).bit_length()
+    words = _support_words(left_planes, right_planes)
     word, count = word_of(n)
     assert words.dtype == word and words.shape == (count, 5 * 7)
     assert np.array_equal(words, packed(support))
@@ -130,17 +142,21 @@ def test_min_weight_g3_examples(F2):
     assert min_weight(code0, "hamming") == 1
 
 
-def reference_min_weights(code, metrics, basis):
+def reference_min_weights(code, metrics, basis, basis_used="x_basis"):
     """The add-table enumerator that the packed comparison replaced: every
-    sum left_i + right_j is formed and its support weighed as bools."""
+    sum left_i + right_j is formed and its support weighed as bools.  It
+    takes the x-basis rows by ``basis_transform_rows`` of all of
+    ``basis.rows``, and the combinations from the tests' own builder."""
     n = code.n
-    rows = basis_transform_rows(code.field, basis.rows.reshape(basis.rank * 4, n), "s_to_x")
-    rows = rows.reshape(basis.rank, 4 * n)
+    rows = basis.rows
+    if basis_used == "x_basis":
+        rows = basis_transform_rows(code.field, rows.reshape(basis.rank * 4, n), "s_to_x")
+        rows = rows.reshape(basis.rank, 4 * n)
 
     add = code.field.add_table
     half = basis.rank // 2
-    left = _all_combinations(code.field, rows[:half])
-    right = _all_combinations(code.field, rows[half:])
+    left = add_table_combinations(code.field, rows[:half])
+    right = add_table_combinations(code.field, rows[half:])
 
     best = {metric: None for metric in metrics}
     for i in range(left.shape[0]):
@@ -261,6 +277,125 @@ def test_one_word_per_line_matches_reference(p, m):
     assert {1, 2} <= ranks
 
 
+# (p, m): F_127, F_131, F_251, F_243 and F_256, on both sides of p = 128,
+# where a sum of two digits, at most 2 (p - 1), leaves a byte
+DIGIT_FIELDS = [(127, 1), (131, 1), (251, 1), (3, 5), (2, 8)]
+
+
+@pytest.mark.parametrize("p,m", DIGIT_FIELDS)
+def test_combinations_are_digit_sums(p, m):
+    # every combination a_0 row_0 + a_1 row_1, row 0's coefficient the most
+    # significant base-q digit of its index, against sum_i a_i row_i mod p
+    # on the digits; the rows hold q - 1 (all digits p - 1) and random
+    # nonzero encodings
+    field = u.field_make(p, m)
+    q = field.q
+    rng = np.random.default_rng(q + p)
+    rows = rng.integers(1, q, (2, 8)).astype(np.int16)
+    rows[:, 0] = q - 1
+    coeffs = np.indices((q, q)).reshape(2, -1)                     # (2, q^2)
+    scaled = field.mul_table[coeffs[:, :, None], rows[:, None, :]]  # (2, q^2, 8)
+    want = sum(digits_of(field, part) for part in scaled) % p
+    combos = _all_combinations(field, rows)
+    assert combos.shape == want.shape == (q * q, m * 8)
+    assert np.array_equal(combos, want)
+    assert combos.dtype == (np.uint8 if p <= 128 else np.uint16)
+
+
+def low_rank_code(rng, spec):
+    """A random code of rank 1 or 2 at n = p: <g3> with r3 = n - 1 or n - 2,
+    or <g2> or <g2, g3> at the top degrees, with a random correction."""
+    n = spec.p
+    kind = rng.randrange(3)
+    if kind == 0:
+        form = u.GeneratorForm(r3=n - rng.randint(1, 2))
+    else:
+        form = u.GeneratorForm(r2=n - 1, k6=n - 2, p6=random_unit(rng, spec, n))
+        if kind == 2:
+            form = replace(form, r3=n - 1)
+    return u.validate_canonical(spec, 1, form)
+
+
+@pytest.mark.parametrize("p", [131, 251])
+def test_min_weights_match_reference_past_byte_digits(p):
+    spec = u.field_make(p, 1)
+    rng = random.Random(p)
+    for _ in range(4):
+        code = low_rank_code(rng, spec)
+        basis = u.span_basis(code)
+        assert basis.rank in (1, 2)
+        assert u.min_weights(code, METRICS, basis=basis) == reference_min_weights(code, METRICS, basis)
+
+
+def row_rank(field, rows):
+    """Rank over F of the (r, width) encoding rows, by row reduction."""
+    mat = np.array(rows, dtype=np.int16)
+    sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
+    rank = 0
+    for col in range(mat.shape[1]):
+        hits = np.flatnonzero(mat[rank:, col])
+        if hits.size == 0:
+            continue
+        mat[[rank, rank + hits[0]]] = mat[[rank + hits[0], rank]]
+        mat[rank] = mul[inv[mat[rank, col]], mat[rank]]
+        below = mat[rank + 1 :]
+        below[:] = sub[below, mul[below[:, col][:, None], mat[rank][None, :]]]
+        rank += 1
+        if rank == mat.shape[0]:
+            break
+    return rank
+
+
+def check_rotation_rows(code):
+    """The rotated x-basis rows have the F-row-space of the transformed
+    ``basis.rows``, and, where q^rank <= 2^14, the minima on both bases
+    equal the reference; returns whether the code was enumerated."""
+    field, n = code.field, code.n
+    basis = u.span_basis(code)
+    rank = basis.rank
+    rotated = _x_rows(field, basis)
+    direct = basis_transform_rows(field, basis.rows.reshape(rank * 4, n), "s_to_x")
+    assert rotated.shape == (rank, 4 * n)
+    stacked = np.concatenate([rotated, direct.reshape(rank, 4 * n)])
+    assert row_rank(field, rotated) == row_rank(field, stacked) == rank
+    enumerated = field.q**rank <= 2**14
+    if enumerated:
+        for basis_used in ("x_basis", "s_basis"):
+            mins = u.min_weights(code, METRICS, basis=basis, basis_used=basis_used)
+            assert mins == reference_min_weights(code, METRICS, basis, basis_used)
+    return enumerated
+
+
+# (p, m, k): F_2, F_3, F_4, F_5, F_8, F_9 and F_25
+ROTATION_CONFIGS = [
+    (2, 1, 3), (2, 1, 4), (3, 1, 2), (2, 2, 2), (5, 1, 1), (5, 1, 2), (2, 3, 1), (3, 2, 1),
+    (5, 2, 1),
+]
+
+
+@pytest.mark.parametrize("p,m,k", ROTATION_CONFIGS)
+def test_rotation_rows_span_the_x_basis(p, m, k):
+    # twelve random codes, then draws until three of them were enumerated
+    spec = u.field_make(p, m)
+    rng = random.Random(1000 * p + 100 * m + k)
+    drawn = enumerated = 0
+    while drawn < 12 or enumerated < 3:
+        code = u.random_code(rng, spec, k)
+        rank = u.span_basis(code).rank
+        if rank and (drawn < 12 or spec.q**rank <= 2**14):
+            drawn += 1
+            enumerated += check_rotation_rows(code)
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 5), (5, 3), (5, 4)])
+def test_rotation_rows_of_g3_codes(p, k):
+    # <g3> at n = 256, 243, 125 and 625, rank 1 to 8
+    spec = u.field_make(p, 1)
+    n = p**k
+    for rank in (1, 2, 5, 8):
+        check_rotation_rows(u.validate_canonical(spec, k, u.GeneratorForm(r3=n - rank)))
+
+
 def test_reference_min_rt_reaches_golden_f25(F25):
     # rank 148 over F_25: far past enumeration, one row reduction here
     code = golden_g2_f25(F25)
@@ -311,8 +446,8 @@ def test_repeated_rows_raise(F2, F5):
 def test_enumeration_memory_does_not_grow_with_length(F5):
     # <g3> with r3 = n - 8 over F_5 at n = 3125: 5^8 codewords, packed in
     # 49 uint64 words each (n is past 64, so the word is uint64).  Planes are
-    # built one encoding bit at a time and blocks are sized in bytes, so no
-    # temporary holds all bits of a half; the enumeration peaks near 29 MiB
+    # built one digit bit at a time and blocks are sized in bytes, so no
+    # temporary holds all bits of a half; the enumeration peaks near 21 MiB
     # (x86-64, numpy 2.4), and the bound leaves room for other numpy builds
     n = 3125
     code = u.validate_canonical(F5, 5, u.GeneratorForm(r3=n - 8))
