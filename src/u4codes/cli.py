@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -20,7 +21,7 @@ import random
 import sys
 
 from .errors import DegreeOutOfRange, TooLarge, U4CodesError
-from .codes import code_length, span_basis, torsion_oracle, torsion_profile
+from .codes import GeneratorForm, code_length, span_basis, torsion_oracle, torsion_profile
 from .galois import field_make
 from .parsing import format_code_file, format_generator, parse_code_file
 from .randgen import random_code
@@ -89,14 +90,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The degree fields of a generator form, r..r3 then k1..k6, in declaration order.
+_DEGREE_FIELDS = tuple(f.name for f in dataclasses.fields(GeneratorForm) if f.name[0] in "rk")
+
+
 def _degrees_summary(code) -> str:
-    form = code.form
-    parts = []
-    for name in ("r", "r1", "r2", "r3", "k1", "k2", "k3", "k4", "k5", "k6"):
-        value = getattr(form, name)
-        if value is not None:
-            parts.append(f"{name}={value}")
-    return ";".join(parts)
+    values = ((name, getattr(code.form, name)) for name in _DEGREE_FIELDS)
+    return ";".join(f"{name}={value}" for name, value in values if value is not None)
 
 
 def _cmd_analyze(args, out) -> int:

@@ -11,9 +11,8 @@ subset of
 with s = x - 1, degrees r3 <= r2 <= r1 <= r < n restricted to the present
 generators, and unit-or-zero correction parts p1..p6.  Each g_i is one (4, n)
 array in the ``chain`` layout.  This module also holds the independent
-oracle: the code's echelon form, its membership test, the torsional degrees
-t_i = min{t : u^i s^t in C}, and, for enumeration in ``weights``, an
-F_{p^m}-basis of the code as a subspace of F^(4n).
+oracle: the code's echelon form, its membership test and the torsional
+degrees t_i = min{t : u^i s^t in C}.
 
 The oracle comes from generic module algebra, not from the torsion formulas:
 the code is the submodule of A^4, A = F[s]/<s^n>, spanned by the at most 10
@@ -22,8 +21,9 @@ rows u^b g_i, and their echelon (Howell) form over the chain ring A
 h_c = s^(v_c) w_c e_c + (later columns) per pivot column c, w_c a unit with
 constant term 1.  One reduction on these heads gives the least d with
 s^d w in C: 0 for a member, t_i for u^i.  The rows s^j h_c, j < n - v_c,
-have distinct leading 1s and span C over F, so they are an F-basis; they
-are built only to enumerate codewords in the s-basis.  The echelon form
+have distinct leading 1s and span C over F, so the heads also determine
+an F-basis; ``weights`` builds it, in the x-basis, only to enumerate
+codewords.  The echelon form
 runs on the generators' arrays with the primitives of ``chain``: each
 pivot row is scaled by a field constant only, and one ``_clear`` clears its
 column from all the other rows at once, fraction-free (Bareiss 1968), the
@@ -34,7 +34,6 @@ no series.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -237,12 +236,9 @@ def validate_canonical(field: FieldSpec, k: int, form: GeneratorForm) -> CyclicC
 class SpanBasis:
     """The code's echelon (Howell) form over A = F[s]/<s^n>: pivot column
     c -> (v_c, h_c), read-only, as ``_echelon`` returns it, with
-    h_c[c] = s^(v_c) times a unit whose constant term is 1.
-
-    ``rows``, built on first use, is the code's F-basis in F^(4n): the rows
-    s^j h_c as flattened (a0 || a1 || a2 || a3) s-basis vectors.  Only the
-    enumerator's s-basis mode and the tests read it; the x-basis enumeration
-    rotates the heads instead (``weights._x_rows``).
+    h_c[c] = s^(v_c) times a unit whose constant term is 1.  The code has
+    F-dimension ``rank``, the sum of the n - v_c; the enumerator's dense
+    F-basis is the rotations of the heads (``weights._x_rows``).
     """
 
     field: FieldSpec
@@ -252,15 +248,6 @@ class SpanBasis:
     @property
     def rank(self) -> int:
         return sum(self.n - v for v, _ in self.heads.values())
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """Block c is s^j h_c for j < n - v_c, with a leading 1 at c*n + v_c + j."""
-        heads = [self.heads[c] for c in sorted(self.heads)]
-        shifts = [_shift(h, j) for v, h in heads for j in range(self.n - v)]
-        rows = np.array(shifts, dtype=np.int16).reshape(self.rank, 4 * self.n)
-        rows.flags.writeable = False
-        return rows
 
 
 def _module_rows(code: CyclicCode) -> list[np.ndarray]:
@@ -317,7 +304,7 @@ def _echelon(field: FieldSpec, rows: list[np.ndarray]) -> dict[int, tuple[int, n
 
 def span_basis(code: CyclicCode) -> SpanBasis:
     """The code's echelon form over A = F[s]/<s^n>, from the at most 10
-    module rows u^b g_i; its dense F-basis ``rows`` is built on first use."""
+    module rows u^b g_i."""
     return SpanBasis(field=code.field, n=code.n, heads=_echelon(code.field, _module_rows(code)))
 
 

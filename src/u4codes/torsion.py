@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InconsistentSet, MixedLength, WrongIdealType
+from .errors import InconsistentSet, MixedLength, OutOfRange, WrongIdealType
 from .chain import _clear, _monic, _shift, _valuation
 from .codes import CyclicCode, GeneratorForm
 from .sring import SPoly, _mul_trunc
@@ -48,8 +48,12 @@ class U2Element:
     """A code member of shape u^2 s^omega h1 + u^3 s^omega_tilde h2 (h1, h2
     units), held as the (4, n - offset) encoding array of the member divided
     by s^offset; rows 0 and 1 are zero, and the array is made read-only on
-    construction.  A zero member, or an array that is not four rows, is
-    refused.
+    construction.  Any array-like is taken through ``np.asarray``.  An
+    array of a non-integer dtype (OutOfRange), one that is not four rows or
+    an offset that is not a whole number >= 0 (MixedLength), and a zero
+    member (InconsistentSet) are refused; whether
+    the encodings lie in the field is checked by ``t3_from_u2_set``, which
+    knows the field.
 
     omega / omega_tilde are the valuations of the member's rows 2 and 3
     (offset included), None when the row is zero.
@@ -60,8 +64,12 @@ class U2Element:
     offset: int = 0
 
     def __post_init__(self):
-        if self.element.ndim != 2 or self.element.shape[0] != 4 or self.offset < 0:
-            raise MixedLength(f"{self.source}: not four u-adic parts at a window offset >= 0")
+        object.__setattr__(self, "element", np.asarray(self.element))
+        if self.element.dtype.kind not in "iu":
+            raise OutOfRange(f"{self.source}: encodings of dtype {self.element.dtype}, not integers")
+        if (self.element.ndim != 2 or self.element.shape[0] != 4
+                or not isinstance(self.offset, (int, np.integer)) or self.offset < 0):
+            raise MixedLength(f"{self.source}: not four u-adic parts at a whole window offset >= 0")
         if self.element[:2].any():
             raise InconsistentSet(f"{self.source}: nonzero residue or u-part")
         if not self.element.any():
@@ -217,19 +225,14 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
     once and clears all of its rows in one stacked step), the u- and
     s-shifts that kill a u-part outright, and the direct u^2-level generator
     g2.  Zero results are dropped; every member is an explicitly constructed
-    element of the code, held at full length (offset 0).
+    element of the code.  Each is held on the top s-window that ``t3``
+    computes on: divided by s^v0, v0 the least valuation over the
+    generators' columns, with offset v0 (omega and omega_tilde count it).
     """
-    return _u2_members(code, windowed=False)
-
-
-def _u2_members(code: CyclicCode, windowed: bool) -> list[U2Element]:
-    """The members of ``u2_part_set``, each divided by s^v0 and carrying
-    offset v0, where v0 is the least valuation over the generators' columns
-    when ``windowed`` and 0 otherwise."""
     if code.ideal_type not in _U2_TYPES:
         raise WrongIdealType("a g0-containing, g3-free type", str(code.ideal_type))
     gens = {level: g.coeffs for level, g in code.generators().items()}
-    v0 = min(_valuation(x.any(axis=0)) for x in gens.values()) if windowed else 0
+    v0 = min(_valuation(x.any(axis=0)) for x in gens.values())
     gens = {level: x[:, v0:] for level, x in gens.items()}
     field, n = code.field, code.n - v0
     A = _shift(gens[0], code.n - code.form.r)
@@ -307,13 +310,18 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
     Candidates: omega_i (u * f_i), n - omega_i + omega~_i (s^(n-omega_i) f_i),
     omega~ of the pure-u^3 members, and the valuations of all pairwise
     u^2-cancellations.  All are valuations of explicit code members.  The
-    members must share one window offset v0 and be of width n - v0; every
-    valuation is reported with v0 added back.
+    members must share one window offset v0 and be of width n - v0, and
+    hold encodings of the code's field; every valuation is reported with
+    v0 added back.
     """
-    n = code.n
+    n, q = code.n, code.field.q
     offsets = {f.offset for f in members}
     if len(offsets) > 1 or any(f.element.shape[1] + f.offset != n for f in members):
         raise MixedLength(f"u^2-part members of another length or window than n = {n}")
+    # one reduction for all members: as int64 read unsigned, a negative
+    # encoding (or a uint64 one past 2^63) is at least q too
+    if members and np.array([f.element for f in members], np.int64).view(np.uint64).max() >= q:
+        raise OutOfRange(f"u^2-part member with an encoding outside [0, {q})")
     v0 = offsets.pop() if offsets else 0
     with_u2 = sorted(
         (f for f in members if f.omega is not None), key=lambda f: (f.omega, f.source)
@@ -373,7 +381,7 @@ def t3(code: CyclicCode) -> T3Result:
     if t == (1, 2):
         return t3_g1_g2(code)
     if t in _U2_TYPES:
-        return t3_from_u2_set(_u2_members(code, windowed=True), code)
+        return t3_from_u2_set(u2_part_set(code), code)
     # remaining types contain g3: compute the sub-code result and cap by r3
     sub = code.without_g3()
     sub_res = t3(sub)

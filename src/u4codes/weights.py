@@ -2,8 +2,8 @@
 
 Codewords are weighed on their x-basis coordinate vectors: a coordinate of a
 chain-ring codeword is nonzero when any of its four u-components is nonzero
-at that position.  The enumeration oracle can optionally weigh in the s-basis
-for diagnostics, but every closed-form statement refers to the x-basis.
+at that position.  Every closed-form statement, and so the enumeration
+oracle, refers to the x-basis.
 
 The enumerator takes the x-basis rows as rotations of the at most four
 echelon heads (x^n = 1), forms combinations on the base-p digits of the
@@ -124,8 +124,8 @@ def _x_rows(field, basis: SpanBasis) -> np.ndarray:
     Only the at most four heads go through ``basis_transform_rows``.  Since
     x^n = 1, x^j h_c is h_c rotated by j positions, one index gather per
     head.  Since x^j = sum_i C(j, i) s^i is unitriangular in the s^i, the
-    rotations of h_c span the same F-space as the rows s^j h_c of
-    ``SpanBasis.rows``, and are again rank independent rows.
+    rotations of h_c span the same F-space as the rows s^j h_c, j < n - v_c,
+    which have distinct leading 1s, so they are again rank independent rows.
     """
     n, heads = basis.n, [basis.heads[c] for c in sorted(basis.heads)]
     x_heads = basis_transform_rows(field, np.concatenate([h for _, h in heads]), "s_to_x")
@@ -221,11 +221,13 @@ def _min_weights_enum(
 ) -> dict[str, int]:
     """Minimum weights over all nonzero codewords, one enumeration pass.
 
-    The rows are an F-basis of the code in the requested coordinates: in
-    the x-basis the rotations of the heads (``_x_rows``), in the s-basis
-    ``SpanBasis.rows``.  They are split in half.  Every codeword is a
-    difference left - right of a combination of the first half and one of
-    the second, which keeps the per-codeword cost independent of the rank.
+    The rows are the code's F-basis in the x-basis, the rotations of the
+    heads (``_x_rows``).  ``basis_used`` is kept as the fifth positional
+    parameter for callers that forward it; it must be "x_basis", and any
+    other name raises ValueError before the cap is checked.  The rows are
+    split in half.  Every codeword is a difference left - right of a
+    combination of the first half and one of the second, which keeps the
+    per-codeword cost independent of the rank.
 
     Only one codeword per line is weighed.  Supports, and so all three
     weights, are invariant under nonzero scalars.  Write a nonzero left
@@ -252,7 +254,7 @@ def _min_weights_enum(
     """
     metrics = tuple(metrics)
     _check_metrics(metrics)
-    if basis_used not in ("x_basis", "s_basis"):
+    if basis_used != "x_basis":
         raise ValueError(f"unknown basis {basis_used!r}")
     q = code.field.q
     if q**basis.rank > cap:
@@ -260,7 +262,7 @@ def _min_weights_enum(
     if not metrics or basis.rank == 0:
         return dict.fromkeys(metrics, 0)
     n = code.n
-    rows = _x_rows(code.field, basis) if basis_used == "x_basis" else basis.rows
+    rows = _x_rows(code.field, basis)
 
     half = basis.rank // 2
     left = _bit_planes(code.field, _one_per_line(code.field, rows[:half]), n)
@@ -290,13 +292,12 @@ def min_weights(
     metrics=("symbol_pair", "rt"),
     cap: int = 2**20,
     basis: Optional[SpanBasis] = None,
-    basis_used: str = "x_basis",
 ) -> dict[str, int]:
     """Several metric minima from a single enumeration pass."""
     if basis is None:
         basis = span_basis(code)
     _check_basis(basis, code.field, code.n, "code")
-    return _min_weights_enum(code, tuple(metrics), cap, basis, basis_used)
+    return _min_weights_enum(code, tuple(metrics), cap, basis, "x_basis")
 
 
 # --- closed forms from the third torsional degree ------------------------------

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import u4codes as u
 from u4codes import sring
+from u4codes.chain import _shift
 from u4codes.weights import _pack, _padded_width
 
 
@@ -110,6 +112,31 @@ def encodings_of(field, digits):
     """The inverse of ``digits_of``: (N, m 4n) digits as (N, 4n) int16 encodings."""
     parts = np.asarray(digits, dtype=np.int64).reshape(digits.shape[0], field.m, -1)
     return (field.p ** np.arange(field.m) @ parts).astype(np.int16)
+
+
+_SPAN_ROWS = weakref.WeakKeyDictionary()
+
+
+def span_rows(basis):
+    """The code's F-basis in F^(4n) as read-only (rank, 4n) int16 rows: the
+    rows s^j h_c as flattened (a0 || a1 || a2 || a3) s-basis vectors, built
+    once per basis.  The library builds no dense s-basis; the tests keep
+    this one as their reference."""
+    if basis not in _SPAN_ROWS:
+        # Block c is s^j h_c for j < n - v_c, with a leading 1 at c*n + v_c + j.
+        heads = [basis.heads[c] for c in sorted(basis.heads)]
+        shifts = [_shift(h, j) for v, h in heads for j in range(basis.n - v)]
+        rows = np.array(shifts, dtype=np.int16).reshape(basis.rank, 4 * basis.n)
+        rows.flags.writeable = False
+        _SPAN_ROWS[basis] = rows
+    return _SPAN_ROWS[basis]
+
+
+def padded(member, n):
+    """A u^2-part member times s^offset: its (4, n) full-length array."""
+    out = np.zeros((4, n), dtype=member.element.dtype)
+    out[:, member.offset :] = member.element
+    return out
 
 
 # --- the five golden example codes -------------------------------------------

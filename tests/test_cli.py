@@ -353,12 +353,12 @@ g0: (x-1)^220 + u*(x-1)^3*(1+2*(x-1)) + u^2*(x-1)^7
 
 def test_analyze_large_rank_builds_no_rows(tmp_path, monkeypatch):
     # rank 11,620 at n = 3125: the torsion profile comes from the echelon
-    # heads, and enumeration is refused on the rank, so the dense basis
+    # heads, and enumeration is refused on the rank, so the dense x-basis
     # (about 290 MB) is never built
-    def no_rows(basis):
+    def no_rows(field, basis):
         raise AssertionError("dense rows built")
 
-    monkeypatch.setattr(u.codes.SpanBasis, "rows", property(no_rows))
+    monkeypatch.setattr(u.weights, "_x_rows", no_rows)
     path = tmp_path / "large.code"
     path.write_text(LARGE_G0_FILE)
     for flags in ([], ["--verify"], ["--verify", "--json"]):

@@ -24,7 +24,7 @@ from u4codes.sring import SPoly
 from u4codes.weights import _all_combinations, _bit_planes, _one_per_line, _support_words
 from conftest import (
     add_table_combinations, dense_unit, digits_of, encodings_of, golden_g0_g1_f2, golden_g1_f4,
-    packed,
+    packed, span_rows,
 )
 
 
@@ -110,7 +110,7 @@ def test_span_rank_g3_zero_degree(F2):
 def test_span_closure_under_u_and_s(F4):
     code = golden_g1_f4(F4)
     basis = u.span_basis(code)
-    for row in basis.rows:
+    for row in span_rows(basis):
         elem = RingElement(F4, 8, row.reshape(4, -1))
         assert u.contains(basis, elem.shift_mul(0, 1))
         assert u.contains(basis, elem.shift_mul(1, 0))
@@ -209,11 +209,11 @@ def row_pivots(rows):
 
 def assert_matches_reference(code):
     # the rows s^j h_c span the reference row space: equal reduced forms
-    basis = u.span_basis(code)
+    dense = span_rows(u.span_basis(code))
     rows, pivots = reference_span_basis(code)
-    assert row_pivots(basis.rows) == pivots
-    assert basis.rows.dtype == np.int16 and not basis.rows.flags.writeable
-    reduced, _ = _rref(code.field, basis.rows, 4 * code.n)
+    assert row_pivots(dense) == pivots
+    assert dense.dtype == np.int16 and not dense.flags.writeable
+    reduced, _ = _rref(code.field, dense, 4 * code.n)
     assert np.array_equal(reduced, rows)
 
 
@@ -302,7 +302,7 @@ def test_span_basis_matches_reference_edge_cases(F2, F3, F4):
     ]
     for code in cases:
         assert_matches_reference(code)
-    assert 9 + 3 in row_pivots(u.span_basis(cases[4]).rows)
+    assert 9 + 3 in row_pivots(span_rows(u.span_basis(cases[4])))
 
 
 def test_span_basis_matches_reference_at_625(F5):
@@ -323,12 +323,13 @@ def test_span_basis_invariants_at_max_length(F5):
         fields[f"p{i}"] = random_unit(rng, F5, n)
     code = u.validate_canonical(F5, 5, u.GeneratorForm(**fields))
     basis = u.span_basis(code)
-    pivots = np.asarray(row_pivots(basis.rows))
-    assert basis.rows.shape == (basis.rank, 4 * n) and basis.rank > 0
+    dense = span_rows(basis)
+    pivots = np.asarray(row_pivots(dense))
+    assert dense.shape == (basis.rank, 4 * n) and basis.rank > 0
     assert np.all(np.diff(pivots) > 0)
     # echelon: a leading 1 on every pivot column (the first nonzero ones),
     # which are c*n + j for j >= v_c in each column c with a head
-    assert np.all(basis.rows[np.arange(basis.rank), pivots] == 1)
+    assert np.all(dense[np.arange(basis.rank), pivots] == 1)
     blocks = sorted(basis.heads.items())
     assert pivots.tolist() == [c * n + j for c, (v, _) in blocks for j in range(v, n)]
     for level in code.ideal_type:
@@ -406,10 +407,10 @@ def reference_contains(basis, elem):
     """Membership: the flattened element reduces to zero against the rows, in
     pivot order, which needs only an echelon basis with leading 1s.  The
     dense loop that the reduction on the heads replaced."""
-    pivots = row_pivots(basis.rows)
+    pivots = row_pivots(span_rows(basis))
     v = elem.coeffs.reshape(-1).astype(np.int16)
     sub, mul = basis.field.sub_table, basis.field.mul_table
-    for p, b in zip(pivots, basis.rows):
+    for p, b in zip(pivots, span_rows(basis)):
         c = v[p]
         if c:
             v = sub[v, mul[c, b]]
@@ -422,7 +423,7 @@ def reference_torsion_oracle(code, i, basis):
     exactly when the row with pivot i*n + t is that unit vector.  The dense
     read-off that the reduction on the heads replaced."""
     n = code.n
-    rows, pivots = _rref(code.field, basis.rows, 4 * n)
+    rows, pivots = _rref(code.field, span_rows(basis), 4 * n)
     lo, hi = np.searchsorted(pivots, (i * n, (i + 1) * n))
     unit = ~rows[lo:hi, (i + 1) * n :].any(axis=1)
     if not unit.any():
@@ -463,11 +464,29 @@ def test_torsion_oracle_matches_linear_scan():
                     assert profile[i] == linear_scan(code, basis, i), (p, m, k, itype, i)
 
 
+def test_oracle_t3_is_the_column_3_pivot_valuation():
+    # t3 = min{t : u^3 s^t in C} is v_3, the pivot valuation of column 3
+    # (n when there is no head): the torsion degree T_3 of the literature,
+    # on 14 codes of each of the 15 types, half with every correction
+    checked = 0
+    for (p, m, k) in SCAN_CONFIGS[:8]:
+        spec = u.field_make(p, m)
+        rng = random.Random(3000 + 100 * p + 10 * m + k)
+        for itype in u.IDEAL_TYPES:
+            for trial in range(14):
+                code = code_of_type(rng, spec, k, itype, corrections=trial % 2 == 0)
+                basis = u.span_basis(code)
+                v3 = basis.heads.get(3, (code.n, None))[0]
+                assert u.torsion_oracle(code, 3, basis) == v3, (p, m, k, itype, code.form)
+                checked += 1
+    assert checked == 8 * 15 * 14
+
+
 def random_member(rng, basis):
     """A random F-linear combination of the basis rows, as a ring element."""
     field = basis.field
     v = np.zeros(4 * basis.n, dtype=np.int16)
-    for row in basis.rows:
+    for row in span_rows(basis):
         v = field.add_table[v, field.mul_table[rng.randrange(field.q), row]]
     return RingElement(field, basis.n, v.reshape(4, -1))
 
@@ -593,19 +612,19 @@ def test_pure_power_ideals_have_rectangular_profile(F3):
 def test_enumerate_counts(F2, F4):
     # q^r combinations of m 4n digits each
     one_dim = u.span_basis(u.validate_canonical(F2, 2, u.GeneratorForm(r3=3)))
-    assert _all_combinations(F2, one_dim.rows).shape == (2, F2.m * 16)
+    assert _all_combinations(F2, span_rows(one_dim)).shape == (2, F2.m * 16)
 
     four_dim = u.span_basis(u.validate_canonical(F2, 2, u.GeneratorForm(r3=0)))
-    assert _all_combinations(F2, four_dim.rows).shape == (16, F2.m * 16)
+    assert _all_combinations(F2, span_rows(four_dim)).shape == (16, F2.m * 16)
 
     two_dim = u.span_basis(u.validate_canonical(F4, 2, u.GeneratorForm(r3=2)))
-    assert _all_combinations(F4, two_dim.rows).shape == (16, F4.m * 16) == (16, 32)
+    assert _all_combinations(F4, span_rows(two_dim)).shape == (16, F4.m * 16) == (16, 32)
 
 
 def test_enumerate_unique_and_closed(F2):
     code = golden_g0_g1_f2(F2)
     basis = u.span_basis(code)
-    combos = encodings_of(F2, _all_combinations(F2, basis.rows))
+    combos = encodings_of(F2, _all_combinations(F2, span_rows(basis)))
     words = [RingElement(F2, code.n, w.reshape(4, -1)) for w in combos]
     assert len(words) == 2**basis.rank
     seen = {w.coeffs.tobytes() for w in words}
@@ -632,10 +651,10 @@ def test_batches_match_stream(F2, F5):
     )
     for field, code in ((F2, golden_g0_g1_f2(F2)), (F5, odd)):
         basis = u.span_basis(code)
-        stream = {w.tobytes() for w in add_table_combinations(field, basis.rows)}
+        stream = {w.tobytes() for w in add_table_combinations(field, span_rows(basis))}
         half = basis.rank // 2
-        left = add_table_combinations(field, basis.rows[:half])
-        right = add_table_combinations(field, basis.rows[half:])
+        left = add_table_combinations(field, span_rows(basis)[:half])
+        right = add_table_combinations(field, span_rows(basis)[half:])
         batched = {w.tobytes() for row in left for w in field.add_table[row[None, :], right]}
         assert stream == batched
         assert len(stream) == field.q**basis.rank
@@ -668,8 +687,8 @@ def test_left_half_is_one_word_per_line(F4, F5):
         basis = u.span_basis(code)
         q, half = field.q, basis.rank // 2
         assert half >= 2
-        left = encodings_of(field, _one_per_line(field, basis.rows[:half]))
-        right = add_table_combinations(field, basis.rows[half:])
+        left = encodings_of(field, _one_per_line(field, span_rows(basis)[:half]))
+        right = add_table_combinations(field, span_rows(basis)[half:])
         assert left.shape[0] == 1 + (q**half - 1) // (q - 1)
 
         nonzero = field.mul_table[np.arange(1, q)]               # (q - 1, q): lambda * e
@@ -678,7 +697,7 @@ def test_left_half_is_one_word_per_line(F4, F5):
         multiples = {m.tobytes() for w in left[1:] for m in nonzero[:, w]}
         assert len(multiples) == (left.shape[0] - 1) * (q - 1)
 
-        code_words = {w.tobytes() for w in add_table_combinations(field, basis.rows) if w.any()}
+        code_words = {w.tobytes() for w in add_table_combinations(field, span_rows(basis)) if w.any()}
         covered = {
             m.tobytes()
             for row in left

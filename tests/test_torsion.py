@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 import u4codes as u
 from u4codes import chain, torsion
 from u4codes.chain import RingElement, _clear, _monic, _valuation
-from u4codes.errors import InconsistentSet, MixedLength, WrongIdealType
+from u4codes.errors import InconsistentSet, MixedLength, OutOfRange, WrongIdealType
 from u4codes.sring import SPoly, decompose
 from conftest import (
     dense_unit,
@@ -15,6 +18,7 @@ from conftest import (
     golden_g1_f4,
     golden_g1_g2_f4,
     golden_g2_f25,
+    padded,
 )
 
 
@@ -25,6 +29,11 @@ def oracle_t3(code):
 def as_ring_element(code, arr):
     """A (4, n) u^2-part member as the RingElement that ``contains`` takes."""
     return RingElement(code.field, code.n, arr)
+
+
+def full_length(members, n):
+    """The members times s^offset, as full-length members (offset 0)."""
+    return [u.U2Element(f.source, padded(f, n)) for f in members]
 
 
 # --- t3_g1 -----------------------------------------------------------------------
@@ -117,7 +126,7 @@ def test_u2_set_golden_g0_g1(F2):
     # all members really sit in the code
     basis = u.span_basis(code)
     for f in members:
-        assert u.contains(basis, as_ring_element(code, f.element))
+        assert u.contains(basis, as_ring_element(code, padded(f, code.n)))
 
 
 def test_u2_set_golden_g0_f3(F3):
@@ -126,7 +135,7 @@ def test_u2_set_golden_g0_f3(F3):
     assert len(members) == 3
     basis = u.span_basis(code)
     for f in members:
-        assert u.contains(basis, as_ring_element(code, f.element))
+        assert u.contains(basis, as_ring_element(code, padded(f, code.n)))
     # the reference elimination of the two plain members is present: the
     # shift-and-subtract of u^2 s^5 + ... against u^2 s^6 (1+2s) has value 3
     res = u.t3_from_u2_set(members, code)
@@ -175,6 +184,51 @@ def test_u2_element_refuses_a_zero_member_and_a_wrong_row_count(F2):
     assert u.t3_from_u2_set([member], code).t3 == 3
 
 
+def test_u2_element_takes_array_likes_and_refuses_non_integers(F2):
+    # a nested list is an array like any other; a float array is refused
+    # whatever its values, since an encoding is an integer
+    code = u.validate_canonical(F2, 3, u.GeneratorForm(r=4))
+    listed = u.U2Element("w", RingElement.from_part(2, SPoly.monomial(F2, 8, 3)).coeffs.tolist())
+    assert listed.element.shape == (4, 8) and not listed.element.flags.writeable
+    assert (listed.omega, listed.omega_tilde) == (3, None)
+    assert u.t3_from_u2_set([listed], code).t3 == 3
+    for value in (1.5, 1.0):
+        elem = np.zeros((4, 8))
+        elem[2, 3] = value
+        with pytest.raises(OutOfRange):
+            u.U2Element("w", elem)
+    # a window offset counts whole columns: a float one is refused here, not
+    # left to fail as a slice index inside t3_from_u2_set
+    window = RingElement.from_part(2, SPoly.monomial(F2, 8, 3)).coeffs[:, 1:]
+    assert u.t3_from_u2_set([u.U2Element("w", window, np.int64(1))], code).t3 == 3
+    with pytest.raises(MixedLength):
+        u.U2Element("w", window, 1.0)
+
+
+def test_t3_from_u2_set_refuses_encodings_outside_the_field(F2, F4):
+    # an encoding below 0 or at q names no field element (over F_2 the lone
+    # member 5 u^2 s^3 would read as t3 = 3), in any integer dtype, alone or
+    # beside a valid member
+    for field, bad in ((F2, (2, 5, -1)), (F4, (4, -3))):
+        code = u.validate_canonical(field, 3, u.GeneratorForm(r=4))
+        good = np.zeros((4, 8), dtype=np.int16)
+        good[2, 3] = field.q - 1
+        for value in bad:
+            for dtype in (np.int16, np.int64, ">i2"):
+                lone, paired = good.astype(dtype), good.astype(dtype)
+                lone[2, 3] = value
+                paired[3, 5] = value
+                with pytest.raises(OutOfRange):
+                    u.t3_from_u2_set([u.U2Element("bad", lone)], code)
+                with pytest.raises(OutOfRange):
+                    u.t3_from_u2_set([u.U2Element("ok", good.copy()), u.U2Element("bad", paired)], code)
+        assert u.t3_from_u2_set([u.U2Element("ok", good.astype(">i2"))], code).t3 == 3
+    unsigned = np.zeros((4, 8), dtype=np.uint8)
+    unsigned[2:] = 2
+    with pytest.raises(OutOfRange):
+        u.t3_from_u2_set([u.U2Element("w", unsigned)], u.validate_canonical(F2, 3, u.GeneratorForm(r=4)))
+
+
 def test_t3_from_u2_set_refuses_members_of_another_length_or_window(F2):
     # members of the n = 8 code read against the n = 16 one would be
     # shifted by n = 16 amounts and give a t3 for neither code
@@ -184,7 +238,8 @@ def test_t3_from_u2_set_refuses_members_of_another_length_or_window(F2):
         u.t3_from_u2_set(u.u2_part_set(short), long)
     with pytest.raises(MixedLength):
         u.t3_from_u2_set(u.u2_part_set(long), short)
-    full, top = u.u2_part_set(short), torsion._u2_members(short, windowed=True)
+    top = u.u2_part_set(short)
+    full = full_length(top, short.n)
     assert top[0].offset > 0
     with pytest.raises(MixedLength):
         u.t3_from_u2_set(full[:1] + top[1:], short)
@@ -205,7 +260,7 @@ def test_u2_set_elimination_members_in_code():
                 continue
             done += 1
             basis = u.span_basis(code)
-            members = u.u2_part_set(code)
+            members = full_length(u.u2_part_set(code), code.n)
             for f in members:
                 assert u.contains(basis, as_ring_element(code, f.element))
             with_u2 = sorted(
@@ -239,7 +294,8 @@ def test_bounded_inverse_cancels_like_the_full_one(p, m, k):
         if 0 not in code.ideal_type or 3 in code.ideal_type:
             continue
         done += 1
-        with_u2 = sorted((f for f in u.u2_part_set(code) if f.omega is not None), key=lambda f: f.omega)
+        members = full_length(u.u2_part_set(code), code.n)
+        with_u2 = sorted((f for f in members if f.omega is not None), key=lambda f: f.omega)
         for a, fi in enumerate(with_u2):
             x = fi.element
             prec = code.n - min(_valuation(row) for row in x)
@@ -273,7 +329,7 @@ def test_formula_equals_oracle_at_high_degree(F5, degrees):
             fields[f"p{i}"] = dense_unit(rng, F5, n)
     code = u.validate_canonical(F5, 4, u.GeneratorForm(**fields))
     members = u.u2_part_set(code)
-    assert max(n - min(_valuation(row) for row in f.element) for f in members) < n // 4
+    assert max(n - min(_valuation(row) for row in padded(f, n)) for f in members) < n // 4
     assert u.t3(code).t3 == u.torsion_profile(code, u.span_basis(code))[3]
 
 
@@ -301,7 +357,8 @@ def test_pairwise_stage_takes_one_kernel_call_per_non_constant_unit(F5, kernel_c
     # per pair
     code = closed_form_shape_code(F5, random.Random(560)).without_g3()
     members = u.u2_part_set(code)
-    non_constant = sum(f.omega is not None and f.element[2, f.omega + 1 :].any() for f in members)
+    non_constant = sum(f.omega is not None and f.element[2, f.omega - f.offset + 1 :].any()
+                       for f in members)
     kernel_calls.clear()
     result = torsion.t3_from_u2_set(members, code)
     assert result.path["nu"] == 9
@@ -392,7 +449,7 @@ def test_u2_members_equal_the_two_elimination_construction(F5):
     pivots_two = {"ug0": 0, "g1": 0}
     for code in u2_codes(F5):
         members = u.u2_part_set(code)
-        assert [(f.source, f.element.tolist()) for f in members] == [
+        assert [(f.source, padded(f, code.n).tolist()) for f in members] == [
             (src, elem.tolist()) for src, elem in reference_u2_part_set(code)
         ]
         for f in members:
@@ -407,6 +464,38 @@ def test_u2_members_equal_the_two_elimination_construction(F5):
             pivots_two[name] += counts.get(name) == 2
     assert min(pivots.values()) >= 10, pivots
     assert min(pivots_two.values()) >= 10, pivots_two
+
+
+def closed_form_sub_codes():
+    """The g3-free sub-codes of the closed-form benchmark shapes
+    (``CLOSED_FORM_SHAPES``, n = 625 and 3125), units drawn from two seeds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [workloads.make_code(random.Random(seed), shape).without_g3()
+            for seed in (1, 2) for shape in workloads.CLOSED_FORM_SHAPES]
+
+
+def test_public_members_are_code_members(F5):
+    # every member u2_part_set returns, times s^offset, is in the code and
+    # has the omegas of that full-length array, and t3_from_u2_set on the
+    # public set is t3, path for path: random g0 codes over F_2 to F_9 and
+    # the closed-form benchmark codes
+    codes = u2_codes(F5) + closed_form_sub_codes()
+    windows = set()
+    for code in codes:
+        n, basis = code.n, u.span_basis(code)
+        members = u.u2_part_set(code)
+        for f in members:
+            full = padded(f, n)
+            assert u.contains(basis, as_ring_element(code, full)), (code.form, f.source)
+            omegas = tuple(None if v == n else v for v in map(_valuation, full[2:]))
+            assert (f.omega, f.omega_tilde) == omegas
+        assert u.t3_from_u2_set(members, code) == u.t3(code)
+        windows.add((members[0].offset > 0, n))
+    assert {(True, 625), (True, 3125), (False, 8)} <= windows, windows
 
 
 def test_each_level1_pivot_is_scaled_once_and_clears_once(F5, monkeypatch):
@@ -495,8 +584,9 @@ def high_degree_code(rng, spec, k):
 ])
 def test_top_window_equals_the_full_length_path(p, m, ks):
     # t3 runs the g0 path on the generators divided by s^v0; each of its
-    # members times s^v0 is the full-length member, with the same
-    # (absolute) omegas, and the trace is the full-length path's
+    # members times s^v0 is the full-length member of the reference
+    # construction, with the same (absolute) omegas, and the trace is the
+    # full-length path's
     spec = u.field_make(p, m)
     rng = random.Random(2300 + 10 * p + m)
     windows = set()
@@ -506,7 +596,8 @@ def test_top_window_equals_the_full_length_path(p, m, ks):
         codes += [high_degree_code(rng, spec, k) for _ in range(8)]
         for code in codes:
             code = code.without_g3()
-            full, top = u.u2_part_set(code), torsion._u2_members(code, windowed=True)
+            top = u.u2_part_set(code)
+            full = [u.U2Element(src, elem) for src, elem in reference_u2_part_set(code)]
             v0 = top[0].offset
             assert [f.source for f in top] == [f.source for f in full]
             for f, g in zip(top, full):
@@ -543,7 +634,8 @@ def test_product_table_equals_the_per_pivot_clears(F5):
         if 0 in code.ideal_type:
             codes.append(code.without_g3())
     for code in codes:
-        for members in (u.u2_part_set(code), torsion._u2_members(code, windowed=True)):
+        top = u.u2_part_set(code)
+        for members in (full_length(top, code.n), top):
             with_u2 = sorted((f for f in members if f.omega is not None),
                              key=lambda f: (f.omega, f.source))
             if len(with_u2) < 2:

@@ -16,7 +16,7 @@ from u4codes.weights import (
 )
 from conftest import (
     add_table_combinations, digits_of, golden_g0_g1_f2, golden_g1_f4, golden_g2_f25, packed,
-    word_of,
+    span_rows, word_of,
 )
 
 
@@ -142,16 +142,15 @@ def test_min_weight_g3_examples(F2):
     assert min_weight(code0, "hamming") == 1
 
 
-def reference_min_weights(code, metrics, basis, basis_used="x_basis"):
+def reference_min_weights(code, metrics, basis):
     """The add-table enumerator that the packed comparison replaced: every
     sum left_i + right_j is formed and its support weighed as bools.  It
-    takes the x-basis rows by ``basis_transform_rows`` of all of
-    ``basis.rows``, and the combinations from the tests' own builder."""
+    takes the x-basis rows by ``basis_transform_rows`` of all of the dense
+    s-basis rows (``span_rows``), and the combinations from the tests' own
+    builder."""
     n = code.n
-    rows = basis.rows
-    if basis_used == "x_basis":
-        rows = basis_transform_rows(code.field, rows.reshape(basis.rank * 4, n), "s_to_x")
-        rows = rows.reshape(basis.rank, 4 * n)
+    rows = basis_transform_rows(code.field, span_rows(basis).reshape(basis.rank * 4, n), "s_to_x")
+    rows = rows.reshape(basis.rank, 4 * n)
 
     add = code.field.add_table
     half = basis.rank // 2
@@ -184,7 +183,7 @@ def reference_min_rt(code, basis):
     field, n, rank = code.field, code.n, basis.rank
     if rank == 0:
         return 0
-    rows = basis_transform_rows(field, basis.rows.reshape(rank * 4, n), "s_to_x")
+    rows = basis_transform_rows(field, span_rows(basis).reshape(rank * 4, n), "s_to_x")
     mat = rows.reshape(rank, 4, n)[:, :, ::-1].transpose(0, 2, 1).reshape(rank, 4 * n).copy()
     sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
     top = 0
@@ -348,21 +347,19 @@ def row_rank(field, rows):
 
 def check_rotation_rows(code):
     """The rotated x-basis rows have the F-row-space of the transformed
-    ``basis.rows``, and, where q^rank <= 2^14, the minima on both bases
-    equal the reference; returns whether the code was enumerated."""
+    ``span_rows``, and, where q^rank <= 2^14, the minima equal the
+    reference; returns whether the code was enumerated."""
     field, n = code.field, code.n
     basis = u.span_basis(code)
     rank = basis.rank
     rotated = _x_rows(field, basis)
-    direct = basis_transform_rows(field, basis.rows.reshape(rank * 4, n), "s_to_x")
+    direct = basis_transform_rows(field, span_rows(basis).reshape(rank * 4, n), "s_to_x")
     assert rotated.shape == (rank, 4 * n)
     stacked = np.concatenate([rotated, direct.reshape(rank, 4 * n)])
     assert row_rank(field, rotated) == row_rank(field, stacked) == rank
     enumerated = field.q**rank <= 2**14
     if enumerated:
-        for basis_used in ("x_basis", "s_basis"):
-            mins = u.min_weights(code, METRICS, basis=basis, basis_used=basis_used)
-            assert mins == reference_min_weights(code, METRICS, basis, basis_used)
+        assert u.min_weights(code, METRICS, basis=basis) == reference_min_weights(code, METRICS, basis)
     return enumerated
 
 
@@ -402,26 +399,43 @@ def test_reference_min_rt_reaches_golden_f25(F25):
     assert reference_min_rt(code, u.span_basis(code)) == u.wt_rt_from_t3(51, 5, 3) == 52
 
 
-def test_metric_names_checked_first(F2, F25):
+def no_rows(field, basis):
+    raise AssertionError("the x-basis rows were built")
+
+
+def test_metric_names_checked_first(F2, F25, monkeypatch):
+    monkeypatch.setattr(u.weights, "_x_rows", no_rows)  # fail before the rows are built
     with pytest.raises(ValueError):
         min_weight(golden_g2_f25(F25), "bogus")  # not TooLarge
     code = golden_g0_g1_f2(F2)
     basis = u.span_basis(code)
     with pytest.raises(ValueError):
         _min_weights_enum(code, ("rt", "bogus"), 2**20, basis, "x_basis")
-    assert "rows" not in vars(basis)  # failed before the rows were built
     with pytest.raises(ValueError):
         u.wt_vector([1, 0], "bogus")
 
 
-def test_empty_metric_set_enumerates_nothing(F2, F25):
+def test_basis_name_checked_before_the_cap(F2, F25, monkeypatch):
+    # the enumerator weighs the x-basis only; the fifth positional parameter
+    # stays for callers that forward it, and any other name is refused
+    # before the cap: the F_25 code is far past it
+    monkeypatch.setattr(u.weights, "_x_rows", no_rows)
+    for code in (golden_g0_g1_f2(F2), golden_g2_f25(F25)):
+        for name in ("s_basis", "bogus"):
+            with pytest.raises(ValueError):
+                _min_weights_enum(code, METRICS, 2**20, u.span_basis(code), name)
+    with pytest.raises(TypeError):
+        u.min_weights(golden_g0_g1_f2(F2), basis_used="x_basis")
+
+
+def test_empty_metric_set_enumerates_nothing(F2, F25, monkeypatch):
+    monkeypatch.setattr(u.weights, "_x_rows", no_rows)
     code = golden_g0_g1_f2(F2)
     basis = u.span_basis(code)
     assert u.min_weights(code, (), basis=basis) == {}
-    assert "rows" not in vars(basis)
     # the basis name and the cap are still checked
     with pytest.raises(ValueError):
-        u.min_weights(code, (), basis=basis, basis_used="bogus")
+        _min_weights_enum(code, (), 2**20, basis, "bogus")
     with pytest.raises(TooLarge):
         u.min_weights(golden_g2_f25(F25), ())
 
@@ -437,7 +451,7 @@ def test_repeated_rows_raise(F2, F5):
         repeated = SpanBasis(field, code.n, {**basis.heads, max(basis.heads) + 1: head})
         rank = basis.rank
         assert repeated.rank == 2 * rank
-        assert np.array_equal(repeated.rows[:rank], repeated.rows[rank:])
+        assert np.array_equal(span_rows(repeated)[:rank], span_rows(repeated)[rank:])
         for metrics in (METRICS, ("rt",)):
             with pytest.raises(InconsistentSet):
                 u.min_weights(code, metrics, basis=repeated)
@@ -466,15 +480,6 @@ def test_enumeration_memory_does_not_grow_with_length(F5):
 def test_min_weight_cap(F25):
     with pytest.raises(TooLarge):
         min_weight(golden_g2_f25(F25), "rt", cap=2**20)
-
-
-def test_s_basis_diagnostic_mode(F2):
-    # for <g3> codes the minimum RT weight agrees between the two bases
-    for r3 in range(4):
-        code = u.validate_canonical(F2, 2, u.GeneratorForm(r3=r3))
-        x = min_weight(code, "rt", basis_used="x_basis")
-        s = min_weight(code, "rt", basis_used="s_basis")
-        assert x == s == r3 + 1
 
 
 # --- closed forms -----------------------------------------------------------------
