@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -21,7 +20,7 @@ import random
 import sys
 
 from .errors import DegreeOutOfRange, TooLarge, U4CodesError
-from .codes import GeneratorForm, code_length, span_basis, torsion_oracle, torsion_profile
+from .codes import code_length, span_basis, torsion_oracle, torsion_profile
 from .galois import field_make
 from .parsing import format_code_file, format_generator, parse_code_file
 from .randgen import random_code
@@ -90,13 +89,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# The degree fields of a generator form, r..r3 then k1..k6, in declaration order.
-_DEGREE_FIELDS = tuple(f.name for f in dataclasses.fields(GeneratorForm) if f.name[0] in "rk")
-
-
 def _degrees_summary(code) -> str:
-    values = ((name, getattr(code.form, name)) for name in _DEGREE_FIELDS)
-    return ";".join(f"{name}={value}" for name, value in values if value is not None)
+    return ";".join(f"{name}={value}" for name, value in code.form.degree_fields().items())
 
 
 def _cmd_analyze(args, out) -> int:

@@ -9,10 +9,17 @@ subset of
     g3 = u^3 s^r3
 
 with s = x - 1, degrees r3 <= r2 <= r1 <= r < n restricted to the present
-generators, and unit-or-zero correction parts p1..p6.  Each g_i is one (4, n)
-array in the ``chain`` layout.  This module also holds the independent
-oracle: the code's echelon form, its membership test and the torsional
-degrees t_i = min{t : u^i s^t in C}.
+generators, and unit-or-zero correction parts p1..p6.  This module alone
+owns that layout: the other modules build a ``GeneratorForm`` from
+{level: degree} and {(owner, u-level): (k_i, p_i)} and read back each
+generator's terms and each slot's degree bound, never a field name.  A
+``CyclicCode`` declares its field, k and form; n, the ideal type and each
+g_i as one read-only (4, n) array in the ``chain`` layout are derived once,
+on first use.  The oracle and ``torsion`` read the arrays directly, and
+``generator`` wraps one as a range-checked ``RingElement`` for public
+callers.  This module also holds the independent oracle: the code's
+echelon form, its membership test and the torsional degrees
+t_i = min{t : u^i s^t in C}.
 
 The oracle comes from generic module algebra, not from the torsion formulas:
 the code is the submodule of A^4, A = F[s]/<s^n>, spanned by the at most 10
@@ -33,7 +40,8 @@ no series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -77,8 +85,6 @@ _CORRECTIONS = {
     5: (1, 3),
     6: (2, 3),
 }
-# Generator level -> name of its degree field in GeneratorForm.
-_DEGREE_NAMES = {0: "r", 1: "r1", 2: "r2", 3: "r3"}
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,10 @@ class GeneratorForm:
     An absent correction (p_i is None) means the whole term is zero and the
     matching k_i must be absent too.  In a validated form each p_i is reduced
     mod s^(n - k_i), so two validated forms are equal exactly when their
-    generators are.
+    generators are.  This class alone maps the layout to field names: the
+    other modules build a form with ``of``, take each slot's degree bound
+    from ``slots`` and read a form with ``degree``, ``terms`` and
+    ``degree_fields``.
     """
 
     r: Optional[int] = None
@@ -108,6 +117,13 @@ class GeneratorForm:
     p5: Optional[SPoly] = None
     p6: Optional[SPoly] = None
 
+    @classmethod
+    def of(cls, degrees: dict, corrections: dict) -> "GeneratorForm":
+        """The form of degrees {level: degree} and corrections
+        {(owner level, u-level): (k, p)}, the fields in declaration order."""
+        ks, ps = zip(*[corrections.get(key, (None, None)) for key in _CORRECTIONS.values()])
+        return cls(*map(degrees.get, range(4)), *ks, *ps)
+
     def degree(self, level: int) -> Optional[int]:
         return (self.r, self.r1, self.r2, self.r3)[level]
 
@@ -117,16 +133,36 @@ class GeneratorForm:
     def present_levels(self) -> tuple[int, ...]:
         return tuple(level for level in range(4) if self.degree(level) is not None)
 
+    def terms(self, level: int) -> list[tuple[int, int, SPoly]]:
+        """(u-level, k_i, p_i) of g_level's present corrections, in slot order."""
+        return [(ulevel, *self.correction(i)) for i, (owner, ulevel) in _CORRECTIONS.items()
+                if owner == level and self.correction(i)[1] is not None]
+
+    @staticmethod
+    def slots(degrees: dict, n: int) -> list[tuple[int, int, int]]:
+        """(owner level, u-level, bound) of each correction slot whose owner
+        is in degrees {level: degree}, in slot order: k_i < bound, the degree
+        of g_(u-level) when that generator is present and n otherwise."""
+        return [(owner, ulevel, degrees.get(ulevel, n))
+                for owner, ulevel in _CORRECTIONS.values() if owner in degrees]
+
+    def degree_fields(self) -> dict[str, int]:
+        """The present degrees by field name, r..r3 then k1..k6."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self)[:10])
+        return {name: value for name, value in values if value is not None}
+
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """A validated cyclic code over F_{p^m}[u]/<u^4> of length n = p^k."""
+    """A validated cyclic code over F_{p^m}[u]/<u^4> of length n = p^k.
+
+    ``n``, ``ideal_type`` and the generators' arrays follow from ``k`` and
+    ``form`` and are derived once, on first use.
+    """
 
     field: FieldSpec
     k: int
-    n: int
     form: GeneratorForm
-    ideal_type: tuple[int, ...]
 
     @property
     def p(self) -> int:
@@ -136,25 +172,27 @@ class CyclicCode:
     def m(self) -> int:
         return self.field.m
 
+    @cached_property
+    def n(self) -> int:
+        return self.field.p**self.k
+
+    @cached_property
+    def ideal_type(self) -> tuple[int, ...]:
+        return self.form.present_levels()
+
+    @cached_property
+    def arrays(self) -> dict[int, np.ndarray]:
+        """g_level -> its read-only (4, n) int16 array, ascending level."""
+        return {level: _generator_array(self, level) for level in self.ideal_type}
+
     def type_name(self) -> str:
         return ideal_type_name(self.ideal_type)
 
     def generator(self, level: int) -> RingElement:
-        """Materialize g_level: each of its terms has a u-level row of its own."""
-        deg = self.form.degree(level)
-        if deg is None:
+        """g_level as a ring element, each of its terms in the row of its u-level."""
+        if level not in self.arrays:
             raise MalformedGeneratorForm(f"g{level} is not part of this code")
-        n = self.n
-        g = np.zeros((4, n), dtype=np.int16)
-        g[level, deg] = 1
-        for i, (owner, ulevel) in _CORRECTIONS.items():
-            if owner != level:
-                continue
-            ki, pi = self.form.correction(i)
-            if pi is None:
-                continue
-            g[ulevel, ki:] = pi.coeffs[: n - ki]
-        return RingElement(self.field, n, g)
+        return RingElement(self.field, self.n, self.arrays[level])
 
     def generators(self) -> dict[int, RingElement]:
         return {level: self.generator(level) for level in self.ideal_type}
@@ -163,13 +201,28 @@ class CyclicCode:
         """The sub-code generated by everything except g3.
 
         Dropping a generator keeps a validated form canonical (every bound
-        it imposed relaxes to k_i < n), so the sub-code is not re-validated.
+        it imposed relaxes to k_i < n), so the sub-code is not re-validated,
+        and it shares this code's generator arrays.
         """
         if 3 not in self.ideal_type:
             return self
         if self.ideal_type == (3,):
             raise EmptyGeneratorSet("at least one generator must be present")
-        return replace(self, form=replace(self.form, r3=None), ideal_type=self.ideal_type[:-1])
+        sub = replace(self, form=replace(self.form, r3=None))
+        sub.__dict__["arrays"] = {level: g for level, g in self.arrays.items() if level != 3}
+        return sub
+
+
+def _generator_array(code: CyclicCode, level: int) -> np.ndarray:
+    """g_level as a read-only (4, n) int16 array: u^level s^degree plus each
+    correction s^k_i p_i, cut at s^n, in the row of its u-level."""
+    n = code.n
+    g = np.zeros((4, n), dtype=np.int16)
+    g[level, code.form.degree(level)] = 1
+    for ulevel, ki, pi in code.form.terms(level):
+        g[ulevel, ki:] = pi.coeffs[: n - ki]
+    g.flags.writeable = False
+    return g
 
 
 def code_length(p: int, k: int) -> int:
@@ -203,7 +256,9 @@ def validate_canonical(field: FieldSpec, k: int, form: GeneratorForm) -> CyclicC
                 f"degree of g{lb} ({db}) exceeds degree of g{la} ({da})"
             )
 
-    for i, (owner, bounder) in _CORRECTIONS.items():
+    slots = GeneratorForm.slots(dict(zip(present, degrees)), n)
+    bounds = {(owner, ulevel): bound for owner, ulevel, bound in slots}
+    for i, slot in _CORRECTIONS.items():
         ki, pi = form.correction(i)
         if pi is None:
             if ki is not None:
@@ -211,22 +266,22 @@ def validate_canonical(field: FieldSpec, k: int, form: GeneratorForm) -> CyclicC
             continue
         if ki is None:
             raise MalformedGeneratorForm(f"p{i} given without k{i}")
-        if owner not in present:
-            raise MalformedGeneratorForm(f"correction p{i} belongs to absent g{owner}")
+        if slot not in bounds:
+            raise MalformedGeneratorForm(f"correction p{i} belongs to absent g{slot[0]}")
         if pi.spec != field:
             raise MixedField(f"p{i} lives in a different field")
         if pi.n != n:
             raise MixedLength(f"p{i} has the wrong length")
         if not pi.is_unit():
             raise CorrectionNotUnit(i, "zero constant term in the s-basis")
-        bound = form.degree(bounder) if bounder in present else n
+        bound = bounds[slot]
         if not 0 <= ki < bound:
             raise CorrectionDegreeTooLarge(i, ki, bound)
         # Coefficients at s^(>= n - k_i) vanish in g_i; k_i < n keeps the unit.
         if pi.coeffs[n - ki :].any():
             form = replace(form, **{f"p{i}": SPoly(field, n, pi.coeffs * (np.arange(n) < n - ki))})
 
-    return CyclicCode(field=field, k=k, n=n, form=form, ideal_type=present)
+    return CyclicCode(field=field, k=k, form=form)
 
 
 # --- the independent module-algebra oracle -----------------------------------
@@ -256,8 +311,7 @@ def _module_rows(code: CyclicCode) -> list[np.ndarray]:
     u^b g_i vanishes for i + b >= 4, so these at most 10 rows span the code
     as an F[s]/<s^n>-module."""
     rows = []
-    for level in code.ideal_type:
-        g = code.generator(level).coeffs
+    for level, g in code.arrays.items():
         rows.extend(_shift(g, 0, b) for b in range(4 - level))
     return rows
 

@@ -47,14 +47,7 @@ from .errors import (
     UnknownDirective,
 )
 from .chain import RingElement, _mul, _shift, _valuation
-from .codes import (
-    _CORRECTIONS,
-    _DEGREE_NAMES,
-    CyclicCode,
-    GeneratorForm,
-    code_length,
-    validate_canonical,
-)
+from .codes import CyclicCode, GeneratorForm, code_length, validate_canonical
 from .galois import FieldSpec, field_make
 from .sring import MAX_N, SPoly
 
@@ -64,9 +57,6 @@ _TOKEN = re.compile(
     r"|(?P<STAR>\*)|(?P<CARET>\^)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<SPACE>\s+)|(?P<BAD>.)",
     re.DOTALL,
 )
-
-# (owner generator level, u-level of the term) -> correction slot.
-_SLOT_BY = {levels: i for i, levels in _CORRECTIONS.items()}
 
 
 class _ExprParser:
@@ -292,8 +282,7 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
         n = code_length(spec.p, k)
     except DegreeOutOfRange:
         raise ParseError(length_line, 1, f"k >= 1 with {spec.p}^k <= {MAX_N}") from None
-    fields: dict = {}
-
+    degrees, corrections = {}, {}
     for line_no, level, body, offset in gen_lines:
         g = _ExprParser(spec, n, body, line_no, offset).parse()
         for j in range(level):
@@ -307,18 +296,16 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
                 f"line {line_no}: the u^{level} component of g{level} must be a plain "
                 f"power of (x-1)"
             )
-        fields[_DEGREE_NAMES[level]] = degree
+        degrees[level] = degree
         # each later part is s^k_i times a unit: its correction p_i
         for j in range(level + 1, 4):
             ki = _valuation(g[j])
             if ki < n:
-                slot = _SLOT_BY[(level, j)]
                 unit = np.zeros(n, dtype=np.int16)
                 unit[: n - ki] = g[j, ki:]
-                fields[f"k{slot}"] = ki
-                fields[f"p{slot}"] = SPoly(spec, n, unit)
+                corrections[level, j] = ki, SPoly(spec, n, unit)
 
-    code = validate_canonical(spec, k, GeneratorForm(**fields))
+    code = validate_canonical(spec, k, GeneratorForm.of(degrees, corrections))
     return spec, code
 
 
@@ -337,15 +324,8 @@ def _format_term(ulevel: int, exp: int, poly: SPoly | None) -> str:
 
 
 def format_generator(code: CyclicCode, level: int) -> str:
-    form = code.form
-    chunks = [_format_term(level, form.degree(level), None)]
-    for i, (owner, ulevel) in _CORRECTIONS.items():
-        if owner != level:
-            continue
-        ki, pi = form.correction(i)
-        if pi is None:
-            continue
-        chunks.append(_format_term(ulevel, ki, pi))
+    chunks = [_format_term(level, code.form.degree(level), None)]
+    chunks += [_format_term(ulevel, ki, pi) for ulevel, ki, pi in code.form.terms(level)]
     return " + ".join(chunks)
 
 

@@ -13,15 +13,7 @@ import random
 
 import numpy as np
 
-from .codes import (
-    _CORRECTIONS,
-    _DEGREE_NAMES,
-    IDEAL_TYPES,
-    CyclicCode,
-    GeneratorForm,
-    code_length,
-    validate_canonical,
-)
+from .codes import IDEAL_TYPES, CyclicCode, GeneratorForm, code_length, validate_canonical
 from .galois import FieldSpec
 from .sring import SPoly
 
@@ -41,19 +33,10 @@ def random_unit(rng: random.Random, spec: FieldSpec, n: int) -> SPoly:
 def random_code(rng: random.Random, spec: FieldSpec, k: int) -> CyclicCode:
     n = code_length(spec.p, k)
     itype = IDEAL_TYPES[rng.randrange(len(IDEAL_TYPES))]
-    degrees = sorted((rng.randrange(n) for _ in itype), reverse=True)
-    fields: dict = {}
-    for level, deg in zip(itype, degrees):
-        fields[_DEGREE_NAMES[level]] = deg
-
-    for i in range(1, 7):
-        owner, bounder = _CORRECTIONS[i]
-        if owner not in itype:
-            continue
-        bound = fields[_DEGREE_NAMES[bounder]] if bounder in itype else n
+    degrees = dict(zip(itype, sorted((rng.randrange(n) for _ in itype), reverse=True)))
+    corrections = {}
+    for owner, ulevel, bound in GeneratorForm.slots(degrees, n):
         if bound == 0 or rng.random() < 1 / 3:
             continue
-        fields[f"k{i}"] = rng.randrange(bound)
-        fields[f"p{i}"] = random_unit(rng, spec, n)
-
-    return validate_canonical(spec, k, GeneratorForm(**fields))
+        corrections[owner, ulevel] = rng.randrange(bound), random_unit(rng, spec, n)
+    return validate_canonical(spec, k, GeneratorForm.of(degrees, corrections))

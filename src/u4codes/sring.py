@@ -58,7 +58,12 @@ NEWTON_START = 8
 
 def _frozen_encodings(arr: np.ndarray, q: int) -> np.ndarray:
     """A read-only int16 copy of a nonempty array of encodings, checked to
-    lie in [0, q) in its own dtype, before the cast could wrap or truncate."""
+    lie in [0, q) in its own dtype, before the cast could wrap or truncate.
+
+    The public constructors ``SPoly`` and ``chain.RingElement`` take it.
+    The oracle and the closed form compute on bare arrays: ``codes`` builds
+    each generator's array once per code, unchecked, and wraps it as a
+    ``RingElement`` only for a public caller of ``CyclicCode.generator``."""
     if arr.dtype == np.int16:
         bad = arr.view(np.uint16).max() >= q
     else:
@@ -182,9 +187,8 @@ class SPoly:
         costs no kernel call.  From there, Newton iteration
         g <- g + g (1 - f g): if f g = 1 mod s^k, the update gives f g = 1
         mod s^2k, so ceil(log2(n / NEWTON_START)) steps of two products
-        reach n.  A constant f is inverted by the field alone, and the
-        iteration stops early once f g = 1 holds as a polynomial.  The
-        inverse is unique, so the start changes no result.
+        reach n.  A constant f is inverted by the field alone.  The inverse
+        is unique, so the start changes no result.
         """
         if not self.is_unit():
             raise DivisionByZero("inverse of a non-unit polynomial")
@@ -204,14 +208,10 @@ class SPoly:
                     acc = int(add[acc, mul[head[i], start[k - i]]])
             start.append(int(mul[neg_g0, acc]))
         g[:prec] = start
-        deg_f = int(f.nonzero()[0][-1])
         while prec < n:
             prec = min(2 * prec, n)
             err = spec.neg_table[_mul_trunc(spec, f, g, prec)]
             err[0] = 0  # err = 1 - f g, whose constant term is 1 - 1
-            # With deg f + deg g < prec nothing was truncated: f g = 1 exactly.
-            if not err.any() and deg_f + int(g.nonzero()[0][-1]) < prec:
-                break
             g[:prec] = spec.add_table[g[:prec], _mul_trunc(spec, g, err, prec)]
         return SPoly(spec, n, g)
 

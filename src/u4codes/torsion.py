@@ -6,18 +6,21 @@ explicit generating set of the "zero 1-part, zero u-part" layer (the
 u^2-part set) followed by pairwise eliminations; adjoining g3 caps the
 result by its degree.
 
-Every formula here is evaluated by constructing the actual polynomial and
-reading its valuation, never by exponent bookkeeping alone: differences of
-terms can cancel below their nominal degrees, and the valuation measures the
-true offset.  Each candidate fed into a min is the valuation of an explicitly
-constructed member of the code (or a value >= some other candidate), so the
-minimum is always witnessed.  The g0 path builds those members from the
-generators' (4, n) arrays (``chain`` layout), divided by s^v0 for v0 the
-least valuation over their columns: x -> x / s^v0 maps s^v0 F[s]/<s^n> onto
-F[s]/<s^(n-v0)> and commutes with products, shifts and ``chain._clear``, so
-the path computes on (4, n - v0) arrays and adds v0 back to every valuation
-it reports.  The level-1 eliminations take the oracle's own fraction-free
-step ``chain._clear``, each pivot first scaled with ``chain._monic`` (their
+Every formula with a difference of terms is evaluated by constructing the
+actual polynomial and reading its valuation, never by exponent bookkeeping
+alone: differences can cancel below their nominal degrees, and the
+valuation measures the true offset.  (An s-shift cancels nothing, so the
+valuations of a shifted member follow from its own.)  Each candidate fed
+into a min is the valuation of an explicitly constructed member of the code
+(or a value >= some other candidate), so the minimum is always witnessed.
+The g0 path builds those members from the code's generator arrays
+(``CyclicCode.arrays``, built once per code, in the ``chain`` layout),
+divided by s^v0 for v0 the least valuation over their columns:
+x -> x / s^v0 maps s^v0 F[s]/<s^n> onto F[s]/<s^(n-v0)> and commutes with
+products, shifts and ``chain._clear``, so the path computes on
+(4, n - v0) arrays and adds v0 back to every valuation it reports.  The
+level-1 eliminations take the oracle's own fraction-free step
+``chain._clear``, each pivot first scaled with ``chain._monic`` (their
 results become members, and a unit multiple of a member would move later
 valuations) and then clearing all of its rows in one stacked step.  Only
 the u-part of sA = s^(n-r) g0 can carry a non-constant unit (those of u g0
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import InconsistentSet, MixedLength, OutOfRange, WrongIdealType
 from .chain import _clear, _monic, _shift, _valuation
-from .codes import CyclicCode, GeneratorForm
+from .codes import CyclicCode
 from .sring import SPoly, _mul_trunc
 
 
@@ -175,7 +178,7 @@ def t3_g1_g2(code: CyclicCode) -> T3Result:
     k4, p4, k5, p5, k6, p6 = form.k4, form.p4, form.k5, form.p5, form.k6, form.p6
 
     # dropping g2 keeps the form canonical, so the sub-code needs no re-validation
-    sub = replace(code, form=GeneratorForm(r1=r1, k4=k4, k5=k5, p4=p4, p5=p5), ideal_type=(1,))
+    sub = replace(code, form=replace(form, r2=None, k6=None, p6=None))
     t_sub = t3_g1(sub)
 
     # elimination of s^(n-r1)*g1 against g2 (u^2 level)
@@ -231,9 +234,8 @@ def u2_part_set(code: CyclicCode) -> list[U2Element]:
     """
     if code.ideal_type not in _U2_TYPES:
         raise WrongIdealType("a g0-containing, g3-free type", str(code.ideal_type))
-    gens = {level: g.coeffs for level, g in code.generators().items()}
-    v0 = min(_valuation(x.any(axis=0)) for x in gens.values())
-    gens = {level: x[:, v0:] for level, x in gens.items()}
+    v0 = min(_valuation(x.any(axis=0)) for x in code.arrays.values())
+    gens = {level: x[:, v0:] for level, x in code.arrays.items()}
     field, n = code.field, code.n - v0
     A = _shift(gens[0], code.n - code.form.r)
     B = _shift(gens[0], 0, 1)
@@ -307,12 +309,13 @@ def _pair_eliminations(field, with_u2: list[U2Element]) -> np.ndarray:
 def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
     """nu-case analysis over a u^2-part set.
 
-    Candidates: omega_i (u * f_i), n - omega_i + omega~_i (s^(n-omega_i) f_i),
-    omega~ of the pure-u^3 members, and the valuations of all pairwise
-    u^2-cancellations.  All are valuations of explicit code members.  The
-    members must share one window offset v0 and be of width n - v0, and
-    hold encodings of the code's field; every valuation is reported with
-    v0 added back.
+    Candidates: omega_i (u * f_i), n - omega_i + omega~_i (s^(n-omega_i) f_i,
+    whose u^2-part the shift truncates; nonzero only when omega~_i <
+    omega_i, so read off the cached valuations), omega~ of the pure-u^3
+    members, and the valuations of all pairwise u^2-cancellations.  All are
+    valuations of explicit code members.  The members must share one
+    window offset v0 and be of width n - v0, and hold encodings of the
+    code's field; every valuation is reported with v0 added back.
     """
     n, q = code.n, code.field.q
     offsets = {f.offset for f in members}
@@ -331,11 +334,8 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
     min_set: list[tuple[str, int]] = []
     for f in with_u2:
         min_set.append((f"w[{f.source}]", f.omega))
-        shifted = _shift(f.element, n - f.omega)
-        if shifted[2].any():
-            raise InconsistentSet(f"{f.source}: s-shift left a nonzero u^2-part")
-        if shifted.any():
-            min_set.append((f"shift[{f.source}]", v0 + _valuation(shifted[3])))
+        if f.omega_tilde is not None and f.omega_tilde < f.omega:
+            min_set.append((f"shift[{f.source}]", n - f.omega + f.omega_tilde))
     for f in u3_only:
         min_set.append((f"u3[{f.source}]", f.omega_tilde))
 

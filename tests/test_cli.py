@@ -13,6 +13,7 @@ import pytest
 
 import u4codes as u
 from u4codes import torsion
+from u4codes.chain import RingElement
 from u4codes.cli import run_command
 from u4codes.errors import DuplicateGenerator, NotCanonical, ParseError, UnknownDirective
 from u4codes.parsing import format_code_file, parse_code_file, parse_expression, parse_field_element
@@ -323,6 +324,32 @@ def test_oracle_calls_per_command(tmp_path, monkeypatch):
     calls.clear()
     status, _ = run(["verify", "--p", "2", "--m", "1", "--k", "3", "--trials", "9", "--seed", "4"])
     assert status == 0 and calls["span_basis"] == 9
+
+
+def test_analyze_and_verify_build_no_ring_element(tmp_path, monkeypatch):
+    # both commands compute on the generators' cached arrays; only a public
+    # caller of CyclicCode.generator gets one wrapped as a RingElement
+    built = []
+    init = RingElement.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RingElement, "__init__", counted)
+    files = (GOLDEN_G1_FILE, GOLDEN_G3_FILE, GOLDEN_G2_F25_FILE, GOLDEN_G0_F3_FILE, GOLDEN_G0_G1_FILE)
+    for i, text in enumerate(files):
+        path = tmp_path / f"{i}.code"
+        path.write_text(text)
+        status, _ = run(["analyze", str(path), "--verify", "--json"])
+        assert status == 0
+    for p, m, k in ((2, 1, 3), (2, 2, 2), (3, 1, 2)):
+        status, _ = run(["verify", "--p", str(p), "--m", str(m), "--k", str(k),
+                         "--trials", "30", "--seed", "7"])
+        assert status == 0
+    assert built == []
+    parse_code_file(GOLDEN_G1_FILE)[1].generator(1)
+    assert len(built) == 1
 
 
 def test_analyze_verify_at_max_length(tmp_path, F5):

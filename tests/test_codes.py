@@ -561,6 +561,50 @@ def test_generator_matches_reference():
     assert truncated > 0
 
 
+def test_generator_arrays_are_built_once_and_read_only(monkeypatch):
+    # t3 (through u2_part_set, and through the sub-code it takes of a type
+    # with g3), span_basis (through _module_rows) and min_weights read one
+    # cached array per generator, built on first use; none of them wraps a
+    # generator as a RingElement
+    built = []
+    build = u.codes._generator_array
+
+    def counted(code, level):
+        built.append(level)
+        return build(code, level)
+
+    def refused(*args):
+        raise AssertionError("RingElement built")
+
+    monkeypatch.setattr(u.codes, "_generator_array", counted)
+    monkeypatch.setattr(RingElement, "__init__", refused)
+    for p, m, k in ((2, 1, 2), (3, 1, 1), (2, 2, 1)):
+        spec = u.field_make(p, m)
+        rng = random.Random(3000 + 10 * p + m)
+        for itype in u.IDEAL_TYPES:
+            for corrections in (True, False):
+                code = code_of_type(rng, spec, k, itype, corrections)
+                built.clear()
+                u.t3(code)
+                u.min_weights(code, basis=u.span_basis(code))
+                assert sorted(built) == list(itype), (p, m, k, itype)
+                rows = u.codes._module_rows(code)
+                if 0 in itype and 3 not in itype:
+                    members = u.u2_part_set(code)
+                assert len(built) == len(itype)
+                assert list(code.arrays) == list(itype)
+                for level, g in code.arrays.items():
+                    assert g.dtype == np.int16 and g.shape == (4, code.n)
+                    assert not g.flags.writeable
+                    assert any(np.array_equal(row, g) for row in rows)
+                if 0 in itype and 3 not in itype and 2 in itype:
+                    assert np.shares_memory(members[-1].element, code.arrays[2])
+    monkeypatch.undo()
+    for level, g in code.arrays.items():
+        assert np.array_equal(code.generator(level).coeffs, g)
+        assert code.generator(level) == reference_generator(code, level)
+
+
 def test_torsion_oracle_matches_bisection_at_625(F5):
     # an analyze_large shape; membership of u^i s^t is monotone in t (multiply
     # by s), so a binary search over contains gives the same least t

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import u4codes as u
 from u4codes.chain import RingElement
-from u4codes.codes import _DEGREE_NAMES, GeneratorForm, validate_canonical
+from u4codes.codes import GeneratorForm, validate_canonical
 from u4codes.errors import NotCanonical, ParseError, U4CodesError
-from u4codes.parsing import _SLOT_BY, _ExprParser, format_code_file, parse_code_file, parse_expression
+from u4codes.parsing import _ExprParser, format_code_file, parse_code_file, parse_expression
 from u4codes.sring import SPoly, decompose
 from conftest import golden_g0_f3, golden_g0_g1_f2, golden_g1_f4, golden_g1_g2_f4, golden_g2_f25
 from test_cli import GOLDEN_G0_F3_FILE, GOLDEN_G0_G1_FILE, GOLDEN_G1_FILE, GOLDEN_G2_F25_FILE, GOLDEN_G3_FILE
@@ -84,6 +84,12 @@ class ReferenceEvaluator:
             self.expect("RPAREN", "closing parenthesis")
             return inner
         raise ParseError(self.line, col, "a factor (u, s, (x-1), a, integer, or '(')")
+
+# Generator level -> its degree field, and (owner level, u-level of the
+# term) -> correction slot, written out here so that the reference does not
+# read the layout off the library it checks.
+_DEGREE_NAMES = {0: "r", 1: "r1", 2: "r2", 3: "r3"}
+_SLOT_BY = {(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 4, (1, 3): 5, (2, 3): 6}
 
 
 def reference_form(spec, n, gen_lines):

@@ -609,6 +609,30 @@ def test_top_window_equals_the_full_length_path(p, m, ks):
     assert windows == {"n", "1", "between"}
 
 
+def test_shift_candidates_equal_the_array_read_off(F5):
+    # t3_from_u2_set reads the candidate of s^(n - omega) f off the cached
+    # valuations, n - omega + omega~ when omega~ < omega; the reference
+    # shifts each member's array and reads the valuation of what is left,
+    # which never keeps a u^2-part: random g0 codes over F_2 to F_9, the
+    # closed-form benchmark codes, at full length and on the top window
+    seen = {"kept": 0, "vanished": 0}
+    for code in u2_codes(F5) + closed_form_sub_codes():
+        n = code.n
+        top = u.u2_part_set(code)
+        for members in (full_length(top, n), top):
+            want = []
+            for f in sorted((f for f in members if f.omega is not None),
+                            key=lambda f: (f.omega, f.source)):
+                shifted = chain._shift(f.element, n - f.omega)
+                assert not shifted[2].any()
+                if shifted.any():
+                    want.append([f"shift[{f.source}]", f.offset + _valuation(shifted[3])])
+                seen["kept" if shifted.any() else "vanished"] += 1
+            got = u.t3_from_u2_set(members, code).path["min_set"]
+            assert [c for c in got if c[0].startswith("shift[")] == want, code.form
+    assert min(seen.values()) >= 100, seen
+
+
 def reference_pair_eliminations(field, with_u2):
     """The pairwise stage as one fraction-free clear per pivot: the later
     members stacked and cleared against the pivot unscaled, as the stage
