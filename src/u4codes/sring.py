@@ -7,14 +7,18 @@ scans, which is what all the torsion computations need.  Exponents >= n
 truncate to zero; they are never reduced cyclically.
 
 Cost model: every product goes through one kernel, ``_mul_trunc``, which
-cuts both operands to their nonzero spans and convolves their base-p digits
-at C level (numpy), so a product costs m^2 convolutions of the two span
-lengths.  At these lengths a kernel call costs its numpy calls more than its
+cuts both operands to their nonzero spans and convolves them at C level
+(numpy): over a prime field the encodings themselves, one convolution of the
+two span lengths, and over F_{p^m}, m > 1, their base-p digits, m^2
+convolutions.  A factor with one nonzero coefficient, c s^e, costs no
+convolution: the product is one field-table lookup written from s^e on.
+At these lengths a kernel call costs its numpy calls more than its
 arithmetic, so products that share a factor take one call: the kernel
 multiplies a by a whole stack of rows, each cut to its own span.  A stack of
 at least PACK_ROWS nonzero rows against a factor of span at most PACK_SPAN is
-packed into one vector (Kronecker substitution) and takes one convolution per
-digit pair; otherwise the call convolves its nonzero rows one by one.
+packed into one vector (Kronecker substitution) and takes one convolution
+(one per digit pair); otherwise the call convolves its nonzero rows one by
+one, and looks up the monomial ones.
 ``SPoly.inverse`` takes its first NEWTON_START = 8 coefficients from a
 table recurrence, which makes no kernel call (at precision 2, 4 and 8 a
 Newton step's products are tiny, and their cost is the calls, not the
@@ -260,15 +264,20 @@ def _mul_trunc(spec: FieldSpec, a: np.ndarray, b: np.ndarray, n: int) -> np.ndar
     shape b.shape[:-1] + (n,).
 
     a is cut to its nonzero span and every row of b to its own, so the cost
-    is that of the spans, not of n.  Field elements are split into their m
-    base-p digits and each pair of digit vectors is convolved; the
-    convolution of digits i and j is a coefficient of a^(i+j), which
-    pow_digits reduces back to m digits before the final mod p.  Every sum
-    is that of one row, below (2m - 1) m (p - 1)^3 n, far under 2^53, so
-    float64 arithmetic is exact.  With at least PACK_ROWS nonzero rows and
-    a span of a at most PACK_SPAN, the rows are packed into one vector
-    (``_mul_packed``), so that the stack takes one convolution per digit
-    pair; otherwise each nonzero row is convolved on its own.
+    is that of the spans, not of n.  A monomial a = c s^e convolves
+    nothing: the product is every row times c, one ``mul_table`` lookup
+    written from s^e on.  With at least PACK_ROWS nonzero rows and a span
+    of a at most PACK_SPAN, the rows are packed into one vector
+    (``_mul_packed``) and take one call of ``_convolve_digits``; otherwise
+    each nonzero row is multiplied on its own, a monomial row c s^e by a
+    lookup of a times c and any other row by ``_convolve_digits``.  Over a
+    prime field (m = 1) that convolves the encodings themselves, and the
+    sums stay below (p - 1)^2 L <= (p - 1)^2 n for L the shorter span:
+    under 2^31 for every prime p <= 251 and n = p^k <= MAX_N (15.7 million
+    at F_251, n = 251), so they are reduced mod p as int32.  Over F_{p^m},
+    m > 1, it convolves each pair of base-p digit vectors, and every sum is
+    below (2m - 1) m (p - 1)^3 n.  Both bounds are far under 2^53, so the
+    float64 arithmetic of the convolutions is exact.
     """
     rows = b.reshape(-1, b.shape[-1])
     out = np.zeros((rows.shape[0], n), dtype=np.int16)
@@ -276,29 +285,42 @@ def _mul_trunc(spec: FieldSpec, a: np.ndarray, b: np.ndarray, n: int) -> np.ndar
     if nza.size:
         va, stop = int(nza[0]), int(nza[-1]) + 1
         rows = rows[:, : n - va]  # the columns whose products stay below s^n
+        if stop - va == 1:  # a = c s^va
+            out[:, va : va + rows.shape[1]] = spec.mul_table[a[va], rows]
+            return out.reshape(b.shape[:-1] + (n,))
         live = range(rows.shape[0])
         if rows.shape[0] >= PACK_ROWS and stop - va <= PACK_SPAN:
             alive = rows.any(axis=1)
             live = np.flatnonzero(alive).tolist()
             if len(live) >= PACK_ROWS:
-                da = spec.digit_rows.take(a[va:stop], axis=1)
-                return _mul_packed(spec, da, va, rows, alive, n).reshape(b.shape[:-1] + (n,))
+                out = _mul_packed(spec, a[va:stop], va, rows, alive, n)
+                return out.reshape(b.shape[:-1] + (n,))
         for r in live:
             nzb = rows[r].nonzero()[0]
             if nzb.size:
                 lo = int(nzb[0])
-                # a past s^(n - lo_r) reaches past s^n
-                da = spec.digit_rows.take(a[va : min(stop, n - lo)], axis=1)
-                prod = _convolve_digits(spec, da, rows[r, lo : int(nzb[-1]) + 1], n - va - lo)
+                cut = a[va : min(stop, n - lo)]  # a past s^(n - lo_r) reaches past s^n
+                if nzb.size == 1:  # row r is c s^lo
+                    prod = spec.mul_table[rows[r, lo], cut]
+                else:
+                    prod = _convolve_digits(spec, cut, rows[r, lo : int(nzb[-1]) + 1], n - va - lo)
                 out[r, va + lo : va + lo + prod.size] = prod
     return out.reshape(b.shape[:-1] + (n,))
 
 
-def _convolve_digits(spec: FieldSpec, da: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
-    """The product of a digit matrix (m, La) and a vector of encodings, cut
-    after ``width`` coefficients."""
+def _convolve_digits(spec: FieldSpec, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """The product of two vectors of encodings, cut after ``width``
+    coefficients.  Over a prime field the encodings are the digits: one
+    float64 convolution, reduced mod p as int32.  Over F_{p^m} both are
+    split into their m base-p digits and each pair of digit vectors is
+    convolved; the convolution of digits i and j is a coefficient of
+    a^(i+j), which pow_digits reduces back to m digits before the final
+    mod p."""
     m = spec.m
-    db = spec.digit_rows.take(b, axis=1)
+    if m == 1:
+        conv = np.convolve(a.astype(np.float64), b.astype(np.float64))
+        return conv[:width].astype(np.int32) % spec.p
+    da, db = spec.digit_rows.take(a, axis=1), spec.digit_rows.take(b, axis=1)
     conv = np.zeros((2 * m - 1, da.shape[1] + db.shape[1] - 1))
     for i in range(m):
         for j in range(m):
@@ -306,14 +328,14 @@ def _convolve_digits(spec: FieldSpec, da: np.ndarray, b: np.ndarray, width: int)
     return np.dot(spec.digit_weights, np.dot(spec.pow_digits, conv[:, :width]) % spec.p)
 
 
-def _mul_packed(spec: FieldSpec, da: np.ndarray, va: int, rows: np.ndarray, alive: np.ndarray,
+def _mul_packed(spec: FieldSpec, a: np.ndarray, va: int, rows: np.ndarray, alive: np.ndarray,
                 n: int) -> np.ndarray:
-    """The products of a (digits da, valuation va) with every row of a stack,
-    truncated at s^n, from one convolution per digit pair (Kronecker
-    substitution): each nonzero row, cut to its own span, is followed by
-    the span of a less one zeros, so no row's product runs into the next,
-    and the last row needs none."""
-    la = da.shape[1]
+    """The products of a (its nonzero span, from s^va) with every row of a
+    stack, truncated at s^n, from one call of ``_convolve_digits``
+    (Kronecker substitution): each nonzero row, cut to its own span, is
+    followed by the span of a less one zeros, so no row's product runs
+    into the next, and the last row needs none."""
+    la = a.size
     live = rows != 0
     lo = live.argmax(axis=1)
     seg = rows.shape[1] + (la - 1) - live[:, ::-1].argmax(axis=1) - lo
@@ -326,7 +348,7 @@ def _mul_packed(spec: FieldSpec, da: np.ndarray, va: int, rows: np.ndarray, aliv
     padded[:, : rows.shape[1]] = rows
     at = np.arange(total) + np.repeat(np.arange(0, padded.size, stride) + lo - start, seg)
     wide = np.zeros((rows.shape[0], stride), dtype=np.int16)
-    wide.reshape(-1)[at + va] = _convolve_digits(spec, da, padded.reshape(-1)[at[: total - la + 1]], total)
+    wide.reshape(-1)[at + va] = _convolve_digits(spec, a, padded.reshape(-1)[at[: total - la + 1]], total)
     return wide[:, :n]
 
 

@@ -325,7 +325,14 @@ def t3_from_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
     # encoding (or a uint64 one past 2^63) is at least q too
     if members and np.array([f.element for f in members], np.int64).view(np.uint64).max() >= q:
         raise OutOfRange(f"u^2-part member with an encoding outside [0, {q})")
-    v0 = offsets.pop() if offsets else 0
+    return _t3_u2_set(members, code)
+
+
+def _t3_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
+    """``t3_from_u2_set`` on members known to share one window and hold
+    encodings of the code's field, as ``u2_part_set`` builds them."""
+    n = code.n
+    v0 = members[0].offset if members else 0
     with_u2 = sorted(
         (f for f in members if f.omega is not None), key=lambda f: (f.omega, f.source)
     )
@@ -381,7 +388,7 @@ def t3(code: CyclicCode) -> T3Result:
     if t == (1, 2):
         return t3_g1_g2(code)
     if t in _U2_TYPES:
-        return t3_from_u2_set(u2_part_set(code), code)
+        return _t3_u2_set(u2_part_set(code), code)
     # remaining types contain g3: compute the sub-code result and cap by r3
     sub = code.without_g3()
     sub_res = t3(sub)

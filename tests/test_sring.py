@@ -7,7 +7,7 @@ import pytest
 import u4codes as u
 from u4codes import sring
 from u4codes.errors import DivisionByZero, MixedField, MixedLength, OutOfRange
-from u4codes.galois import FieldSpec
+from u4codes.galois import MAX_Q, FieldSpec
 from u4codes.sring import (
     NEWTON_START, PACK_SPAN, SPoly, _mul_trunc, basis_transform_rows, decompose,
 )
@@ -132,6 +132,10 @@ def rand_operand(rng, spec, n, kind):
         c[1:] = 0
     elif kind == "gap":  # c0 + c s^(n-1): f g = 1 mod s^prec long before f g = 1
         c[1 : n - 1] = 0
+    elif kind == "monomial":  # c s^e, the constant term e = 0 one draw in four
+        e = 0 if rng.random() < 0.25 else rng.integers(0, n)
+        c[:] = 0
+        c[e] = rng.integers(1, spec.q)
     return SPoly(spec, n, c)
 
 
@@ -139,7 +143,7 @@ def rand_operand(rng, spec, n, kind):
 def test_mul_matches_table_loop(p, m, modulus):
     spec = kernel_field(p, m, modulus)
     rng = np.random.default_rng(p * 1000 + m)
-    kinds = ["dense", "sparse", "shifted", "top"]
+    kinds = ["dense", "sparse", "shifted", "top", "monomial"]
     for n in kernel_lengths(p):
         for ka, kb in 2 * list(itertools.product(kinds, repeat=2)):
             f, g = rand_operand(rng, spec, n, ka), rand_operand(rng, spec, n, kb)
@@ -149,6 +153,10 @@ def test_mul_matches_table_loop(p, m, modulus):
         g = rand_operand(rng, spec, n, "dense").shift(n - n // 2)
         assert (f * g).is_zero() and reference_mul(f, g).is_zero()
         assert (f * SPoly.zero(spec, n)).is_zero()
+        # a monomial factor on either side, at s^0 and at s^(n-1)
+        for e in (0, n - 1):
+            c = SPoly.monomial(spec, n, e, spec.from_encoding(int(rng.integers(1, spec.q))))
+            assert c * f == reference_mul(c, f) and f * c == reference_mul(f, c), (n, e)
 
 
 @pytest.mark.parametrize("p,m,modulus", KERNEL_FIELDS)
@@ -302,6 +310,18 @@ def assert_stacked_equals_row_by_row(spec, a, b, n):
     return got
 
 
+def short_factor(rng, spec, n):
+    """A factor whose nonzero span is 2 to 8 coefficients long, both ends
+    nonzero, at a random offset: short enough to pack, and never a
+    monomial, which takes no convolution."""
+    a = np.zeros(n, dtype=np.int16)
+    span = int(rng.integers(2, min(8, n) + 1))
+    lo = int(rng.integers(0, n - span + 1))
+    a[lo : lo + span] = rng.integers(0, spec.q, span)
+    a[[lo, lo + span - 1]] = rng.integers(1, spec.q, 2)
+    return a
+
+
 @pytest.mark.parametrize("p,m", STACK_FIELDS)
 def test_stacked_kernel_equals_the_row_by_row_kernel(p, m, monkeypatch):
     spec = u.field_make(p, m)
@@ -313,9 +333,10 @@ def test_stacked_kernel_equals_the_row_by_row_kernel(p, m, monkeypatch):
     for n in kernel_lengths(p):
         for height in (1, 2, 4, 9, 16):
             for kind in ("dense", "sparse", "short", "top"):
-                a = rand_operand(rng, spec, n, "shifted" if kind == "short" else kind).coeffs.copy()
-                if kind == "short":  # a span of at most 8, as packed stacks meet
-                    a[np.argmax(a != 0) + 8 :] = 0
+                if kind == "short":  # a span of 2 to 8, as packed stacks meet
+                    a = short_factor(rng, spec, n)
+                else:
+                    a = rand_operand(rng, spec, n, kind).coeffs
                 b = rand_stack(rng, spec, n, height)
                 got = assert_stacked_equals_row_by_row(spec, a, b, n)
                 vanished += int((b.any(axis=1) & ~got.any(axis=1)).sum())
@@ -325,6 +346,45 @@ def test_stacked_kernel_equals_the_row_by_row_kernel(p, m, monkeypatch):
         assert not _mul_trunc(spec, a, np.zeros((3, n), dtype=np.int16), n).any()
     assert vanished >= 3  # nonzero rows whose whole product lies past s^(n-1)
     assert len(packed) >= 5  # stacks that went through one packed convolution
+
+
+def monomial_stack(rng, spec, n, height):
+    """Rows of one nonzero coefficient each, at s^0, s^(n-1) or at random,
+    and one zero row."""
+    rows = np.zeros((height, n), dtype=np.int16)
+    for r in range(1, height):
+        e = (0, n - 1, int(rng.integers(0, n)))[r % 3]
+        rows[r, e] = rng.integers(1, spec.q)
+    return rows
+
+
+@pytest.mark.parametrize("p,m,modulus", KERNEL_FIELDS)
+def test_monomial_factors_equal_the_schoolbook_product(p, m, modulus, monkeypatch):
+    # a monomial a against stacks, a one-row monomial b, and stacks of
+    # monomial rows: the lookups equal the table loop, and a monomial a or
+    # one-row b convolves nothing
+    spec = kernel_field(p, m, modulus)
+    rng = np.random.default_rng(p * 1000 + m + 3)
+    convolved, convolve = [], sring._convolve_digits
+    monkeypatch.setattr(sring, "_convolve_digits",
+                        lambda *args: convolved.append(1) or convolve(*args))
+    for n in kernel_lengths(p):
+        convolved.clear()
+        for height in (1, 4, 9):
+            a = rand_operand(rng, spec, n, "monomial").coeffs
+            assert_stacked_equals_row_by_row(spec, a, rand_stack(rng, spec, n, height), n)
+        assert not convolved
+        for kind in ("dense", "sparse", "shifted", "top"):
+            a = rand_operand(rng, spec, n, kind).coeffs
+            b = rand_operand(rng, spec, n, "monomial").coeffs[None]
+            assert_stacked_equals_row_by_row(spec, a, b, n)
+            assert not convolved
+            for height in (2, 5, 9):
+                assert_stacked_equals_row_by_row(spec, a, monomial_stack(rng, spec, n, height), n)
+            convolved.clear()  # a packed stack convolves its rows, monomial or not
+        # a packed stack of monomial rows
+        a, b = short_factor(rng, spec, n), monomial_stack(rng, spec, n, 6)
+        assert_stacked_equals_row_by_row(spec, a, b, n)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 1, 512), (2, 2, 512), (5, 1, 625), (3, 1, 729)])
@@ -357,6 +417,27 @@ def test_stacked_kernel_is_exact_at_the_largest_sums():
         (short, rng.integers(1, 251, (5, n)).astype(np.int16)),
     ]:
         assert_stacked_equals_row_by_row(spec, a, b, n)
+    # the prime-field route's largest sum: coefficient k of (-1 - s - ... -
+    # s^250)^2 sums k + 1 terms 250^2 = 1 mod 251, the last 250^2 * 251
+    full = np.full(n, 250, dtype=np.int16)
+    assert _mul_trunc(spec, full, full, n).tolist() == [(k + 1) % 251 for k in range(n)]
+
+
+def test_prime_field_sums_fit_the_integer_reduction():
+    # the prime-field route reduces its float64 sums, below (p - 1)^2 n, in
+    # the integer dtype _convolve_digits returns: for every prime p <= MAX_Q
+    # and length p^k <= MAX_N that bound must fit it, so a larger MAX_N
+    # fails here instead of wrapping a sum
+    ones = np.ones(2, dtype=np.int16)
+    primes = [p for p in range(2, MAX_Q + 1) if all(p % d for d in range(2, p))]
+    assert primes[-1] == 251
+    for p in primes:
+        dtype = sring._convolve_digits(u.field_make(p, 1), ones, ones, 3).dtype
+        assert dtype.kind == "i", (p, dtype)
+        n = p
+        while n <= sring.MAX_N:
+            assert (p - 1) ** 2 * n <= np.iinfo(dtype).max, (p, n, dtype)
+            n *= p
 
 
 # --- basis transform ----------------------------------------------------------------

@@ -248,6 +248,20 @@ def test_t3_from_u2_set_refuses_members_of_another_length_or_window(F2):
     assert u.t3_from_u2_set(full, short) == u.t3_from_u2_set(top, short) == u.t3(short)
 
 
+def test_t3_reads_its_own_members_without_the_public_checks(F5, monkeypatch):
+    # t3 takes the members u2_part_set builds from a validated code straight
+    # to the case analysis: the same result as the public entry point, which
+    # it no longer calls
+    codes = u2_codes(F5)
+    public = [u.t3_from_u2_set(u.u2_part_set(code), code) for code in codes]
+
+    def refused(*args):
+        raise AssertionError("t3 re-checked members it built itself")
+
+    monkeypatch.setattr(torsion, "t3_from_u2_set", refused)
+    assert [u.t3(code) for code in codes] == public
+
+
 def test_u2_set_elimination_members_in_code():
     # every intermediate the engine builds must itself be a code member
     for (p, m, k) in [(2, 1, 2), (3, 1, 2)]:
