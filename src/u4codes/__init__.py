@@ -21,7 +21,6 @@ from .torsion import (
     T3Result,
     U2Element,
     t3,
-    t3_adjoin_g3,
     t3_from_u2_set,
     t3_g1,
     t3_g1_g2,
@@ -35,9 +34,8 @@ from .weights import (
     min_weights,
     wt_rt_from_t3,
     wt_sp_from_t3,
-    wt_vector,
 )
-from .parsing import format_code_file, parse_code_file, parse_field_element
+from .parsing import format_code_file, parse_code_file
 from .randgen import random_code, random_unit
 
 __all__ = [
@@ -47,10 +45,10 @@ __all__ = [
     "RingElement",
     "IDEAL_TYPES", "CyclicCode", "GeneratorForm", "SpanBasis", "contains",
     "span_basis", "torsion_oracle", "torsion_profile", "validate_canonical",
-    "T3Result", "U2Element", "t3", "t3_adjoin_g3", "t3_from_u2_set",
+    "T3Result", "U2Element", "t3", "t3_from_u2_set",
     "t3_g1", "t3_g1_g2", "t3_g2", "t3_g3", "u2_part_set",
     "WeightReport", "analyze", "min_weights",
-    "wt_rt_from_t3", "wt_sp_from_t3", "wt_vector",
-    "format_code_file", "parse_code_file", "parse_field_element",
+    "wt_rt_from_t3", "wt_sp_from_t3",
+    "format_code_file", "parse_code_file",
     "random_code", "random_unit",
 ]

@@ -5,9 +5,9 @@ s-basis encodings, row b the u^b-part; both truncation rules (u^4 = 0 and
 s^n = 0) apply.  The primitives on such arrays live here too, so that this
 module alone fixes the layout that ``codes``, ``torsion`` and the expression
 evaluator in ``parsing`` compute on: ``_mul``, the ring product, serves
-``RingElement.__mul__`` and, in the evaluator, only the product of two
-parenthesized sums (a monomial factor is applied by ``_shift`` and a
-field-table scaling).  Among them is the one
+the evaluator, and only for the product of two parenthesized sums (a
+monomial factor is applied by ``_shift`` and a field-table scaling).
+Among them is the one
 elimination step that the echelon form and membership test in ``codes`` and
 the level-1 eliminations in ``torsion`` all take: ``_clear`` clears column c
 of a row, or of a (B, 4, n) stack of rows, against a head h with
@@ -26,13 +26,7 @@ import numpy as np
 
 from .errors import InconsistentSet, LengthMismatch, MixedField, MixedLength
 from .galois import FieldSpec
-from .sring import MAX_N, SPoly, _frozen_encodings, _mul_trunc
-
-
-def _valuation(col: np.ndarray) -> int:
-    """First nonzero index of a coefficient vector, its length if all zero."""
-    nz = col.nonzero()[0]
-    return int(nz[0]) if nz.size else col.size
+from .sring import MAX_N, SPoly, _frozen_encodings, _mul_trunc, _valuation
 
 
 def _shift(x: np.ndarray, a: int, b: int = 0) -> np.ndarray:
@@ -152,10 +146,6 @@ class RingElement:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, spec: FieldSpec, n: int) -> "RingElement":
-        return cls(spec, n, np.zeros((4, n), dtype=np.int16))
-
-    @classmethod
     def from_part(cls, level: int, poly: SPoly) -> "RingElement":
         """u^level * poly, zero for level >= 4."""
         if level < 0:
@@ -167,19 +157,11 @@ class RingElement:
 
     # -- basics ------------------------------------------------------------------
 
-    @property
-    def parts(self) -> tuple[SPoly, SPoly, SPoly, SPoly]:
-        """The u-adic parts (a0, a1, a2, a3) as SPoly."""
-        return tuple(SPoly(self.spec, self.n, row) for row in self.coeffs)
-
     def _check(self, other: "RingElement"):
         if self.spec != other.spec:
             raise MixedField("ring elements over different fields")
         if self.n != other.n:
             raise MixedLength("ring elements of different lengths")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
 
     def __eq__(self, other):
         return (
@@ -188,9 +170,6 @@ class RingElement:
             and self.n == other.n
             and np.array_equal(self.coeffs, other.coeffs)
         )
-
-    def __hash__(self):
-        return hash((self.spec, self.n, self.coeffs.tobytes()))
 
     # -- arithmetic ----------------------------------------------------------------
 
@@ -201,10 +180,6 @@ class RingElement:
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._check(other)
         return RingElement(self.spec, self.n, self.spec.sub_table[self.coeffs, other.coeffs])
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement(self.spec, self.n, _mul(self.spec, self.coeffs, other.coeffs))
 
     def poly_mul(self, f: SPoly) -> "RingElement":
         """Multiply every u-adic part by the polynomial f."""
@@ -217,23 +192,3 @@ class RingElement:
             raise ValueError("invalid shift")
         return RingElement(self.spec, self.n, _shift(self.coeffs, a, b))
 
-    # -- display -------------------------------------------------------------------
-
-    def to_string(self, var: str = "s") -> str:
-        chunks = []
-        for j, part in enumerate(self.parts):
-            if part.is_zero():
-                continue
-            body = part.to_string(var)
-            if j == 0:
-                chunks.append(body)
-            else:
-                u = "u" if j == 1 else f"u^{j}"
-                chunks.append(f"{u}*({body})")
-        return " + ".join(chunks) if chunks else "0"
-
-    def __str__(self):
-        return self.to_string()
-
-    def __repr__(self):
-        return f"RingElement({self.to_string()})"

@@ -56,9 +56,9 @@ from .errors import (
     MixedField,
     MixedLength,
 )
-from .chain import RingElement, _clear, _lead_one, _shift, _valuation
+from .chain import RingElement, _clear, _lead_one, _shift
 from .galois import FieldSpec
-from .sring import MAX_N, SPoly
+from .sring import MAX_N, SPoly, _valuation
 
 # All 15 nonempty generator subsets, principal ideals first.
 IDEAL_TYPES: tuple[tuple[int, ...], ...] = (
@@ -193,9 +193,6 @@ class CyclicCode:
         if level not in self.arrays:
             raise MalformedGeneratorForm(f"g{level} is not part of this code")
         return RingElement(self.field, self.n, self.arrays[level])
-
-    def generators(self) -> dict[int, RingElement]:
-        return {level: self.generator(level) for level in self.ideal_type}
 
     def without_g3(self) -> "CyclicCode":
         """The sub-code generated by everything except g3.

@@ -4,10 +4,10 @@ A field is described by a monic irreducible modulus over F_p, by default the
 first one of degree m in ``_monic_polys`` order (irreducible by its search,
 so it is not trial-divided again).  Elements are polynomials in a root ``a``
 of the modulus, encoded as integers in [0, q): the base-p digits of the
-encoding are the coefficients, lowest degree first.  A ``FieldElement``
-holds that encoding alone.  All binary operations are table driven
-(q <= 256): an element operator is one table lookup, and bulk vector
-arithmetic reduces to numpy fancy indexing.
+encoding are the coefficients, lowest degree first.  All arithmetic is
+table driven (q <= 256) and runs on encodings: a scalar operation is one
+table lookup, and bulk vector arithmetic reduces to numpy fancy indexing.
+A ``FieldElement`` holds one encoding, to coerce and display it.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ class FieldSpec:
         return int(self.inv_table[x])
 
     def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(x), -e)
+        if e < 0:  # the loop below would not end
+            raise ValueError("negative exponent")
         r, b = 1, x
         while e:
             if e & 1:
@@ -232,16 +232,6 @@ class FieldSpec:
         """The root `a` of the modulus (equals 0 for m = 1 with modulus x)."""
         return self.element(-self.modulus[0]) if self.m == 1 else FieldElement(self, self.p)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        for e in range(self.q):
-            yield FieldElement(self, e)
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -252,40 +242,12 @@ class FieldElement:
     encoding: int
 
     def __post_init__(self):
-        if not 0 <= self.encoding < self.spec.q:
-            raise OutOfRange(f"a field encoding must lie in [0, {self.spec.q})")
+        if not isinstance(self.encoding, (int, np.integer)) or not 0 <= self.encoding < self.spec.q:
+            raise OutOfRange(f"a field encoding must be an integer in [0, {self.spec.q})")
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         return tuple(int(d) for d in self.spec._digits[self.encoding])
-
-    def is_zero(self) -> bool:
-        return self.encoding == 0
-
-    def _table(self, table, other) -> "FieldElement":
-        """The element table[self, other], other coerced into this field."""
-        return FieldElement(self.spec, int(table[self.encoding, self.spec.element(other).encoding]))
-
-    def __add__(self, other):
-        return self._table(self.spec.add_table, other)
-
-    def __sub__(self, other):
-        return self._table(self.spec.sub_table, other)
-
-    def __neg__(self):
-        return FieldElement(self.spec, int(self.spec.neg_table[self.encoding]))
-
-    def __mul__(self, other):
-        return self._table(self.spec.mul_table, other)
-
-    def __truediv__(self, other):
-        return self * self.spec.element(other).inverse()
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.encoding, e))
-
-    def inverse(self):
-        return FieldElement(self.spec, self.spec.inv(self.encoding))
 
     def __str__(self):
         terms = []

@@ -30,7 +30,7 @@ sums takes a ring product (``chain._mul``), so a file written by
 g_level is the valuation of its u^level row, which must be exactly a power
 of s, and each later row u^j is s^k_i times the correction p_i, so
 algebraically equal inputs parse to equal codes regardless of how they are
-spelled.  Only ``parse_expression`` wraps its value as a ``RingElement``.
+spelled.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ from .errors import (
     ParseError,
     UnknownDirective,
 )
-from .chain import RingElement, _mul, _shift, _valuation
+from .chain import _mul, _shift
 from .codes import CyclicCode, GeneratorForm, code_length, validate_canonical
 from .galois import FieldSpec, field_make
-from .sring import MAX_N, SPoly
+from .sring import MAX_N, SPoly, _valuation
 
 # One named group per token kind; "(x-1)" is tried before "(".
 _TOKEN = re.compile(
@@ -174,21 +174,6 @@ class _ExprParser:
         if kind == "INT":
             return 0, 0, value % spec.p
         raise ParseError(self.line, col, "a factor (u, s, (x-1), a, integer, or '(')")
-
-
-def parse_expression(spec: FieldSpec, n: int, text: str, line: int = 1, col_offset: int = 0) -> RingElement:
-    """The value of one expression in R[x]/<x^n - 1>; a ParseError carries
-    its line and the column counted from ``col_offset``."""
-    return RingElement(spec, n, _ExprParser(spec, n, text, line, col_offset).parse())
-
-
-def parse_field_element(spec: FieldSpec, text: str):
-    """Parse the field-element sub-grammar: integers, a, + * ^ and parentheses."""
-    parser = _ExprParser(spec, 1, text, 1)
-    for kind, _, col in parser.toks:
-        if kind in ("U", "S", "XM1"):
-            raise ParseError(1, col, "a field element (no u, s or (x-1) factors)")
-    return spec.from_encoding(parser.parse()[0, 0])
 
 
 # --- code files -------------------------------------------------------------------

@@ -60,6 +60,12 @@ MAX_N = 3125
 NEWTON_START = 8
 
 
+def _valuation(col: np.ndarray) -> int:
+    """First nonzero index of a coefficient vector, its length if all zero."""
+    nz = col.nonzero()[0]
+    return int(nz[0]) if nz.size else col.size
+
+
 def _frozen_encodings(arr: np.ndarray, q: int) -> np.ndarray:
     """A read-only int16 copy of a nonempty array of encodings, checked to
     lie in [0, q) in its own dtype, before the cast could wrap or truncate.
@@ -120,11 +126,8 @@ class SPoly:
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, n: int, values) -> "SPoly":
-        """Coefficients given as integers (reduced mod p) or FieldElements."""
-        enc = [
-            v.encoding if isinstance(v, FieldElement) else spec.element(int(v)).encoding
-            for v in values
-        ]
+        """Coefficients given as integers (reduced mod p) or FieldElements of spec."""
+        enc = [spec.element(v if isinstance(v, FieldElement) else int(v)).encoding for v in values]
         if len(enc) > n:
             raise LengthMismatch("more coefficients than ring length")
         return cls(spec, n, np.array(enc + [0] * (n - len(enc)), dtype=np.int16))
@@ -158,16 +161,9 @@ class SPoly:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "SPoly") -> "SPoly":
-        self._check(other)
-        return SPoly(self.spec, self.n, self.spec.add_table[self.coeffs, other.coeffs])
-
     def __sub__(self, other: "SPoly") -> "SPoly":
         self._check(other)
         return SPoly(self.spec, self.n, self.spec.sub_table[self.coeffs, other.coeffs])
-
-    def __neg__(self) -> "SPoly":
-        return SPoly(self.spec, self.n, self.spec.neg_table[self.coeffs])
 
     def __mul__(self, other: "SPoly") -> "SPoly":
         self._check(other)
@@ -223,8 +219,7 @@ class SPoly:
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; n for the zero polynomial."""
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[0]) if nz.size else self.n
+        return _valuation(self.coeffs)
 
     # -- display ----------------------------------------------------------------
 

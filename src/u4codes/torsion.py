@@ -41,9 +41,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconsistentSet, MixedLength, OutOfRange, WrongIdealType
-from .chain import _clear, _monic, _shift, _valuation
+from .chain import _clear, _monic, _shift
 from .codes import CyclicCode
-from .sring import SPoly, _mul_trunc
+from .sring import SPoly, _mul_trunc, _valuation
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,19 +88,14 @@ class U2Element:
         return self._valuation(3)
 
     def _valuation(self, row: int) -> Optional[int]:
-        v = _nonzero_valuation(self.element[row])
-        return None if v is None else v + self.offset
+        v = _valuation(self.element[row])
+        return None if v == self.element.shape[1] else v + self.offset
 
 
 @dataclass(frozen=True)
 class T3Result:
     t3: int
     path: dict
-
-
-def _nonzero_valuation(col: np.ndarray) -> Optional[int]:
-    v = _valuation(col)
-    return v if v < col.size else None
 
 
 def _witnessed(n: int, min_set: list[tuple[str, int]], method: str, **details) -> T3Result:
@@ -149,7 +144,7 @@ def t3_g1(code: CyclicCode) -> T3Result:
         poly = _term(spec, n, k4, p4 * p4)
         poly = poly - _term(spec, n, r1 - k4 + k5 if p5 is not None else None, p5)
 
-    tau = _nonzero_valuation(poly.coeffs)
+    tau = None if poly.is_zero() else poly.valuation()
     min_set = [base] if tau is None else [base, ("tau", tau)]
     return _witnessed(n, min_set, "g1", case=case, tau_poly=str(poly), tau=tau)
 
@@ -368,11 +363,6 @@ def _t3_u2_set(members: list[U2Element], code: CyclicCode) -> T3Result:
     )
 
 
-def t3_adjoin_g3(t_hat: int, r3: int) -> int:
-    """Adjoining u^3 s^r3 caps the degree at r3."""
-    return min(t_hat, r3)
-
-
 # --- dispatch ------------------------------------------------------------------
 
 
@@ -389,12 +379,10 @@ def t3(code: CyclicCode) -> T3Result:
         return t3_g1_g2(code)
     if t in _U2_TYPES:
         return _t3_u2_set(u2_part_set(code), code)
-    # remaining types contain g3: compute the sub-code result and cap by r3
-    sub = code.without_g3()
-    sub_res = t3(sub)
-    value = t3_adjoin_g3(sub_res.t3, code.form.r3)
+    # remaining types contain g3: adjoining u^3 s^r3 caps the sub-code's degree at r3
+    sub_res = t3(code.without_g3())
     return T3Result(
-        t3=value,
+        t3=min(sub_res.t3, code.form.r3),
         path={
             "method": "adjoin-g3",
             "r3": code.form.r3,

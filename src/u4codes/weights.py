@@ -31,21 +31,10 @@ import numpy as np
 
 from .errors import InconsistentSet, NoBranch, OutOfRange, TooLarge
 from .codes import CyclicCode, SpanBasis, _check_basis, span_basis
-from .galois import FieldElement
 from .sring import basis_transform_rows
 from . import torsion
 
 METRICS = ("hamming", "symbol_pair", "rt")
-
-
-def _support(vec) -> np.ndarray:
-    out = []
-    for c in vec:
-        if isinstance(c, FieldElement):
-            out.append(not c.is_zero())
-        else:
-            out.append(bool(c))
-    return np.asarray(out, dtype=bool)
 
 
 def _check_metrics(metrics) -> None:
@@ -105,16 +94,6 @@ def _min_word_weight(words: np.ndarray, n: int, metric: str) -> int:
         counts = np.bitwise_count(words)
     # a weight is at most bits W: sum the popcounts in the least dtype that holds it
     return int(counts.sum(axis=0, dtype=np.min_scalar_type(bits * words.shape[0])).min())
-
-
-def wt_vector(vec, metric: str) -> int:
-    """Weight of one length-n coordinate vector under the chosen metric."""
-    _check_metrics((metric,))
-    support = _support(vec)
-    n = support.shape[0]
-    padded = np.zeros((1, _padded_width(n)), dtype=bool)
-    padded[0, :n] = support
-    return _min_word_weight(_pack(padded), n, metric)
 
 
 def _x_rows(field, basis: SpanBasis) -> np.ndarray:

@@ -16,7 +16,7 @@ from u4codes import torsion
 from u4codes.chain import RingElement
 from u4codes.cli import run_command
 from u4codes.errors import DuplicateGenerator, NotCanonical, ParseError, UnknownDirective
-from u4codes.parsing import format_code_file, parse_code_file, parse_expression, parse_field_element
+from u4codes.parsing import _ExprParser, format_code_file, parse_code_file
 from u4codes.randgen import random_unit
 
 GOLDEN_G1_FILE = """\
@@ -127,20 +127,8 @@ def test_parse_syntax_error_position():
 )
 def test_parse_error_line_column_expected(F2, text, col_offset, position):
     with pytest.raises(ParseError) as err:
-        parse_expression(F2, 4, text, line=3, col_offset=col_offset)
+        _ExprParser(F2, 4, text, 3, col_offset).parse()
     assert (err.value.line, err.value.column, err.value.expected) == (3, *position)
-
-
-def test_parse_field_element(F4):
-    a = F4.gen()
-    assert parse_field_element(F4, "a+1") == a + 1
-    assert parse_field_element(F4, "a^2") == a * a
-    assert parse_field_element(F4, "(a+1)*(a+1)") == a
-    assert parse_field_element(F4, "1+1") == F4.zero()
-    # u, s and (x-1) factors are rejected, also where they truncate to zero
-    for text in ("(x-1)^8", "s^9", "u^4", "u^2*u^2"):
-        with pytest.raises(ParseError):
-            parse_field_element(F4, text)
 
 
 def test_roundtrip_all_golden_files(F2, F4, F25):
@@ -250,12 +238,12 @@ g0: (x-1)^5 + u*(1+2*(x-1)) + u^3*(x-1)^2
 
 
 def test_wrong_inverse_exits_internal(tmp_path, monkeypatch, capsys):
-    # A series off by a unit leaves the u-part elimination of <g0> uncancelled;
+    # A series off by a unit factor leaves the u-part elimination of <g0> uncancelled;
     # the guard raises (it is no assert, so python -O keeps it) and the CLI
     # reports an internal error instead of a traceback.
     true_inverse = u.SPoly.inverse
     monkeypatch.setattr(
-        u.SPoly, "inverse", lambda f: true_inverse(f) + u.SPoly.one(f.spec, f.n)
+        u.SPoly, "inverse", lambda f: true_inverse(f) * u.SPoly.monomial(f.spec, f.n, 0, 2)
     )
     path = tmp_path / "g0.code"
     path.write_text(G0_UNIT_PIVOT_FILE)
@@ -271,7 +259,7 @@ def test_wrong_inverse_exits_internal_under_optimize(tmp_path):
     (tmp_path / "sitecustomize.py").write_text(
         "import u4codes as u\n"
         "true_inverse = u.SPoly.inverse\n"
-        "u.SPoly.inverse = lambda f: true_inverse(f) + u.SPoly.one(f.spec, f.n)\n"
+        "u.SPoly.inverse = lambda f: true_inverse(f) * u.SPoly.monomial(f.spec, f.n, 0, 2)\n"
     )
     path = tmp_path / "g0.code"
     path.write_text(G0_UNIT_PIVOT_FILE)

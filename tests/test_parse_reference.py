@@ -1,10 +1,11 @@
 """The code-file parser, which folds the monomial factors of a term into one
 and multiplies only its parenthesized factors, against a reference that
-evaluates every factor as a ``RingElement`` and multiplies with its
-operators, and takes the value apart with ``.parts`` and ``decompose``.
+evaluates every factor as a (4, n) array, multiplies every pair of factors
+with ``chain._mul``, and takes the value apart into ``SPoly`` parts with
+``decompose``.
 
-Both must give equal ring elements, equal generator forms, and the same
-error (type and message) on the same input.
+Both must give equal arrays, equal generator forms, and the same error
+(type and message) on the same input.
 """
 
 import random
@@ -15,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import u4codes as u
-from u4codes.chain import RingElement
+from u4codes.chain import RingElement, _mul
 from u4codes.codes import GeneratorForm, validate_canonical
 from u4codes.errors import NotCanonical, ParseError, U4CodesError
-from u4codes.parsing import _ExprParser, format_code_file, parse_code_file, parse_expression
+from u4codes.parsing import _ExprParser, format_code_file, parse_code_file
 from u4codes.sring import SPoly, decompose
 from conftest import golden_g0_f3, golden_g0_g1_f2, golden_g1_f4, golden_g1_g2_f4, golden_g2_f25
 from test_cli import GOLDEN_G0_F3_FILE, GOLDEN_G0_G1_FILE, GOLDEN_G1_FILE, GOLDEN_G2_F25_FILE, GOLDEN_G3_FILE
@@ -26,8 +27,9 @@ from test_properties import random_generator_files
 
 
 class ReferenceEvaluator:
-    """The grammar of ``parsing`` on RingElement values, over the parser's own
-    token list (so tokenizer errors are shared, grammar errors are not)."""
+    """The grammar of ``parsing`` on (4, n) encoding arrays, each factor its
+    own array, over the parser's own token list (so tokenizer errors are
+    shared, grammar errors are not)."""
 
     def __init__(self, spec, n, text, line=1, col_offset=0):
         self.spec, self.n, self.line = spec, n, line
@@ -52,14 +54,14 @@ class ReferenceEvaluator:
         value = self.term()
         while self.toks[self.pos][0] == "PLUS":
             self.next()
-            value = value + self.term()
+            value = self.spec.add_table[value, self.term()]
         return value
 
     def term(self):
         value = self.factor()
         while self.toks[self.pos][0] == "STAR":
             self.next()
-            value = value * self.factor()
+            value = _mul(self.spec, value, self.factor())
         return value
 
     def exponent(self):
@@ -72,13 +74,14 @@ class ReferenceEvaluator:
         kind, value, col = self.next()
         spec, n = self.spec, self.n
         if kind == "U":
-            return RingElement.from_part(self.exponent(), SPoly.one(spec, n))
+            return RingElement.from_part(self.exponent(), SPoly.one(spec, n)).coeffs
         if kind in ("S", "XM1"):
-            return RingElement.from_part(0, SPoly.monomial(spec, n, self.exponent()))
+            return RingElement.from_part(0, SPoly.monomial(spec, n, self.exponent())).coeffs
         if kind == "A":
-            return RingElement.from_part(0, SPoly.monomial(spec, n, 0, spec.gen() ** self.exponent()))
+            a_e = spec.from_encoding(spec.pow(spec.gen().encoding, self.exponent()))
+            return RingElement.from_part(0, SPoly.monomial(spec, n, 0, a_e)).coeffs
         if kind == "INT":
-            return RingElement.from_part(0, SPoly.monomial(spec, n, 0, value))
+            return RingElement.from_part(0, SPoly.monomial(spec, n, 0, value)).coeffs
         if kind == "LPAREN":
             inner = self.expr()
             self.expect("RPAREN", "closing parenthesis")
@@ -97,7 +100,7 @@ def reference_form(spec, n, gen_lines):
     lines, decomposed part by part."""
     fields = {}
     for line_no, level, body, offset in gen_lines:
-        parts = ReferenceEvaluator(spec, n, body, line_no, offset).parse().parts
+        parts = [SPoly(spec, n, row) for row in ReferenceEvaluator(spec, n, body, line_no, offset).parse()]
         for j in range(level):
             if not parts[j].is_zero():
                 raise NotCanonical(f"line {line_no}: g{level} has a nonzero u^{j} component")
@@ -150,7 +153,8 @@ def assert_parses_like_the_reference(text):
     for line in text.splitlines():
         if line.startswith("g"):
             args = (spec, spec.p**k, line.partition(":")[2])
-            assert outcome(parse_expression, *args) == outcome(lambda *a: ReferenceEvaluator(*a).parse(), *args)
+            assert outcome(lambda *a: _ExprParser(*a, 1).parse().tolist(), *args) == outcome(
+                lambda *a: ReferenceEvaluator(*a).parse().tolist(), *args)
 
 
 GOLDEN_FILES = [GOLDEN_G1_FILE, GOLDEN_G3_FILE, GOLDEN_G2_F25_FILE, GOLDEN_G0_F3_FILE, GOLDEN_G0_G1_FILE]
@@ -186,7 +190,7 @@ def test_parse_code_file_builds_no_ring_element(monkeypatch):
     for text in texts:
         parse_code_file(text)
     assert built == []
-    parse_expression(u.field_make(2, 1), 4, "u*s")
+    parse_code_file(GOLDEN_G3_FILE)[1].generator(3)
     assert len(built) == 1
 
 

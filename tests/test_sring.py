@@ -41,9 +41,19 @@ def test_derived_shift_truncates(F3):
 def test_mixed_operands_rejected(F2, F3):
     f = SPoly.one(F2, 4)
     with pytest.raises(MixedField):
-        f + SPoly.one(F3, 4)
+        f - SPoly.one(F3, 4)
     with pytest.raises(MixedLength):
-        f + SPoly.one(F2, 8)
+        f * SPoly.one(F2, 8)
+
+
+def test_from_ints_takes_elements_of_its_own_field_only(F3, F4):
+    # an element of another field is refused, as SPoly.monomial refuses it,
+    # not read as an encoding of this field
+    with pytest.raises(MixedField):
+        SPoly.from_ints(F4, 4, [F3.element(2)])
+    with pytest.raises(MixedField):
+        SPoly.monomial(F4, 4, 0, F3.element(2))
+    assert SPoly.from_ints(F4, 4, [F4.gen(), 5]).coeffs.tolist() == [2, 1, 0, 0]
 
 
 def test_encodings_out_of_range_rejected(F2, F4):
@@ -606,7 +616,7 @@ def test_unit_criterion_constructive_larger(p, m, k):
 
 
 def test_spoly_display(F4):
-    f = SPoly.from_ints(F4, 8, [1, 0, F4.gen() + 1])
+    f = SPoly.from_ints(F4, 8, [1, 0, F4.element([1, 1])])
     assert str(f) == "1 + (a+1)*s^2"
     assert f.to_string("(x-1)") == "1 + (a+1)*(x-1)^2"
     assert str(SPoly.zero(F4, 8)) == "0"

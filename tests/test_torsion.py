@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 
 import u4codes as u
 from u4codes import chain, torsion
-from u4codes.chain import RingElement, _clear, _monic, _valuation
+from u4codes.chain import RingElement, _clear, _monic
 from u4codes.errors import InconsistentSet, MixedLength, OutOfRange, WrongIdealType
-from u4codes.sring import SPoly, decompose
+from u4codes.sring import SPoly, _valuation, decompose
 from conftest import (
     dense_unit,
     golden_g0_f3,
@@ -285,7 +286,8 @@ def test_u2_set_elimination_members_in_code():
                     fi, fj = with_u2[i], with_u2[j]
                     ei, ej = as_ring_element(code, fi.element), as_ring_element(code, fj.element)
                     # the reference elimination on ring elements
-                    ratio = decompose(ei.parts[2]).unit_part.inverse() * decompose(ej.parts[2]).unit_part
+                    ratio = (decompose(SPoly(spec, code.n, fi.element[2])).unit_part.inverse()
+                             * decompose(SPoly(spec, code.n, fj.element[2])).unit_part)
                     elim = ej - ei.shift_mul(fj.omega - fi.omega).poly_mul(ratio)
                     assert u.contains(basis, elim)
                     fast = fj.element.copy()
@@ -384,7 +386,7 @@ def reference_u2_part_set(code):
     """The u^2-part set as two separate eliminations build it, each scaling
     its own pivot: the construction before the level-1 heads were shared."""
     field, n = code.field, code.n
-    gens = {level: g.coeffs for level, g in code.generators().items()}
+    gens = code.arrays
     A = chain._shift(gens[0], n - code.form.r)
     B = chain._shift(gens[0], 0, 1)
     D = gens.get(1)
@@ -429,7 +431,7 @@ def level1_pivots(code):
     nonzero), ug0 and g1 in that order, the element of smaller u-part
     valuation pivoting and ties going to the first."""
     n, form = code.n, code.form
-    a_val = _valuation(chain._shift(code.generators()[0].coeffs, n - form.r)[1])
+    a_val = _valuation(chain._shift(code.arrays[0], n - form.r)[1])
     vals = ([("sA", a_val)] if a_val < n else []) + [("ug0", form.r)]
     if form.r1 is not None:
         vals.append(("g1", form.r1))
@@ -695,12 +697,18 @@ def test_product_table_equals_the_per_pivot_clears(F5):
 
 
 def test_t3_adjoin_is_min():
-    assert u.t3_adjoin_g3(5, 7) == 5
-    assert u.t3_adjoin_g3(5, 2) == 2
-    assert u.t3_adjoin_g3(0, 0) == 0
-    for a in range(8):
-        for b in range(8):
-            assert u.t3_adjoin_g3(a, b) == min(a, b)
+    # a g3 type's t3 is the sub-code's t3 capped at r3, with either one the
+    # least on some codes
+    rng = random.Random(56)
+    least = Counter()
+    while min(least["t_hat"], least["r3"]) < 20:
+        code = u.random_code(rng, u.field_make(2, 1), 3)
+        if 3 not in code.ideal_type or code.ideal_type == (3,):
+            continue
+        res, t_hat = u.t3(code), u.t3(code.without_g3()).t3
+        assert (res.path["t_hat"], res.path["r3"]) == (t_hat, code.form.r3)
+        assert res.t3 == min(t_hat, code.form.r3)
+        least["t_hat" if t_hat < code.form.r3 else "r3"] += 1
 
 
 def test_dispatch_g3_composites_match_oracle():

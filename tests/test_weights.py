@@ -23,16 +23,12 @@ from conftest import (
 # --- per-vector metrics ---------------------------------------------------------
 
 
-def test_wt_vector_examples():
-    assert u.wt_vector([1, 1, 1, 1], "hamming") == 4
-    assert u.wt_vector([1, 1, 1, 1], "symbol_pair") == 4
-    assert u.wt_vector([1, 1, 1, 1], "rt") == 4
-    for metric in ("hamming", "symbol_pair", "rt"):
-        assert u.wt_vector([0, 0, 0, 0], metric) == 0
-        assert u.wt_vector([], metric) == 0
-    assert u.wt_vector([1, 0, 0, 1], "hamming") == 2
-    assert u.wt_vector([1, 0, 0, 1], "symbol_pair") == 3
-    assert u.wt_vector([1, 0, 0, 1], "rt") == 4
+def test_word_weight_examples():
+    # support -> its (hamming, symbol_pair, rt) weights, as one packed word
+    for support, weights in (([1, 1, 1, 1], (4, 4, 4)), ([0, 0, 0, 0], (0, 0, 0)),
+                             ([], (0, 0, 0)), ([1, 0, 0, 1], (2, 3, 4))):
+        words = packed(np.array(support, dtype=bool).reshape(1, -1))
+        assert tuple(_min_word_weight(words, len(support), metric) for metric in METRICS) == weights
 
 
 def reference_batch_weights(support, metric):
@@ -71,7 +67,7 @@ def test_packed_weights_match_bool_supports(n):
     assert packed(support).dtype == word and packed(support).shape == (count, len(rows))
     for metric in METRICS:
         want = reference_batch_weights(support, metric)
-        assert [u.wt_vector(row.tolist(), metric) for row in support] == want.tolist()
+        assert [_min_word_weight(packed(row[None]), n, metric) for row in support] == want.tolist()
         # the least weight of a set of rows, as one block of the enumerator
         # weighs it
         nonzero = np.flatnonzero(support.any(axis=1))
@@ -113,14 +109,6 @@ def test_bit_planes_give_the_support_of_the_difference(p, m, n):
     word, count = word_of(n)
     assert words.dtype == word and words.shape == (count, 5 * 7)
     assert np.array_equal(words, packed(support))
-
-
-def test_wt_vector_accepts_field_elements(F4):
-    a = F4.gen()
-    vec = [F4.zero(), a, F4.zero(), F4.zero()]
-    assert u.wt_vector(vec, "hamming") == 1
-    assert u.wt_vector(vec, "rt") == 2
-    assert u.wt_vector(vec, "symbol_pair") == 2
 
 
 # --- enumeration minima -----------------------------------------------------------
@@ -411,8 +399,6 @@ def test_metric_names_checked_first(F2, F25, monkeypatch):
     basis = u.span_basis(code)
     with pytest.raises(ValueError):
         _min_weights_enum(code, ("rt", "bogus"), 2**20, basis, "x_basis")
-    with pytest.raises(ValueError):
-        u.wt_vector([1, 0], "bogus")
 
 
 def test_basis_name_checked_before_the_cap(F2, F25, monkeypatch):
