@@ -3,10 +3,10 @@
 An element a0 + u*a1 + u^2*a2 + u^3*a3 is one read-only (4, n) int16 array of
 s-basis encodings, row b the u^b-part; both truncation rules (u^4 = 0 and
 s^n = 0) apply.  The primitives on such arrays live here too, so that this
-module alone fixes the layout that ``codes``, ``torsion`` and the expression
-evaluator in ``parsing`` compute on: ``_mul``, the ring product, serves
-the evaluator, and only for the product of two parenthesized sums (a
-monomial factor is applied by ``_shift`` and a field-table scaling).
+module alone fixes the layout that ``codes`` and ``torsion`` compute on.
+The expression evaluator in ``parsing`` holds a value as its nonzero terms
+and writes two values out in this layout only to multiply them: ``_mul``,
+the ring product, serves it for the product of two parenthesized sums.
 Among them is the one
 elimination step that the echelon form and membership test in ``codes`` and
 the level-1 eliminations in ``torsion`` all take: ``_clear`` clears column c

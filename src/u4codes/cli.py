@@ -93,19 +93,23 @@ def _degrees_summary(code) -> str:
     return ";".join(f"{name}={value}" for name, value in code.form.degree_fields().items())
 
 
-def _cmd_analyze(args, out) -> int:
-    if args.enum_cap < 0:
-        raise _Failure(EXIT_USAGE, "enum-cap must be >= 0")
+def _read_code_file(path: str):
+    """(spec, code) of a code file; a file that cannot be read or parsed exits 66."""
     try:
-        with open(args.file, "r", encoding="utf-8-sig") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _Failure(EXIT_FILE, f"cannot read {args.file}: {exc}")
+        raise _Failure(EXIT_FILE, f"cannot read {path}: {exc}")
     try:
-        spec, code = parse_code_file(text)
+        return parse_code_file(text)
     except U4CodesError as exc:
         raise _Failure(EXIT_FILE, str(exc))
 
+
+def _cmd_analyze(args, out) -> int:
+    if args.enum_cap < 0:
+        raise _Failure(EXIT_USAGE, "enum-cap must be >= 0")
+    spec, code = _read_code_file(args.file)
     report = analyze_code(code)
     basis = span_basis(code)
     profile = torsion_profile(code, basis)

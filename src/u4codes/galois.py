@@ -7,12 +7,15 @@ of the modulus, encoded as integers in [0, q): the base-p digits of the
 encoding are the coefficients, lowest degree first.  All arithmetic is
 table driven (q <= 256) and runs on encodings: a scalar operation is one
 table lookup, and bulk vector arithmetic reduces to numpy fancy indexing.
-A ``FieldElement`` holds one encoding, to coerce and display it.
+A ``FieldElement`` holds one encoding, to coerce and display it; a field
+renders each of its q elements once, into ``FieldSpec.labels``, and prints
+coefficients from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,8 +99,8 @@ class FieldSpec:
     """Validated description of F_{p^m} plus its operation tables.
 
     A modulus of None takes the default one (``field_make``).  Immutable,
-    tables included (they are read-only arrays); instances compare and hash
-    by (p, m, modulus).
+    tables included (read-only arrays, and nested tuples for the Python
+    copies); instances compare and hash by (p, m, modulus).
     """
 
     def __init__(self, p: int, m: int, modulus):
@@ -189,6 +192,27 @@ class FieldSpec:
         for table in (v for v in vars(self).values() if isinstance(v, np.ndarray)):
             table.flags.writeable = False
 
+    # The parser's scalar lookups and the display labels are built on first
+    # use, once per field, so that building a field's tables does not pay
+    # for them.
+
+    @cached_property
+    def add_rows(self) -> tuple[tuple[int, ...], ...]:
+        """add_table as nested tuples of Python ints: ``add_rows[x][y]``."""
+        return tuple(map(tuple, self.add_table.tolist()))
+
+    @cached_property
+    def mul_rows(self) -> tuple[tuple[int, ...], ...]:
+        """mul_table as nested tuples of Python ints: ``mul_rows[x][y]``."""
+        return tuple(map(tuple, self.mul_table.tolist()))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The display label of each encoding, as a coefficient: ``str`` of
+        its ``FieldElement``, in parentheses when that is a sum."""
+        labels = (str(FieldElement(self, e)) for e in range(self.q))
+        return tuple(f"({label})" if "+" in label else label for label in labels)
+
     # -- scalar operations on encodings ------------------------------------
 
     def inv(self, x: int) -> int:
@@ -210,18 +234,23 @@ class FieldSpec:
     # -- element helpers ----------------------------------------------------
 
     def element(self, value) -> "FieldElement":
-        """Coerce an integer (reduced mod p) or a sequence of m coefficients."""
+        """Coerce a FieldElement of this field, an integer (reduced mod p) or
+        a list, tuple or 1-d array of m integer coefficients; anything else,
+        a float or a string say, raises OutOfRange."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise MixedField("element from a different field")
             return value
         if isinstance(value, (int, np.integer)):
             return FieldElement(self, int(value) % self.p)
-        coeffs = list(value)
-        if len(coeffs) != self.m:
+        if isinstance(value, np.ndarray) and value.ndim == 1:
+            value = value.tolist()
+        if not isinstance(value, (list, tuple)) or not all(isinstance(c, (int, np.integer)) for c in value):
+            raise OutOfRange("a field element is an integer, a FieldElement or m integer coefficients")
+        if len(value) != self.m:
             raise DegreeOutOfRange("element must have exactly m coefficients")
         e = 0
-        for c in reversed(coeffs):
+        for c in reversed(value):
             e = e * self.p + int(c) % self.p
         return FieldElement(self, e)
 

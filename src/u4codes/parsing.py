@@ -19,18 +19,21 @@ Expression grammar:
     felem  := int | 'a' ['^' int]
 
 The field line takes the keys p, m and modulus, the length line the key k,
-each at most once.  Expressions are evaluated on (4, n) int16 encoding
-arrays, the ``chain`` layout, without building a ``RingElement``.  Every
-factor but a parenthesized sum is one monomial c u^e s^f, whatever its
-exponent, and a term folds its monomials into one with integer sums and a
-field-table lookup each: the one path is that monomial times the product
-of the term's parenthesized factors.  Only a product of two parenthesized
-sums takes a ring product (``chain._mul``), so a file written by
+each at most once.  An expression is evaluated on its nonzero terms, a dict
+{(u-level, s-exponent): encoding}, without building a ``RingElement`` or a
+length-n array.  Every factor but a parenthesized sum is one monomial
+c u^e s^f, whatever its exponent, and a term folds its monomials into one
+with integer sums and a scalar lookup in the field's Python tables
+(``FieldSpec.mul_rows``): the one path is that monomial times the product
+of the term's parenthesized factors.  A sum adds terms with scalar
+``add_rows`` lookups and drops those that cancel.  Only a product of two
+parenthesized sums is a ring product: both are written out as (4, n)
+arrays in the ``chain`` layout for ``chain._mul``, so a file written by
 ``format_code_file`` parses without a product-kernel call.  The degree of
-g_level is the valuation of its u^level row, which must be exactly a power
-of s, and each later row u^j is s^k_i times the correction p_i, so
-algebraically equal inputs parse to equal codes regardless of how they are
-spelled.
+g_level is the s-exponent of its one u^level term, which must be exactly a
+power of s, and each later part u^j is s^k_i times the correction p_i, k_i
+its least s-exponent, so algebraically equal inputs parse to equal codes
+regardless of how they are spelled.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ from .errors import (
     ParseError,
     UnknownDirective,
 )
-from .chain import _mul, _shift
+from .chain import _mul
 from .codes import CyclicCode, GeneratorForm, code_length, validate_canonical
 from .galois import FieldSpec, field_make
-from .sring import MAX_N, SPoly, _valuation
+from .sring import MAX_N, SPoly
 
 # One named group per token kind; "(x-1)" is tried before "(".
 _TOKEN = re.compile(
@@ -59,19 +62,33 @@ _TOKEN = re.compile(
 )
 
 
+def _dense(terms: dict, n: int) -> np.ndarray:
+    """The (4, n) int16 encoding array, in the ``chain`` layout, of a dict
+    {(u-level, s-exponent): encoding}."""
+    out = np.zeros((4, n), dtype=np.int16)
+    if terms:
+        out[tuple(zip(*terms))] = list(terms.values())
+    return out
+
+
+def _terms(x: np.ndarray) -> dict:
+    """The nonzero terms of a (4, n) encoding array."""
+    levels, exps = x.nonzero()
+    return dict(zip(zip(levels.tolist(), exps.tolist()), x[levels, exps].tolist()))
+
+
 class _ExprParser:
     """Recursive descent over the tokens of one expression.  Token positions
     are 1-based columns.
 
-    A factor other than '(' expr ')' is a monomial ``(level, exp, enc)``,
-    enc u^level s^exp with enc a field encoding; a parenthesized sum is a
-    (4, n) int16 encoding array in the ``chain`` layout.  A term folds its
-    monomials into one with Python ints and a ``mul_table`` lookup each,
-    multiplies its parenthesized sums with ``chain._mul`` (only a product
-    of two of them calls it), and applies the folded monomial to that
-    product once: a ``chain._shift`` and at most one ``mul_table`` scaling.
-    A sum places a monomial term with one scalar ``add_table`` lookup and
-    adds an array term with one (4, n) lookup."""
+    A value is a dict of nonzero terms {(u-level, s-exponent): encoding}
+    with u-level < 4 and s-exponent < n.  A factor other than '(' expr ')'
+    is a monomial ``(level, exp, enc)``, enc u^level s^exp with enc a field
+    encoding.  A term folds its monomials into one with Python ints and a
+    ``mul_rows`` lookup each, multiplies its parenthesized sums with
+    ``chain._mul`` (only a product of two of them calls it), and applies
+    the folded monomial to that product's terms.  A sum adds each term with
+    one ``add_rows`` lookup."""
 
     def __init__(self, spec: FieldSpec, n: int, text: str, line: int, col_offset: int = 0):
         self.spec = spec
@@ -105,6 +122,11 @@ class _ExprParser:
         return tok
 
     def parse(self) -> np.ndarray:
+        """The expression's value as a (4, n) int16 array in the ``chain`` layout."""
+        return _dense(self.terms(), self.n)
+
+    def terms(self) -> dict:
+        """The expression's value as its nonzero terms."""
         try:
             value = self.expr()
             self.expect("EOF", "end of expression")
@@ -112,44 +134,45 @@ class _ExprParser:
             raise ParseError(self.line, self.start, "an expression nested less deeply") from None
         return value
 
-    def expr(self) -> np.ndarray:
-        add = self.spec.add_table
-        value = np.zeros((4, self.n), dtype=np.int16)
+    def expr(self) -> dict:
+        add = self.spec.add_rows
+        value = {}
         while True:
-            term = self.term()
-            if type(term) is tuple:
-                level, exp, enc = term
-                value[level, exp] = add[value[level, exp], enc]
-            else:
-                value = add[value, term]
+            for key, enc in self.term().items():
+                enc = add[value.get(key, 0)][enc]
+                if enc:
+                    value[key] = enc
+                else:  # a term's encodings are nonzero, so key was present
+                    del value[key]
             if self.peek() != "PLUS":
                 return value
             self.next()
 
-    def term(self) -> tuple[int, int, int] | np.ndarray:
-        """A monomial, zero as (0, 0, 0) once its u-level reaches 4, its
-        exponent n or its coefficient 0; or the array of a term with a
-        parenthesized factor."""
-        mul = self.spec.mul_table
+    def term(self) -> dict:
+        """The term's nonzero terms: none once its monomial's u-level reaches
+        4, its exponent n or its coefficient 0."""
+        mul = self.spec.mul_rows
         level, exp, enc, product = 0, 0, 1, None
         while True:
             factor = self.factor()
             if type(factor) is tuple:
                 level += factor[0]
                 exp += factor[1]
-                enc = int(mul[enc, factor[2]])
+                enc = mul[enc][factor[2]]
+            elif product is None:
+                product = factor
             else:
-                product = factor if product is None else _mul(self.spec, product, factor)
+                product = _terms(_mul(self.spec, _dense(product, self.n), _dense(factor, self.n)))
             if self.peek() != "STAR":
                 break
             self.next()
         if level >= 4 or exp >= self.n or not enc:
-            return 0, 0, 0
+            return {}
         if product is None:
-            return level, exp, enc
-        if level or exp:
-            product = _shift(product, exp, level)
-        return product if enc == 1 else mul[enc, product]
+            return {(level, exp): enc}
+        n, scale = self.n, mul[enc]
+        return {(i + level, j + exp): scale[c] for (i, j), c in product.items()
+                if i + level < 4 and j + exp < n}
 
     def _opt_exponent(self) -> int:
         if self.peek() == "CARET":
@@ -157,7 +180,7 @@ class _ExprParser:
             return int(self.expect("INT", "integer exponent")[1])
         return 1
 
-    def factor(self) -> tuple[int, int, int] | np.ndarray:
+    def factor(self) -> tuple[int, int, int] | dict:
         """u^e, s^e, (x-1)^e, a^e and an integer are each one monomial, whatever e."""
         kind, value, col = self.next()
         spec = self.spec
@@ -269,25 +292,27 @@ def parse_code_file(text: str) -> tuple[FieldSpec, CyclicCode]:
         raise ParseError(length_line, 1, f"k >= 1 with {spec.p}^k <= {MAX_N}") from None
     degrees, corrections = {}, {}
     for line_no, level, body, offset in gen_lines:
-        g = _ExprParser(spec, n, body, line_no, offset).parse()
+        parts = [[], [], [], []]  # (s-exponent, encoding) of each u-level
+        for (j, exp), enc in _ExprParser(spec, n, body, line_no, offset).terms().items():
+            parts[j].append((exp, enc))
         for j in range(level):
-            if g[j].any():
+            if parts[j]:
                 raise NotCanonical(f"line {line_no}: g{level} has a nonzero u^{j} component")
-        degree = _valuation(g[level])
-        if degree == n:
+        if not parts[level]:
             raise NotCanonical(f"line {line_no}: g{level} has a zero u^{level} component")
-        if g[level, degree] != 1 or g[level, degree + 1 :].any():
+        if len(parts[level]) != 1 or parts[level][0][1] != 1:
             raise NotCanonical(
                 f"line {line_no}: the u^{level} component of g{level} must be a plain "
                 f"power of (x-1)"
             )
-        degrees[level] = degree
+        degrees[level] = parts[level][0][0]
         # each later part is s^k_i times a unit: its correction p_i
         for j in range(level + 1, 4):
-            ki = _valuation(g[j])
-            if ki < n:
+            if parts[j]:
+                exps, encs = zip(*parts[j])
+                ki = min(exps)
                 unit = np.zeros(n, dtype=np.int16)
-                unit[: n - ki] = g[j, ki:]
+                unit[np.array(exps) - ki] = encs
                 corrections[level, j] = ki, SPoly(spec, n, unit)
 
     code = validate_canonical(spec, k, GeneratorForm.of(degrees, corrections))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionByZero, LengthMismatch, MixedField, MixedLength, OutOfRange
-from .galois import FieldElement, FieldSpec
+from .galois import FieldSpec
 
 MAX_N = 3125
 
@@ -116,18 +116,19 @@ class SPoly:
 
     @classmethod
     def monomial(cls, spec: FieldSpec, n: int, exp: int, coeff=1) -> "SPoly":
-        """coeff * s^exp, zero for exp >= n."""
+        """coeff * s^exp, zero for exp >= n (coeff is checked either way)."""
         if exp < 0:
             raise ValueError("negative exponent")
-        c = np.zeros(n, dtype=np.int16)
+        c, enc = np.zeros(n, dtype=np.int16), spec.element(coeff).encoding
         if exp < n:
-            c[exp] = spec.element(coeff).encoding
+            c[exp] = enc
         return cls(spec, n, c)
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, n: int, values) -> "SPoly":
-        """Coefficients given as integers (reduced mod p) or FieldElements of spec."""
-        enc = [spec.element(v if isinstance(v, FieldElement) else int(v)).encoding for v in values]
+        """Coefficients given as anything ``FieldSpec.element`` takes: integers
+        (reduced mod p), FieldElements of spec or sequences of m integers."""
+        enc = [spec.element(v).encoding for v in values]
         if len(enc) > n:
             raise LengthMismatch("more coefficients than ring length")
         return cls(spec, n, np.array(enc + [0] * (n - len(enc)), dtype=np.int16))
@@ -224,17 +225,16 @@ class SPoly:
     # -- display ----------------------------------------------------------------
 
     def to_string(self, var: str = "s") -> str:
-        terms = []
-        for i in np.nonzero(self.coeffs)[0]:
-            c = self.spec.from_encoding(int(self.coeffs[i]))
-            cs = str(c)
-            if "+" in cs:
-                cs = f"({cs})"
+        """The nonzero terms, lowest power first, each coefficient by its
+        label in ``spec.labels``; a coefficient 1 is left out before a power."""
+        labels, terms = self.spec.labels, []
+        nz = self.coeffs.nonzero()[0]
+        for i, c in zip(nz.tolist(), self.coeffs[nz].tolist()):
             if i == 0:
-                terms.append(cs)
+                terms.append(labels[c])
                 continue
             power = var if i == 1 else f"{var}^{i}"
-            terms.append(power if cs == "1" else f"{cs}*{power}")
+            terms.append(power if c == 1 else f"{labels[c]}*{power}")
         return " + ".join(terms) if terms else "0"
 
     def __str__(self):

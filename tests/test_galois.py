@@ -226,6 +226,18 @@ def test_element_refuses_an_encoding_that_is_not_an_integer():
     assert FieldElement(spec, np.int16(3)) == spec.from_encoding(3)
 
 
+def test_element_refuses_values_that_are_not_integers():
+    F5, F4 = u.field_make(5, 1), u.field_make(2, 2)
+    for spec, bad in [(F5, "3"), (F5, 1.5), (F5, np.float64(2.0)), (F5, None), (F4, [1.5, 1]),
+                      (F4, ["1", "0"]), (F4, "10"), (F4, np.array([1.0, 1.0])), (F4, {1: 0}),
+                      (F5, np.array(3)), (F4, np.array([[1, 0]]))]:
+        with pytest.raises(OutOfRange):
+            spec.element(bad)
+    assert F5.element(np.int16(7)).encoding == 2 and F5.element(-1).encoding == 4
+    assert F4.element([1, 1]).encoding == F4.element((np.int64(1), 1)).encoding == 3
+    assert F4.element(np.array([0, 1])).encoding == 2
+
+
 def test_element_display():
     spec = u.field_make(5, 2)
     assert str(spec.from_encoding(0)) == "0"

@@ -271,6 +271,14 @@ EDGE_EXPRESSIONS = [
     (2, 2, 2, "(1+s)*(a+u*s)"),  # two parenthesized sums
     (2, 2, 2, "u*(1+s)*s*(a+u*s)*(1+u^2+s^3)"),  # three, around monomials
     (3, 1, 2, "(1+2*s)*(2+s)*(1+s^8)*s^0"),
+    (5, 1, 1, "(x-1) + 4*(x-1)"),  # terms that cancel exactly
+    (5, 1, 1, "u*(1+s) + u*(4+4*s)"),
+    (5, 1, 1, "(s + u)*(u^3*s^3 + 4*u^2*s^4)"),  # a product of two sums that cancels to zero
+    # <g0> files as format_code_file writes them, their correction dense (all
+    # n - k1 coefficients nonzero), at n = 625 and n = 3125
+    *[pytest.param(5, 1, k, format_code_file(u.validate_canonical(u.field_make(5, 1), k, u.GeneratorForm(
+        r=5**k - 1, k1=2, p1=SPoly(u.field_make(5, 1), 5**k, [1 + i % 4 for i in range(5**k)])))
+    ).partition("g0: ")[2].rstrip(), id=f"dense-correction-n{5**k}") for k in (4, 5)],
 ]
 
 

@@ -56,6 +56,17 @@ def test_from_ints_takes_elements_of_its_own_field_only(F3, F4):
     assert SPoly.from_ints(F4, 4, [F4.gen(), 5]).coeffs.tolist() == [2, 1, 0, 0]
 
 
+def test_coefficients_that_are_not_integers_are_refused(F4, F5):
+    # not truncated by int(), and refused with a library error, not a TypeError
+    for spec, values in ((F5, ["4", 2.7]), (F4, [1.5, 2.9]), (F5, [np.float64(1.0)])):
+        with pytest.raises(OutOfRange):
+            SPoly.from_ints(spec, 5 if spec is F5 else 4, values)
+    for exp in (0, 9):  # also where the monomial truncates to zero
+        with pytest.raises(OutOfRange):
+            SPoly.monomial(F4, 4, exp, 1.5)
+    assert SPoly.from_ints(F5, 5, [np.int64(9), -1]).coeffs.tolist() == [4, 4, 0, 0, 0]
+
+
 def test_encodings_out_of_range_rejected(F2, F4):
     # 5 is no F_2 encoding, and -1 must not index the last table entry
     for spec, bad in ((F2, 5), (F2, -1), (F4, 4), (F4, -32768)):
