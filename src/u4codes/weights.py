@@ -15,7 +15,14 @@ positions a mask takes ceil(n / 64) uint64 words, so that no operation runs
 on more padding than the last word needs.  A position of left - right is
 nonzero exactly when some plane of left and right differs there, so a
 block of supports is the OR over the planes of left ^ right, and its
-weights are popcounts of those words.
+weights are popcounts of those words.  Only the planes that can differ are
+combined: a u-part that no row reaches is dropped before the combinations
+are formed, a plane nonzero in both halves (shared) is XORed per block, the
+planes nonzero in one half only (one-sided, where left ^ right is that
+half's plane) are ORed into one mask per word of that half once, and a
+plane zero in both halves (dead) is dropped.  With S shared planes a
+support word takes 2 S - 1 operations plus at most 2 for the masks, in
+place of 2 P - 1 over all P planes.
 
 ``analyze`` is the closed form alone: t3 and the two minimum weights it
 determines.  ``min_weights`` is the enumeration oracle.  Comparing the two,
@@ -63,7 +70,8 @@ def _rot1(words: np.ndarray, n: int) -> np.ndarray:
     """(W, N) packed supports with position c holding position c + 1 mod n."""
     bits = 8 * words.itemsize
     rot = words >> 1
-    rot[:-1] |= words[1:] << (bits - 1)
+    if words.shape[0] > 1:
+        rot[:-1] |= words[1:] << (bits - 1)
     first = words[0] & 1
     first <<= (n - 1) % bits
     rot[-1] |= first
@@ -72,7 +80,7 @@ def _rot1(words: np.ndarray, n: int) -> np.ndarray:
 
 def _min_word_weight(words: np.ndarray, n: int, metric: str) -> int:
     """Least weight of the packed length-n supports, the columns of the
-    (W, N) words."""
+    (W, N) words, which are left unchanged."""
     bits = 8 * words.itemsize
     if metric == "rt":
         # the bit length of the least support read as an integer, whose top
@@ -83,15 +91,23 @@ def _min_word_weight(words: np.ndarray, n: int, metric: str) -> int:
                 return bits * w + int(top).bit_length()
             words = words[:, words[w] == 0]
         return 0
+    own = None  # an array of this call's, which may be overwritten
     if metric == "symbol_pair":
-        words = _rot1(words, n) | words
+        own = _rot1(words, n)
+        own |= words
+        words = own
     if words.dtype == np.uint16:
         # numpy 2.4's bitwise_count has no fast loop for uint16 (about 10x
         # slower per byte than on uint8): count the bytes, and one multiply
         # adds each word's two counts into its high byte
-        counts = (np.bitwise_count(words.view(np.uint8)).view(np.uint16) * 257) >> 8
+        count_bytes = None if own is None else own.view(np.uint8)
+        counts = np.bitwise_count(words.view(np.uint8), out=count_bytes).view(np.uint16)
+        counts *= 257
+        counts >>= 8
     else:
         counts = np.bitwise_count(words)
+    if counts.shape[0] == 1:
+        return int(counts.min())
     # a weight is at most bits W: sum the popcounts in the least dtype that holds it
     return int(counts.sum(axis=0, dtype=np.min_scalar_type(bits * words.shape[0])).min())
 
@@ -117,8 +133,9 @@ def _x_rows(field, basis: SpanBasis) -> np.ndarray:
 
 
 def _all_combinations(field, rows: np.ndarray) -> np.ndarray:
-    """(q^r, m 4n) base-p digits of all field-linear combinations of the
-    (r, 4n) encoding rows: digit i of coordinate c at i 4n + c.  Row 0's
+    """(q^r, m w) base-p digits of all field-linear combinations of the
+    (r, w) encoding rows (w = 4n, or n for each u-part the enumerator
+    keeps): digit i of coordinate c at i w + c.  Row 0's
     coefficient is the most significant base-q digit of a combination's
     index, each digit running over the encodings in order.
 
@@ -152,38 +169,78 @@ def _one_per_line(field, rows: np.ndarray) -> np.ndarray:
 
 
 def _bit_planes(field, digits: np.ndarray, n: int) -> np.ndarray:
-    """(N, m 4n) ``_all_combinations`` digits as (P, W, N) bit planes,
-    P = 4 m bit_length(p - 1): one plane per bit of each base-p digit of
-    each u-part, packed as ``_pack`` packs a support, in the word that
-    ``_padded_width(n)`` picks.  Two words agree at a position exactly when
-    all their digits there do.  Built one digit bit at a time, so that no
-    temporary holds more than one bit of each digit."""
+    """(N, m l n) ``_all_combinations`` digits of l u-parts (four, or those
+    the rows reach) as (P, W, N) bit planes, P = l m bit_length(p - 1): one
+    plane per bit of each base-p digit of each u-part, packed as ``_pack``
+    packs a support, in the word that ``_padded_width(n)`` picks.  Two words
+    agree at a position exactly when all their digits there do.  Built one
+    digit bit at a time, so that no temporary holds more than one bit of
+    each digit."""
     bits = (field.p - 1).bit_length()
-    parts = digits.reshape(digits.shape[0], -1, n).transpose(1, 0, 2)  # (4m, N, n)
+    parts = digits.reshape(digits.shape[0], -1, n).transpose(1, 0, 2)  # (l m, N, n)
     lines, count, width = parts.shape[0], parts.shape[1], _padded_width(n)
     support = np.zeros((lines, count, width), dtype=bool)
     planes = []
     for b in range(bits):
         np.bitwise_and(parts, 1 << b, out=support[:, :, :n], casting="unsafe")
-        words = _pack(support.reshape(lines * count, width))  # (W, 4m N)
+        words = _pack(support.reshape(lines * count, width))  # (W, l m N)
         planes.append(words.reshape(-1, lines, count).transpose(1, 0, 2))
     return np.stack(planes).reshape(lines * bits, -1, count)
 
 
-def _support_words(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Packed supports of left_i - right_j for the (P, W, L) and (P, W, R)
+def _support_words(
+    left: np.ndarray,
+    right: np.ndarray,
+    left_mask: Optional[np.ndarray] = None,
+    right_mask: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Packed supports of left_i - right_j for the (S, W, L) and (S, W, R)
     bit planes, as (W, L R) words of the planes' dtype with j innermost.
     The difference vanishes at a position exactly when the two encodings
     agree in every bit there, so its support is the OR over the planes of
-    left ^ right: 2 P - 1 operations a word."""
+    left ^ right: 2 S - 1 operations a word.
+
+    A plane that is zero in every right word (one-sided to the left) adds
+    just the left word's own plane, so the enumerator ORs all such planes
+    into one (W, L) ``left_mask`` beforehand, and likewise ``right_mask``
+    (W, R) for the planes zero in every left word; the planes here are then
+    the shared ones, nonzero in both halves, and each mask costs one more
+    OR a word.  Without masks every plane is XORed."""
     planes, width, count = left.shape
     support = np.empty((width, count, right.shape[2]), dtype=left.dtype)
-    other = np.empty_like(support)
-    np.bitwise_xor(left[0, :, :, None], right[0, :, None, :], out=support)
-    for p in range(1, planes):
-        np.bitwise_xor(left[p, :, :, None], right[p, :, None, :], out=other)
-        support |= other
+    if planes:
+        np.bitwise_xor(left[0, :, :, None], right[0, :, None, :], out=support)
+        other = np.empty_like(support)
+        for p in range(1, planes):
+            np.bitwise_xor(left[p, :, :, None], right[p, :, None, :], out=other)
+            support |= other
+    else:
+        support.fill(0)
+    if left_mask is not None:
+        support |= left_mask[:, :, None]
+    if right_mask is not None:
+        support |= right_mask[:, None, :]
     return support.reshape(width, -1)
+
+
+def _sort_planes(left: np.ndarray, right: np.ndarray):
+    """The (P, W, L) and (P, W, R) bit planes of the two halves as
+    ``_support_words`` takes them with masks: the shared planes (nonzero in
+    both halves) of each half, and the OR of each half's one-sided planes
+    (nonzero in that half only, None if there is none).  A plane zero in
+    both halves is dead: left ^ right is zero there, and it is dropped."""
+    in_left, in_right = left.any(axis=(1, 2)).tolist(), right.any(axis=(1, 2)).tolist()
+    shared, masks = [], [None, None]
+    for p, live in enumerate(zip(in_left, in_right)):
+        if all(live):
+            shared.append(p)
+        elif any(live):
+            side = live.index(True)
+            plane = (left, right)[side][p]
+            masks[side] = plane if masks[side] is None else masks[side] | plane
+    if len(shared) < len(in_left):
+        left, right = left.take(shared, axis=0), right.take(shared, axis=0)
+    return left, right, masks[0], masks[1]
 
 
 # Bytes of support words weighed per block (at least one left against all
@@ -226,7 +283,10 @@ def _min_weights_enum(
     words past 64) with the codeword axis innermost, and the supports of a
     block of lefts against all rights are the OR over the planes of
     left ^ right (_support_words): long word operations, weighed by
-    popcount.  The one zero difference of
+    popcount.  Which planes take part depends only on which are zero in
+    each half: u-parts that no row reaches are dropped before the
+    combinations are formed, and _sort_planes keeps the shared planes and
+    folds the one-sided ones into a mask per half.  The one zero difference of
     independent rows, left 0 - right 0, is the first word of the first
     block and is skipped there; a zero anywhere else means the rows are
     dependent, and the enumeration raises.
@@ -240,17 +300,26 @@ def _min_weights_enum(
         raise TooLarge(basis.rank, cap, q)
     if not metrics or basis.rank == 0:
         return dict.fromkeys(metrics, 0)
-    n = code.n
-    rows = _x_rows(code.field, basis)
+    n, field, rank = code.n, code.field, basis.rank
+    rows = _x_rows(field, basis)
+    parts = rows.reshape(rank, 4, n).any(axis=(0, 2))
+    if not parts.all():
+        # a u-part that no row reaches is zero in every combination
+        rows = rows.reshape(rank, 4, n).compress(parts, axis=1).reshape(rank, -1)
 
-    half = basis.rank // 2
-    left = _bit_planes(code.field, _one_per_line(code.field, rows[:half]), n)
-    right = _bit_planes(code.field, _all_combinations(code.field, rows[half:]), n)
+    half = rank // 2
+    left = _bit_planes(field, _one_per_line(field, rows[:half]), n)
+    right = _bit_planes(field, _all_combinations(field, rows[half:]), n)
+    left, right, left_mask, right_mask = _sort_planes(left, right)
 
-    per_block = max(1, _BLOCK // right[0].nbytes)
+    _, width, rights = right.shape
+    per_block = max(1, _BLOCK // (width * rights * right.itemsize))
     best: dict[str, Optional[int]] = dict.fromkeys(metrics)
     for i in range(0, left.shape[2], per_block):
-        words = _support_words(left[:, :, i : i + per_block], right)
+        block = slice(i, i + per_block)
+        words = _support_words(
+            left[:, :, block], right, None if left_mask is None else left_mask[:, block], right_mask
+        )
         if i == 0:
             words = words[:, 1:]  # left 0 - right 0: the zero word
             if words.shape[1] == 0:

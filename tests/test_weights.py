@@ -11,8 +11,8 @@ from u4codes.sring import basis_transform_rows
 from u4codes.codes import SpanBasis
 from u4codes.randgen import random_unit
 from u4codes.weights import (
-    METRICS, _all_combinations, _bit_planes, _min_weights_enum, _min_word_weight, _support_words,
-    _x_rows,
+    METRICS, _all_combinations, _bit_planes, _min_weights_enum, _min_word_weight, _sort_planes,
+    _support_words, _x_rows,
 )
 from conftest import (
     add_table_combinations, digits_of, golden_g0_g1_f2, golden_g1_f4, golden_g2_f25, packed,
@@ -466,6 +466,169 @@ def test_enumeration_memory_does_not_grow_with_length(F5):
 def test_min_weight_cap(F25):
     with pytest.raises(TooLarge):
         min_weight(golden_g2_f25(F25), "rt", cap=2**20)
+
+
+# --- only the planes that can differ ------------------------------------------------
+
+
+def planes_of(field, encodings, n):
+    dtype = np.uint8 if field.p <= 128 else np.uint16
+    return _bit_planes(field, digits_of(field, encodings).astype(dtype), n)
+
+
+def sorted_support_words(field, left, right, n):
+    """``_support_words`` of the two sides' bit planes as the enumerator
+    forms them: the shared planes, and a mask per side of its one-sided
+    planes; with the number of shared planes."""
+    shared_left, shared_right, left_mask, right_mask = _sort_planes(
+        planes_of(field, left, n), planes_of(field, right, n))
+    return _support_words(shared_left, shared_right, left_mask, right_mask), shared_left.shape[0]
+
+
+def zero_parts(rows, n, parts):
+    rows = rows.copy()
+    for part in parts:
+        rows[:, part * n : (part + 1) * n] = 0
+    return rows
+
+
+# (left's zero u-parts, right's zero u-parts, whether a plane stays shared)
+PLANE_CASES = {
+    "left one-sided": ((), (0, 1), True),
+    "right one-sided": ((2, 3), (), True),
+    "no shared plane": ((2, 3), (0, 1), False),
+    "dead u-parts": ((0, 1), (0, 1, 3), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANE_CASES))
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (5, 2)])
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 25, 27, 32, 65, 125, 625])
+def test_sorted_planes_give_the_support_of_the_difference(case, p, m, n):
+    # random words with some u-parts zero on one side or both, so that
+    # whole planes are one-sided or dead; one right word also keeps only
+    # the low digit bit, so that over F_5 and F_25 single bit planes are
+    # one-sided too.  Each right equals a left on one of its live u-parts,
+    # and the first left is the zero word, as in the enumerator
+    field = u.field_make(p, m)
+    q = field.q
+    left_zero, right_zero, any_shared = PLANE_CASES[case]
+    rng = np.random.default_rng(10 * n + q)
+    left = zero_parts(rng.integers(0, q, (6, 4 * n)).astype(np.int16), n, left_zero)
+    left[0] = 0
+    right = zero_parts(rng.integers(0, q, (7, 4 * n)).astype(np.int16), n, right_zero)
+    right[1] = zero_parts(left[1 + rng.integers(5)][None], n, right_zero)[0]
+    differences = field.sub_table[left[:, None, :], right[None, :, :]]
+    support = (differences.reshape(-1, 4, n) != 0).any(axis=1)
+    words, shared = sorted_support_words(field, left, right, n)
+    word, count = word_of(n)
+    assert words.dtype == word and words.shape == (count, 6 * 7)
+    assert np.array_equal(words, packed(support))
+    assert (shared > 0) == any_shared
+    assert shared < 4 * m * (p - 1).bit_length()
+    # a side whose digits are only 0 and 1 leaves its higher digit bits dead
+    low = right & 1 if m == 1 else right % p % 2
+    differences = field.sub_table[left[:, None, :], low[None, :, :]]
+    support = (differences.reshape(-1, 4, n) != 0).any(axis=1)
+    assert np.array_equal(sorted_support_words(field, left, low, n)[0], packed(support))
+
+
+def test_support_words_with_masks_only():
+    # no shared plane and one mask, on either side: the supports are that
+    # side's own words, repeated across the other side
+    n = 27
+    rng = np.random.default_rng(5)
+    words = rng.integers(0, 2**27, (1, 4), dtype=np.uint32)
+    none = np.zeros((0, 1, 3), dtype=np.uint32)
+    got = _support_words(none, np.zeros((0, 1, 4), dtype=np.uint32), None, words)
+    assert np.array_equal(got, np.tile(words, (1, 3)))
+    got = _support_words(np.zeros((0, 1, 4), dtype=np.uint32), none, words, None)
+    assert np.array_equal(got, np.repeat(words, 3, axis=1))
+    assert not _support_words(none, none).any()
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 1), (2, 1, 3), (2, 1, 7), (2, 2, 1), (2, 2, 2),
+                                   (5, 1, 1), (5, 1, 2), (5, 1, 4)])
+def test_rank_one_codes(p, m, k):
+    # <g3> with r3 = n - 1: rank 1, so the left half is the zero word alone,
+    # every left plane is dead and no plane is shared
+    spec = u.field_make(p, m)
+    n = p**k
+    code = u.validate_canonical(spec, k, u.GeneratorForm(r3=n - 1))
+    basis = u.span_basis(code)
+    assert basis.rank == 1
+    mins = u.min_weights(code, METRICS, basis=basis)
+    assert mins == reference_min_weights(code, METRICS, basis)
+    assert mins == {"hamming": n, "symbol_pair": n, "rt": n}
+
+
+def typed_code(rng, spec, k, degrees):
+    """The code of the given degrees {level: degree} with, in most of the
+    correction slots that have room, a random unit at one of the two top
+    degrees (lower ones raise the rank past enumeration)."""
+    n = spec.p**k
+    corrections = {
+        (owner, ulevel): (rng.randrange(max(0, bound - 2), bound), random_unit(rng, spec, n))
+        for owner, ulevel, bound in u.GeneratorForm.slots(degrees, n)
+        if bound and rng.random() < 0.7
+    }
+    return u.validate_canonical(spec, k, u.GeneratorForm.of(degrees, corrections))
+
+
+# <g2> and <g2, g3> reach two u-parts, <g1, g3> three and <g0> all four
+TYPED_LEVELS = [(2,), (2, 3), (1, 3), (0,)]
+
+
+@pytest.mark.parametrize("levels", TYPED_LEVELS)
+@pytest.mark.parametrize("p,m,k", [(2, 1, 2), (2, 1, 3), (3, 1, 1), (3, 1, 2), (2, 2, 1),
+                                   (5, 1, 1), (2, 3, 1), (3, 2, 1), (5, 2, 1)])
+def test_min_weights_match_reference_by_type(levels, p, m, k):
+    # three codes of the type a field and length, at the top degrees, below
+    # q^4 or 2^16 codewords
+    spec = u.field_make(p, m)
+    n = p**k
+    rng = random.Random(1000 * p + 100 * m + 10 * k + len(levels))
+    checked = tries = 0
+    while checked < 3 and tries < 200:
+        tries += 1
+        degrees = dict(zip(levels, sorted((n - 1 - rng.randrange(min(n, 3)) for _ in levels),
+                                          reverse=True)))
+        code = typed_code(rng, spec, k, degrees)
+        basis = u.span_basis(code)
+        if basis.rank == 0 or spec.q**basis.rank > max(2**16, spec.q**4):
+            continue
+        checked += 1
+        mins = u.min_weights(code, METRICS, basis=basis)
+        assert mins == reference_min_weights(code, METRICS, basis)
+        assert mins["rt"] == reference_min_rt(code, basis)
+    assert checked == 3
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 65, 129, 625])
+def test_word_weight_leaves_its_words(n):
+    # every metric reads the block that the next metric weighs
+    rng = np.random.default_rng(n)
+    words = packed(rng.random((50, n)) < 0.3)
+    kept = words.copy()
+    for metric in METRICS:
+        _min_word_weight(words, n, metric)
+        assert np.array_equal(words, kept)
+
+
+@pytest.mark.parametrize("p,k,rank", [(2, 7, 12), (3, 5, 7), (5, 3, 5)])
+def test_metric_order_does_not_change_minima(p, k, rank):
+    # multi-word supports (n = 128, 243, 125): rt and symbol_pair weigh the
+    # same block in either order
+    spec = u.field_make(p, 1)
+    n = p**k
+    r2 = n - rank // 2
+    for form in (u.GeneratorForm(r3=n - rank),
+                 u.GeneratorForm(r2=r2, k6=r2 - 1, p6=u.SPoly.from_ints(spec, n, [1, 1]))):
+        code = u.validate_canonical(spec, k, form)
+        basis = u.span_basis(code)
+        forward = u.min_weights(code, ("rt", "symbol_pair"), basis=basis)
+        backward = u.min_weights(code, ("symbol_pair", "rt"), basis=basis)
+        assert forward == backward == reference_min_weights(code, ("symbol_pair", "rt"), basis)
 
 
 # --- closed forms -----------------------------------------------------------------
