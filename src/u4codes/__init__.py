@@ -22,10 +22,6 @@ from .torsion import (
     U2Element,
     t3,
     t3_from_u2_set,
-    t3_g1,
-    t3_g1_g2,
-    t3_g2,
-    t3_g3,
     u2_part_set,
 )
 from .weights import (
@@ -45,8 +41,7 @@ __all__ = [
     "RingElement",
     "IDEAL_TYPES", "CyclicCode", "GeneratorForm", "SpanBasis", "contains",
     "span_basis", "torsion_oracle", "torsion_profile", "validate_canonical",
-    "T3Result", "U2Element", "t3", "t3_from_u2_set",
-    "t3_g1", "t3_g1_g2", "t3_g2", "t3_g3", "u2_part_set",
+    "T3Result", "U2Element", "t3", "t3_from_u2_set", "u2_part_set",
     "WeightReport", "analyze", "min_weights",
     "wt_rt_from_t3", "wt_sp_from_t3",
     "format_code_file", "parse_code_file",

@@ -54,11 +54,11 @@ from .codes import CyclicCode, GeneratorForm, code_length, validate_canonical
 from .galois import FieldSpec, field_make
 from .sring import MAX_N, SPoly
 
-# One named group per token kind; "(x-1)" is tried before "(".
+# One named group per token kind, after any whitespace; "(x-1)" is tried
+# before "(".  Trailing whitespace matches nothing and makes no token.
 _TOKEN = re.compile(
-    r"(?P<XM1>\(\s*x\s*-\s*1\s*\))|(?P<INT>\d+)|(?P<U>u)|(?P<S>s)|(?P<A>a)|(?P<PLUS>\+)"
-    r"|(?P<STAR>\*)|(?P<CARET>\^)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<SPACE>\s+)|(?P<BAD>.)",
-    re.DOTALL,
+    r"\s*(?:(?P<XM1>\(\s*x\s*-\s*1\s*\))|(?P<INT>\d+)|(?P<U>u)|(?P<S>s)|(?P<A>a)|(?P<PLUS>\+)"
+    r"|(?P<STAR>\*)|(?P<CARET>\^)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<BAD>\S))"
 )
 
 
@@ -97,13 +97,12 @@ class _ExprParser:
         self.start = col_offset + 1
         self.toks: list[tuple[str, object, int]] = []
         for match in _TOKEN.finditer(text):
-            kind, col = match.lastgroup, col_offset + match.start() + 1
+            kind = match.lastgroup
+            col = col_offset + match.start(kind) + 1
             if kind == "BAD":
                 raise ParseError(line, col, "one of u, s, a, (x-1), integer, + * ^ ( )")
-            if kind == "INT":
-                self.toks.append((kind, _int(match.group(), line, "a shorter integer", col), col))
-            elif kind != "SPACE":
-                self.toks.append((kind, None, col))
+            value = _int(match.group(kind), line, "a shorter integer", col) if kind == "INT" else None
+            self.toks.append((kind, value, col))
         self.toks.append(("EOF", None, col_offset + len(text) + 1))
         self.pos = 0
 

@@ -27,13 +27,17 @@ the u-part of sA = s^(n-r) g0 can carry a non-constant unit (those of u g0
 and g1 are monomials), so a code inverts at most one series.  Every pairwise
 u^2-cancellation is read off one product table of each member's u^2 unit
 times every member's u^3-part: one kernel call per member whose unit is not
-a constant, whatever the number of pairs.  The case formulas stay on
-``SPoly`` because their traces print the polynomial.
+a constant, whatever the number of pairs.  The case formulas of <g1> and
+<g1,g2> compute on the corrections' coefficient arrays too (products by
+``sring._mul_trunc``, differences by the field's ``sub_table``) and build
+one ``SPoly``, only to print the <g1> polynomial in the trace.  ``t3`` is
+the one entry point: it dispatches on the ideal type, so no case formula
+checks the type again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Optional
@@ -107,93 +111,83 @@ def _witnessed(n: int, min_set: list[tuple[str, int]], method: str, **details) -
     )
 
 
-def _term(spec, n: int, exp: Optional[int], poly: Optional[SPoly]) -> SPoly:
-    """s^exp * poly, zero when the unit part is absent or exp >= n.
+def _term(n: int, exp: Optional[int], poly: Optional[np.ndarray]) -> np.ndarray:
+    """s^exp * poly as a length-n int16 array, zero when the unit part is
+    absent or exp >= n.
 
     A negative exponent inside a taken branch would mean the dispatch is
     wrong, so it raises instead of clamping.
     """
+    out = np.zeros(n, dtype=np.int16)
     if poly is None:
-        return SPoly.zero(spec, n)
+        return out
     if exp is None or exp < 0:
         raise InconsistentSet("negative exponent reached a live branch")
-    return poly.shift(exp)
+    if exp < n:
+        out[exp:] = poly[: n - exp]
+    return out
 
 
 # --- principal types and <g1,g2> ----------------------------------------------
 
 
-def _require(code: CyclicCode, expected: tuple[int, ...]):
-    if code.ideal_type != expected:
-        raise WrongIdealType(str(expected), str(code.ideal_type))
-
-
-def t3_g1(code: CyclicCode) -> T3Result:
-    """<g1>: one pairwise elimination between u*g1 and s^(n-r1)*g1."""
-    _require(code, (1,))
+def _t3_g1(code: CyclicCode) -> T3Result:
+    """<g1>: one pairwise elimination between u*g1 and s^(n-r1)*g1.  It reads
+    only r1, k4, p4, k5 and p5, so <g1,g2> runs it on its own code."""
     form, n, spec = code.form, code.n, code.field
-    r1, k4, p4, k5, p5 = form.r1, form.k4, form.p4, form.k5, form.p5
+    r1, k4, k5 = form.r1, form.k4, form.k5
+    p4, p5 = (None if p is None else p.coeffs for p in (form.p4, form.p5))
+    square = None if p4 is None else _mul_trunc(spec, p4, p4, n)
 
     if p4 is None or n - r1 + k4 >= r1:
         case, base = "a", ("r1", r1)
-        poly = _term(spec, n, None if p4 is None else n - 2 * r1 + 2 * k4,
-                     None if p4 is None else p4 * p4)
-        poly = poly - _term(spec, n, n - r1 + k5 if p5 is not None else None, p5)
+        poly = _term(n, None if p4 is None else n - 2 * r1 + 2 * k4, square)
+        poly = spec.sub_table[poly, _term(n, n - r1 + k5 if p5 is not None else None, p5)]
     else:
         case, base = "b", ("n-r1+k4", n - r1 + k4)
-        poly = _term(spec, n, k4, p4 * p4)
-        poly = poly - _term(spec, n, r1 - k4 + k5 if p5 is not None else None, p5)
+        poly = _term(n, k4, square)
+        poly = spec.sub_table[poly, _term(n, r1 - k4 + k5 if p5 is not None else None, p5)]
 
-    tau = None if poly.is_zero() else poly.valuation()
+    tau = _valuation(poly)
+    tau = None if tau == n else tau
     min_set = [base] if tau is None else [base, ("tau", tau)]
-    return _witnessed(n, min_set, "g1", case=case, tau_poly=str(poly), tau=tau)
+    return _witnessed(n, min_set, "g1", case=case, tau_poly=SPoly(spec, n, poly).to_string(), tau=tau)
 
 
-def t3_g2(code: CyclicCode) -> T3Result:
+def _t3_g2(code: CyclicCode) -> T3Result:
     """<g2>: min of the generator degree and its shifted correction degree."""
-    _require(code, (2,))
     form, n = code.form, code.n
-    r2, k6, p6 = form.r2, form.k6, form.p6
-    min_set = [("r2", r2)]
-    if p6 is not None:
-        min_set.append(("n-r2+k6", n - r2 + k6))
+    min_set = [("r2", form.r2)]
+    if form.p6 is not None:
+        min_set.append(("n-r2+k6", n - form.r2 + form.k6))
     return _witnessed(n, min_set, "g2")
 
 
-def t3_g3(code: CyclicCode) -> T3Result:
-    _require(code, (3,))
-    return _witnessed(code.n, [("r3", code.form.r3)], "g3")
-
-
-def t3_g1_g2(code: CyclicCode) -> T3Result:
-    """<g1,g2>: the <g1> sub-result plus eliminations against g2."""
-    _require(code, (1, 2))
+def _t3_g1_g2(code: CyclicCode) -> T3Result:
+    """<g1,g2>: the <g1> result plus eliminations against g2."""
     form, n, spec = code.form, code.n, code.field
-    r1, r2 = form.r1, form.r2
-    k4, p4, k5, p5, k6, p6 = form.k4, form.p4, form.k5, form.p5, form.k6, form.p6
-
-    # dropping g2 keeps the form canonical, so the sub-code needs no re-validation
-    sub = replace(code, form=replace(form, r2=None, k6=None, p6=None))
-    t_sub = t3_g1(sub)
+    r1, r2, k4, k5, k6 = form.r1, form.r2, form.k4, form.k5, form.k6
+    p4, p5, p6 = (None if p is None else p.coeffs for p in (form.p4, form.p5, form.p6))
+    t_sub = _t3_g1(code)
 
     # elimination of s^(n-r1)*g1 against g2 (u^2 level)
     if p4 is None or n - r1 + k4 > r2:
         branch = "n-r1+k4 > r2"
-        poly3 = _term(spec, n, n - r1 + k5 if p5 is not None else None, p5)
+        poly3 = _term(n, n - r1 + k5 if p5 is not None else None, p5)
         if p4 is not None and p6 is not None:
-            poly3 = poly3 - _term(spec, n, n - r1 - r2 + k4 + k6, p4 * p6)
+            poly3 = spec.sub_table[poly3, _term(n, n - r1 - r2 + k4 + k6, _mul_trunc(spec, p4, p6, n))]
     else:
         branch = "n-r1+k4 <= r2"
-        poly3 = _term(spec, n, r2 - k4 + k5 if p5 is not None else None, p5)
+        poly3 = _term(n, r2 - k4 + k5 if p5 is not None else None, p5)
         if p6 is not None:
-            poly3 = poly3 - _term(spec, n, k6, p4 * p6)
+            poly3 = spec.sub_table[poly3, _term(n, k6, _mul_trunc(spec, p4, p6, n))]
     # elimination of u*g1 against g2
-    poly4 = _term(spec, n, k4 if p4 is not None else None, p4)
-    poly4 = poly4 - _term(spec, n, r1 - r2 + k6 if p6 is not None else None, p6)
+    poly4 = spec.sub_table[_term(n, k4 if p4 is not None else None, p4),
+                           _term(n, r1 - r2 + k6 if p6 is not None else None, p6)]
 
     min_set = [("t", t_sub.t3), ("r2", r2)]
-    min_set += [(label, poly.valuation()) for label, poly in (("tau3", poly3), ("tau4", poly4))
-                if not poly.is_zero()]
+    min_set += [(label, tau) for label, tau in (("tau3", _valuation(poly3)), ("tau4", _valuation(poly4)))
+                if tau < n]
     kappa = min((v for _, v in min_set[2:]), default=None)
     if p4 is not None:
         min_set.append(("n-r1+k4", n - r1 + k4))
@@ -370,13 +364,13 @@ def t3(code: CyclicCode) -> T3Result:
     """Third torsional degree of any of the 15 ideal types."""
     t = code.ideal_type
     if t == (1,):
-        return t3_g1(code)
+        return _t3_g1(code)
     if t == (2,):
-        return t3_g2(code)
+        return _t3_g2(code)
     if t == (3,):
-        return t3_g3(code)
+        return _witnessed(code.n, [("r3", code.form.r3)], "g3")
     if t == (1, 2):
-        return t3_g1_g2(code)
+        return _t3_g1_g2(code)
     if t in _U2_TYPES:
         return _t3_u2_set(u2_part_set(code), code)
     # remaining types contain g3: adjoining u^3 s^r3 caps the sub-code's degree at r3

@@ -2,6 +2,7 @@ import importlib.util
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +38,11 @@ def full_length(members, n):
     return [u.U2Element(f.source, padded(f, n)) for f in members]
 
 
-# --- t3_g1 -----------------------------------------------------------------------
+# --- <g1> -------------------------------------------------------------------------
 
 
 def test_t3_g1_golden(F4):
-    res = u.t3_g1(golden_g1_f4(F4))
+    res = u.t3(golden_g1_f4(F4))
     assert res.t3 == 1
     assert res.path["case"] == "b"
     assert res.path["tau"] == 1
@@ -50,28 +51,23 @@ def test_t3_g1_golden(F4):
 
 def test_t3_g1_pure_power(F2):
     code = u.validate_canonical(F2, 3, u.GeneratorForm(r1=5))
-    assert u.t3_g1(code).t3 == 5
+    assert u.t3(code).t3 == 5
     assert oracle_t3(code) == 5
 
 
 def test_t3_g1_derived_socle_hits_zero(F2):
     code = u.validate_canonical(F2, 2, u.GeneratorForm(r1=3, k4=0, p4=SPoly.one(F2, 4)))
-    res = u.t3_g1(code)
+    res = u.t3(code)
     assert res.path["case"] == "b"
     assert res.path["tau"] == 0
     assert res.t3 == 0 == oracle_t3(code)
 
 
-def test_t3_g1_wrong_type(F2):
-    with pytest.raises(WrongIdealType):
-        u.t3_g1(u.validate_canonical(F2, 2, u.GeneratorForm(r2=1)))
-
-
-# --- t3_g1_g2 --------------------------------------------------------------------
+# --- <g1,g2> ----------------------------------------------------------------------
 
 
 def test_t3_g1_g2_golden(F4):
-    res = u.t3_g1_g2(golden_g1_g2_f4(F4))
+    res = u.t3(golden_g1_g2_f4(F4))
     assert res.t3 == 0
     assert res.path["kappa"] == 0
     labels = dict((l, v) for l, v in res.path["min_set"])
@@ -84,35 +80,189 @@ def test_t3_g1_g2_golden(F4):
 
 def test_t3_g1_g2_no_corrections(F2):
     code = u.validate_canonical(F2, 3, u.GeneratorForm(r1=5, r2=3))
-    assert u.t3_g1_g2(code).t3 == 3 == oracle_t3(code)
+    assert u.t3(code).t3 == 3 == oracle_t3(code)
 
 
 def test_t3_g1_g2_derived(F2):
     code = u.validate_canonical(
         F2, 2, u.GeneratorForm(r1=3, r2=2, k4=0, p4=SPoly.one(F2, 4))
     )
-    assert u.t3_g1_g2(code).t3 == oracle_t3(code)
+    assert u.t3(code).t3 == oracle_t3(code)
 
 
-# --- t3_g2 / t3_g3 ---------------------------------------------------------------
+# --- <g2> / <g3> ------------------------------------------------------------------
 
 
 def test_t3_g2_golden(F25):
-    res = u.t3_g2(golden_g2_f25(F25))
+    res = u.t3(golden_g2_f25(F25))
     assert res.t3 == 51
     assert sorted(v for _, v in res.path["min_set"]) == [51, 141]
 
 
 def test_t3_g2_small_cases(F2):
-    assert u.t3_g2(u.validate_canonical(F2, 3, u.GeneratorForm(r2=0))).t3 == 0
+    assert u.t3(u.validate_canonical(F2, 3, u.GeneratorForm(r2=0))).t3 == 0
     code = u.validate_canonical(F2, 3, u.GeneratorForm(r2=4, k6=1, p6=SPoly.one(F2, 8)))
-    assert u.t3_g2(code).t3 == 4 == oracle_t3(code)
+    assert u.t3(code).t3 == 4 == oracle_t3(code)
 
 
 def test_t3_g3(F3):
     for r3 in (0, 5, 8):
         code = u.validate_canonical(F3, 2, u.GeneratorForm(r3=r3))
-        assert u.t3_g3(code).t3 == r3 == oracle_t3(code)
+        assert u.t3(code).t3 == r3 == oracle_t3(code)
+
+
+# --- the case formulas against their SPoly reference ------------------------------
+
+
+def reference_term(spec, n, exp, poly):
+    """s^exp * poly as an SPoly, zero when the unit part is absent."""
+    return SPoly.zero(spec, n) if poly is None else poly.shift(exp)
+
+
+def reference_g1_path(code):
+    """The <g1> trace as the case formula built it from SPoly values before
+    it computed on arrays, kept as the reference the arrays must match."""
+    form, n, spec = code.form, code.n, code.field
+    r1, k4, p4, k5, p5 = form.r1, form.k4, form.p4, form.k5, form.p5
+    if p4 is None or n - r1 + k4 >= r1:
+        case, base = "a", ["r1", r1]
+        poly = reference_term(spec, n, None if p4 is None else n - 2 * r1 + 2 * k4,
+                              None if p4 is None else p4 * p4)
+        poly = poly - reference_term(spec, n, n - r1 + k5 if p5 is not None else None, p5)
+    else:
+        case, base = "b", ["n-r1+k4", n - r1 + k4]
+        poly = reference_term(spec, n, k4, p4 * p4)
+        poly = poly - reference_term(spec, n, r1 - k4 + k5 if p5 is not None else None, p5)
+    tau = None if poly.is_zero() else poly.valuation()
+    min_set = [base] if tau is None else [base, ["tau", tau]]
+    return {"method": "g1", "case": case, "tau_poly": str(poly), "tau": tau, "min_set": min_set}
+
+
+def reference_g1_g2_path(code):
+    """The <g1,g2> trace as the SPoly case formula built it, its <g1> part
+    on the code itself."""
+    form, n, spec = code.form, code.n, code.field
+    r1, r2 = form.r1, form.r2
+    k4, p4, k5, p5, k6, p6 = form.k4, form.p4, form.k5, form.p5, form.k6, form.p6
+    t_sub = reference_g1_path(code)
+    if p4 is None or n - r1 + k4 > r2:
+        branch = "n-r1+k4 > r2"
+        poly3 = reference_term(spec, n, n - r1 + k5 if p5 is not None else None, p5)
+        if p4 is not None and p6 is not None:
+            poly3 = poly3 - reference_term(spec, n, n - r1 - r2 + k4 + k6, p4 * p6)
+    else:
+        branch = "n-r1+k4 <= r2"
+        poly3 = reference_term(spec, n, r2 - k4 + k5 if p5 is not None else None, p5)
+        if p6 is not None:
+            poly3 = poly3 - reference_term(spec, n, k6, p4 * p6)
+    poly4 = reference_term(spec, n, k4 if p4 is not None else None, p4)
+    poly4 = poly4 - reference_term(spec, n, r1 - r2 + k6 if p6 is not None else None, p6)
+    min_set = [["t", min(v for _, v in t_sub["min_set"])], ["r2", r2]]
+    min_set += [[label, poly.valuation()] for label, poly in (("tau3", poly3), ("tau4", poly4))
+                if not poly.is_zero()]
+    kappa = min((v for _, v in min_set[2:]), default=None)
+    if p4 is not None:
+        min_set.append(["n-r1+k4", n - r1 + k4])
+        if p5 is not None:
+            min_set.append(["n-k4+k5", n - k4 + k5])
+    if p6 is not None:
+        min_set.append(["n-r2+k6", n - r2 + k6])
+    return {"method": "g1g2", "branch": branch, "t_sub": t_sub, "kappa": kappa, "min_set": min_set}
+
+
+# F_2 to F_9 at every length up to 27
+CASE_FIELDS = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 1), (3, 1, 2), (3, 1, 3),
+               (2, 2, 1), (2, 2, 2), (5, 1, 1), (5, 1, 2), (7, 1, 1), (2, 3, 1), (3, 2, 1)]
+G1_TYPES = [(1,), (1, 2), (1, 3), (1, 2, 3)]
+
+
+def random_code_of_type(rng, spec, k, itype):
+    """A random code of the given type: ordered random degrees, each
+    correction absent with probability 1/3, otherwise a random unit at a
+    random degree below its bound."""
+    n = spec.p**k
+    degrees = dict(zip(itype, sorted((rng.randrange(n) for _ in itype), reverse=True)))
+    corrections = {}
+    for owner, ulevel, bound in u.GeneratorForm.slots(degrees, n):
+        if bound and rng.random() < 2 / 3:
+            corrections[owner, ulevel] = rng.randrange(bound), u.random_unit(rng, spec, n)
+    return u.validate_canonical(spec, k, u.GeneratorForm.of(degrees, corrections))
+
+
+def cancelling_code(rng, spec, k):
+    """A random <g1,g2> code whose two poly3 terms, s^e p5 and s^e p4 p6 at
+    the same e, cancel: k5 = k4 + k6 - r2 and p5 = p4 p6 (random draws
+    rarely line the two up, and only then does the sign between them
+    show)."""
+    while True:
+        form = random_code_of_type(rng, spec, k, (1, 2)).form
+        if form.p4 is not None and form.p6 is not None and 0 <= form.k4 + form.k6 - form.r2:
+            form = replace(form, k5=form.k4 + form.k6 - form.r2, p5=form.p4 * form.p6)
+            return u.validate_canonical(spec, k, form)
+
+
+def g1_case_codes():
+    """Random codes of the four g0-free types with g1 over F_2 to F_9 at
+    n <= 27, among them <g1,g2> codes whose poly3 terms cancel, and the
+    analyze_large benchmark codes of those types (n = 625 and 256), units
+    drawn from two seeds."""
+    codes = []
+    for p, m, k in CASE_FIELDS:
+        spec, rng = u.field_make(p, m), random.Random(3500 + 100 * p + 10 * m + k)
+        codes += [random_code_of_type(rng, spec, k, itype) for itype in G1_TYPES for _ in range(25)]
+        codes += [cancelling_code(rng, spec, k) for _ in range(10)]
+    workloads = perfbench_workloads()
+    return codes + [workloads.make_code(random.Random(seed), shape)
+                    for seed in (1, 2) for shape in workloads.ANALYZE_LARGE_SHAPES
+                    if 1 in shape.degrees and 0 not in shape.degrees]
+
+
+def test_case_formulas_equal_their_spoly_reference():
+    # the array formulas give the SPoly formulas' trace, key for key, on both
+    # <g1> cases, both <g1,g2> branches (each with poly3 cancelling to 0),
+    # with and without each of p4, p5 and p6, alone and under an adjoined g3
+    seen = Counter()
+    for code in g1_case_codes():
+        path = u.t3(code).path
+        if 3 in code.ideal_type:
+            path, code = path["sub"], code.without_g3()
+        if code.ideal_type == (1,):
+            want = reference_g1_path(code)
+            seen["case " + want["case"]] += 1
+        else:
+            want = reference_g1_g2_path(code)
+            seen[want["branch"]] += 1
+            seen["p6 absent"] += code.form.p6 is None
+            if None not in (code.form.p4, code.form.p5, code.form.p6):
+                seen[want["branch"] + ", poly3 = 0"] += all(label != "tau3" for label, _ in path["min_set"])
+        assert path == want, code.form
+        seen["p4 absent"] += code.form.p4 is None
+        seen["p5 absent"] += code.form.p5 is None
+        seen["tau3"] += any(label == "tau3" for label, _ in path["min_set"])
+        seen["n >= 256"] += code.n >= 256
+    assert seen.pop("n >= 256") == 6
+    assert len(seen) == 10 and min(seen.values()) >= 10, seen
+
+
+def test_case_formulas_build_only_the_printed_polynomial(monkeypatch):
+    # no intermediate SPoly: a type with g1 builds the one tau_poly it
+    # prints, and <g2>, <g3> and <g2,g3> build none
+    rng = random.Random(36)
+    codes = g1_case_codes()
+    for p, m, k in CASE_FIELDS:
+        spec = u.field_make(p, m)
+        codes += [random_code_of_type(rng, spec, k, itype) for itype in [(2,), (3,), (2, 3)]]
+    built, init = [], SPoly.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SPoly, "__init__", counted)
+    for code in codes:
+        built.clear()
+        u.t3(code)
+        assert len(built) == (1 in code.ideal_type), (code.ideal_type, len(built))
 
 
 # --- u2_part_set ------------------------------------------------------------------
@@ -482,14 +632,20 @@ def test_u2_members_equal_the_two_elimination_construction(F5):
     assert min(pivots_two.values()) >= 10, pivots_two
 
 
-def closed_form_sub_codes():
-    """The g3-free sub-codes of the closed-form benchmark shapes
-    (``CLOSED_FORM_SHAPES``, n = 625 and 3125), units drawn from two seeds."""
+def perfbench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def closed_form_sub_codes():
+    """The g3-free sub-codes of the closed-form benchmark shapes
+    (``CLOSED_FORM_SHAPES``, n = 625 and 3125), units drawn from two seeds."""
+    workloads = perfbench_workloads()
     return [workloads.make_code(random.Random(seed), shape).without_g3()
             for seed in (1, 2) for shape in workloads.CLOSED_FORM_SHAPES]
 
